@@ -1,8 +1,6 @@
 //! Benchmark-only crate: see the `benches/` directory. The library part
 //! exposes small helpers shared by the bench targets.
 
-#![forbid(unsafe_code)]
-
 /// Builds a simulator over the given benchmarks with the given policy
 /// (statically dispatched unless handed a boxed one), functionally
 /// prewarmed and settled, ready for timed stepping.

@@ -36,7 +36,6 @@
 //! assert_eq!(sim.policy_name(), "DCRA");
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod classify;

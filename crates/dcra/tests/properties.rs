@@ -69,7 +69,7 @@ proptest! {
         let table = allocation_table(total, threads, factor);
         let expected: usize = (1..=threads).map(|a| a as usize).sum();
         prop_assert_eq!(table.len(), expected);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for row in &table {
             prop_assert!(row.slow_active >= 1);
             prop_assert!(row.fast_active + row.slow_active <= threads);

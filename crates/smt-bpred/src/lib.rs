@@ -20,7 +20,6 @@
 //! bp.update(t, 0x1000, actual, pred);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod btb;

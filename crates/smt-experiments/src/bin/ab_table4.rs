@@ -13,7 +13,10 @@
 //! Intended use is paired same-host interleaved A/B: build this bin at
 //! two revisions, alternate invocations, and compare the means.
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "host-time instrumentation: wall-clock readings are reported, never fed back into simulated state"
+)]
 
 use smt_experiments::PolicyKind;
 use smt_sim::{SimConfig, Simulator};

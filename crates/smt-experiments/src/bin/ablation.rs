@@ -1,8 +1,6 @@
 //! Runs the DCRA design-choice ablations (activity-counter window, sharing
 //! factor, degenerate-case detection, table-driven implementation).
 
-#![forbid(unsafe_code)]
-
 use smt_experiments::{ablation, Runner};
 fn main() {
     let runner = Runner::new();

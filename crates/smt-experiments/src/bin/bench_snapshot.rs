@@ -24,7 +24,10 @@
 //! reused [`SimSession`] sustains versus building a fresh simulator per
 //! run.
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "host-time instrumentation: wall-clock readings are reported, never fed back into simulated state"
+)]
 
 use smt_experiments::scenarios::{policy_for_target, specs_for_family, ScenarioLengths};
 use smt_experiments::{PolicyKind, RunSpec, SimSession};

@@ -5,8 +5,6 @@
 //! cargo run --release -p smt-experiments --bin diagnose -- POLICY bench [bench ...]
 //! ```
 
-#![forbid(unsafe_code)]
-
 use smt_experiments::{PolicyKind, RunSpec, Runner};
 
 fn main() {

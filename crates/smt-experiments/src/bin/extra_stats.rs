@@ -1,8 +1,6 @@
 //! Regenerates the Section-5.2 in-text measurements (front-end activity,
 //! memory parallelism).
 
-#![forbid(unsafe_code)]
-
 use smt_experiments::{extra, Runner};
 fn main() {
     let runner = Runner::new();

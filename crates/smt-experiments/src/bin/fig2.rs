@@ -1,7 +1,5 @@
 //! Regenerates paper Figure 2 (single-thread speed vs resource share).
 
-#![forbid(unsafe_code)]
-
 use smt_experiments::{fig2, Runner};
 fn main() {
     let runner = Runner::new();

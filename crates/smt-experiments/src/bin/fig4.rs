@@ -1,7 +1,5 @@
 //! Regenerates paper Figure 4 (DCRA vs SRA).
 
-#![forbid(unsafe_code)]
-
 use smt_experiments::{fig4, Runner};
 fn main() {
     let runner = Runner::new();

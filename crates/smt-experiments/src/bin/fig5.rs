@@ -1,7 +1,5 @@
 //! Regenerates paper Figure 5 (DCRA vs ICOUNT/DG/FLUSH++).
 
-#![forbid(unsafe_code)]
-
 use smt_experiments::{fig5, Runner};
 fn main() {
     let runner = Runner::new();

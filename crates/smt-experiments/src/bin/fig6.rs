@@ -1,7 +1,5 @@
 //! Regenerates paper Figure 6 (register-file size sensitivity).
 
-#![forbid(unsafe_code)]
-
 use smt_experiments::{fig6, Runner};
 fn main() {
     let runner = Runner::new();

@@ -1,7 +1,5 @@
 //! Regenerates paper Figure 7 (memory latency sensitivity).
 
-#![forbid(unsafe_code)]
-
 use smt_experiments::{fig7, Runner};
 fn main() {
     let runner = Runner::new();

@@ -13,8 +13,6 @@
 //! family, seed and mix count produce identical bytes for any worker
 //! count — CI generates the expected family twice and diffs the files.
 
-#![forbid(unsafe_code)]
-
 use smt_workloads::{FamilyManifest, FamilySpec, PolicyTarget};
 
 fn usage() -> ! {

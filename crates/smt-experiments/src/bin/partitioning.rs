@@ -1,7 +1,5 @@
 //! Partial-partitioning study: which resources should be statically split?
 
-#![forbid(unsafe_code)]
-
 use smt_experiments::{partitioning, Runner};
 fn main() {
     let runner = Runner::new();

@@ -4,8 +4,6 @@
 //! Usage: `sweep [POLICY]` where POLICY is one of RR, ICOUNT, STALL,
 //! FLUSH, FLUSH++, DG, PDG, SRA, DCRA (default DCRA).
 
-#![forbid(unsafe_code)]
-
 use smt_experiments::runner::{PolicyKind, Runner};
 use smt_experiments::sweep::{sweep_lengths, sweep_policy};
 use smt_sim::SimConfig;

@@ -1,7 +1,5 @@
 //! Regenerates paper Table 3 (per-benchmark L2 miss rates / MEM-ILP split).
 
-#![forbid(unsafe_code)]
-
 use smt_experiments::{table3, Runner};
 fn main() {
     let runner = Runner::new();

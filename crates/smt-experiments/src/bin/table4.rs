@@ -1,7 +1,5 @@
 //! Prints paper Table 4 (the 36 multiprogrammed workloads).
 
-#![forbid(unsafe_code)]
-
 use smt_workloads::table4_workloads;
 fn main() {
     println!("Table 4 — workloads\n");

@@ -1,7 +1,5 @@
 //! Regenerates paper Table 5 (phase distribution of 2-thread workloads).
 
-#![forbid(unsafe_code)]
-
 use smt_experiments::table5;
 fn main() {
     let rows = table5::run(150_000).unwrap_or_else(|e| {

@@ -88,6 +88,10 @@ impl FaultPlan {
     /// a pure function of `(seed, index)`.
     pub fn seeded(seed: u64, runs: usize, fault_share: f64) -> Self {
         let share = fault_share.clamp(0.0, 1.0);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "index is reduced modulo ALL_KINDS.len(), in bounds for any hash value"
+        )]
         let faults = (0..runs)
             .map(|i| {
                 let h = splitmix64(seed ^ splitmix64(i as u64));
@@ -144,6 +148,10 @@ impl FaultPlan {
                     Some(FaultKind::InvalidConfig) => {
                         s.config.fetch_queue = 0;
                     }
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "chaos mutation of a spec the harness itself built with at least one benchmark"
+                    )]
                     Some(FaultKind::UnknownBenchmark) => {
                         s.benches[0] = "__chaos_unknown__".to_string();
                         s.profile_overrides = None;
@@ -192,6 +200,10 @@ impl Policy for ChaosPolicy {
         self.inner.name()
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "deliberate fault injection: the panic is the chaos payload, contained by the runner's catch_unwind fault domain"
+    )]
     fn begin_cycle(&mut self, view: &CycleView) {
         if view.now >= self.at_cycle {
             panic!(

@@ -80,10 +80,18 @@ pub fn run(runner: &Runner, measure_cycles: u64) -> Result<Vec<Fig2Result>, RunE
         }
         let outs = runner.run_all(&specs)?;
         let per_frac = benches.len();
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "outs has fractions.len() * per_frac entries by construction; every slice bound derives from those two lengths"
+        )]
         let full_speed: Vec<f64> = outs[outs.len() - per_frac..]
             .iter()
             .map(|o| o.throughput())
             .collect();
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "outs has fractions.len() * per_frac entries by construction; every slice bound derives from those two lengths"
+        )]
         let series = FRACTIONS
             .iter()
             .enumerate()
@@ -118,6 +126,10 @@ pub fn report(results: &[Fig2Result]) -> TextTable {
     for (i, &frac) in FRACTIONS.iter().enumerate() {
         let mut row = vec![format!("{:.1}", frac * 100.0)];
         for r in results {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "all series are built over the same fraction list that drives the loop index"
+            )]
             row.push(format!("{:.3}", r.series[i].1));
         }
         t.row_owned(row);

@@ -43,9 +43,9 @@ pub fn run(runner: &Runner) -> Result<Fig6Result, RunError> {
             &[2],
         )?;
         let mut imps = [0.0f64; 4];
-        for (i, base) in BASELINES.iter().enumerate() {
+        for (imp, base) in imps.iter_mut().zip(&BASELINES) {
             let sweep = sweep_policy_threads(runner, base, &config, &lengths, &[2])?;
-            imps[i] = improvement_pct(dcra.average().hmean, sweep.average().hmean);
+            *imp = improvement_pct(dcra.average().hmean, sweep.average().hmean);
         }
         rows.push((regs, imps));
     }

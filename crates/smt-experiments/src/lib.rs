@@ -20,8 +20,13 @@
 //! | [`ablation`] | design-choice ablations (activity window, sharing factor, DCRA-DC, ROM implementation) |
 //! | [`partitioning`] | §5.1 partial static partitioning vs dynamic allocation |
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
 
 pub mod ablation;
 pub mod chaos;

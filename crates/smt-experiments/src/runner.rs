@@ -18,7 +18,6 @@ use smt_sim::policy::AnyPolicy;
 use smt_sim::watch::CommitWatchdog;
 use smt_sim::{RunBudget, SimConfig, SimResult, Simulator};
 use smt_workloads::{spec, BenchmarkProfile, ScenarioMix, Workload};
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -476,6 +475,12 @@ struct BaselineKey {
     config: SimConfig,
 }
 
+/// Worker count of the pool entry points that take none: the host's
+/// available parallelism.
+fn default_workers() -> usize {
+    std::thread::available_parallelism().map_or(4, |n| n.get())
+}
+
 /// Executes run specs and caches single-thread baseline IPCs.
 ///
 /// # Examples
@@ -493,7 +498,11 @@ struct BaselineKey {
 /// ```
 #[derive(Debug, Default)]
 pub struct Runner {
-    baselines: Mutex<HashMap<BaselineKey, f64>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup-only cache: never iterated, so RandomState order cannot reach any output"
+    )]
+    baselines: Mutex<std::collections::HashMap<BaselineKey, f64>>,
 }
 
 impl Runner {
@@ -528,10 +537,7 @@ impl Runner {
     where
         F: FnMut(usize, RunOutcome) + Send,
     {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        self.run_streaming_with_workers(specs, workers, sink)
+        self.run_streaming_with_workers(specs, default_workers(), sink)
     }
 
     /// [`Runner::run_streaming`] with an explicit worker count instead of
@@ -649,6 +655,10 @@ impl Runner {
                             if i >= admitted {
                                 break;
                             }
+                            #[expect(
+                                clippy::indexing_slicing,
+                                reason = "worker indices are produced by the pool over 0..specs.len(); out of range is impossible by construction"
+                            )]
                             let outcome = execute_with_retry(&mut session, &specs[i], opts);
                             let counter = if outcome.is_completed() {
                                 &completed
@@ -689,16 +699,16 @@ impl Runner {
     /// Runs many specs in parallel (default worker count) and returns all
     /// outcomes — completed and failed — in spec order.
     pub fn run_all_outcomes(&self, specs: &[RunSpec]) -> Vec<RunOutcome> {
-        let mut slots: Vec<Option<RunOutcome>> = specs.iter().map(|_| None).collect();
-        self.run_streaming(specs, |i, outcome| slots[i] = Some(outcome));
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("worker pool covered every spec"))
-            .collect()
+        self.run_all_with_workers(specs, default_workers())
     }
 
     /// [`Runner::run_all_outcomes`] with an explicit worker count; results
     /// are in spec order and independent of `workers`.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "the slot vector is pre-sized to specs.len() and the pool yields exactly one outcome per index; a hole is a bug worth aborting on, not a recoverable input error"
+    )]
     pub fn run_all_with_workers(&self, specs: &[RunSpec], workers: usize) -> Vec<RunOutcome> {
         let mut slots: Vec<Option<RunOutcome>> = specs.iter().map(|_| None).collect();
         self.run_streaming_with_workers(specs, workers, |i, outcome| slots[i] = Some(outcome));

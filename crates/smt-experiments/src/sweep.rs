@@ -147,6 +147,10 @@ pub fn sweep_policy_threads(
     }
     let mut per_spec: Vec<Option<SpecMetrics>> = vec![None; specs.len()];
     let mut failures: Vec<(usize, RunError)> = Vec::new();
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per_spec is pre-sized to the spec list and singles is built from the same workload list; both are indexed by the pool's spec index"
+    )]
     runner.run_streaming(&specs, |i, outcome| match outcome.into_stats() {
         Ok(out) => {
             per_spec[i] = Some(SpecMetrics {

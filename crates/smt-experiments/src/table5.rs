@@ -77,12 +77,12 @@ pub fn run(cycles_per_workload: u64) -> Result<Vec<(WorkloadType, PhaseDistribut
                 sim.step();
                 let slow0 = sim.thread_l1d_pending(ThreadId::new(0)) > 0;
                 let slow1 = sim.thread_l1d_pending(ThreadId::new(1)) > 0;
-                let idx = match (slow0, slow1) {
-                    (true, true) => 0,
-                    (false, false) => 2,
-                    _ => 1,
+                let count = match (slow0, slow1) {
+                    (true, true) => &mut counts[0],
+                    (false, false) => &mut counts[2],
+                    _ => &mut counts[1],
                 };
-                counts[idx] += 1;
+                *count += 1;
             }
         }
         let total: u64 = counts.iter().sum();

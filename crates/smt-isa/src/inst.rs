@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The class determines the issue queue the instruction occupies, the
 /// functional unit type it executes on and its execution latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum InstClass {
     /// Simple integer ALU operation (1-cycle).
     IntAlu,

@@ -18,10 +18,10 @@
 //! assert_eq!(QueueKind::LoadStore.resource(), ResourceKind::LsQueue);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod inst;
+pub mod knobs;
 mod packed;
 mod thread;
 
@@ -308,7 +308,7 @@ mod tests {
 
     #[test]
     fn displays_are_nonempty_and_distinct() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for r in ResourceKind::ALL {
             let s = r.to_string();
             assert!(!s.is_empty());

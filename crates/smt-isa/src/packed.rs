@@ -108,6 +108,13 @@ pub struct PackedInst {
     aux: u16,
 }
 
+// The trace store's economics assume 16-byte records (hot replay-ring
+// traffic); every build, release included, evaluates this pin.
+const _: () = assert!(
+    std::mem::size_of::<PackedInst>() <= 16,
+    "PackedInst must stay a 16-byte record"
+);
+
 impl PackedInst {
     /// An inert filler for unoccupied ring slots — never observable
     /// through a bounds-guarded ring interface.
@@ -267,15 +274,6 @@ impl PackedInst {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn layout_packed_inst_fits_16_bytes() {
-        assert_eq!(
-            std::mem::size_of::<PackedInst>(),
-            16,
-            "PackedInst must stay a 16-byte record (hot replay-ring traffic)"
-        );
-    }
 
     #[test]
     fn class_codes_round_trip() {

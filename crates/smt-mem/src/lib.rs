@@ -25,7 +25,6 @@
 //! assert_eq!(again.level, HitLevel::L1);     // line now resident
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;
@@ -86,13 +85,10 @@ impl AccessOutcome {
 
 /// Baseline unified-L2 hit latency in cycles (Table 2).
 ///
-/// Named (rather than inlined in [`MemoryConfig::default`]) because it is
-/// the anchor of a cross-crate mirror chain: `smt-sim/knobs.rs` re-exports
-/// it as `L2_DETECT_DELAY` — the cycle at which a policy *detects* an L2
-/// miss — and `smt-workloads/family.rs` mirrors that value for adversarial
-/// scenario timing. The static mirror check (`cargo run -p smt-lint`) and
-/// the `knob_mirrors_stay_in_sync` test both pin the chain.
-pub const DEFAULT_L2_LATENCY: u32 = 20;
+/// This is [`smt_isa::knobs::L2_DETECT_DELAY`], the cycle at which a policy
+/// *detects* an L2 miss, which the adversarial scenario generator also
+/// times its loads against.
+pub const DEFAULT_L2_LATENCY: u32 = smt_isa::knobs::L2_DETECT_DELAY;
 
 /// Configuration of the full memory hierarchy.
 ///

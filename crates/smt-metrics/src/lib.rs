@@ -24,8 +24,13 @@
 //! assert!((hmean(&multi, &single) - 0.5).abs() < 1e-12); // both at half speed
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
 
 use smt_sim::SimResult;
 

@@ -28,7 +28,6 @@
 //! sim.run_cycles(5_000);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod dg;

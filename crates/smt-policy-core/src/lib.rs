@@ -26,7 +26,6 @@
 //! `smt_sim::policy`, which remains the canonical import path for
 //! simulator users.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use smt_isa::{PackedInst, PerResource, QueueKind, RegClass, ResourceKind, ThreadId};

@@ -293,6 +293,8 @@ mod tests {
         assert_eq!(c.phys_regs, 352);
         assert_eq!(c.mem.memory_latency, 300);
         assert_eq!(c.mem.l2.latency, 20);
+        // The STALL/FLUSH adversaries are timed against this knob.
+        assert_eq!(c.l2_detect_delay(), smt_isa::knobs::L2_DETECT_DELAY);
         assert_eq!(c.bpred.gshare_entries, 16 * 1024);
         c.validate().unwrap();
     }

@@ -8,6 +8,11 @@
 //! where batching paid off); the unprofiled `step` stays free of timer
 //! calls.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "stage-profiling instrumentation; wall-clock readings are reported, never fed back into simulated state"
+)]
+
 use super::Simulator;
 use crate::policy::Policy;
 use std::time::{Duration, Instant};

@@ -28,6 +28,11 @@ pub(crate) enum Stage {
     Done,
 }
 
+const _: () = assert!(
+    std::mem::size_of::<Stage>() == 1,
+    "the stage lane must stay a byte lane (commit scans it)"
+);
+
 /// Resolves a packed instruction's dependence distances to absolute
 /// producer sequence numbers ([`NO_DEP`] where a slot has no producer or
 /// the distance reaches before the stream start). The result lives in the
@@ -86,6 +91,13 @@ pub(crate) struct DynInst {
     /// Status flags, see the `FLAG_*` constants.
     flags: u8,
 }
+
+// Window slots are the simulator's dominant memory traffic; every build,
+// release included, evaluates this pin.
+const _: () = assert!(
+    std::mem::size_of::<DynInst>() <= 48,
+    "DynInst must stay 48 bytes (three per two cache lines)"
+);
 
 /// Fetch-time branch misprediction (squash when the branch resolves).
 const FLAG_MISPREDICTED: u8 = 1 << 0;
@@ -240,30 +252,6 @@ mod tests {
             resolve_deps(&packed(&d).0, 3),
             [NO_DEP, NO_DEP],
             "distance beyond seq 0 has no producer"
-        );
-    }
-
-    #[test]
-    fn layout_hot_structs_stay_compact() {
-        // The whole point of not embedding DecodedInst (and of keeping the
-        // stage/deps lanes outside): window slots are the simulator's
-        // dominant memory traffic. The companion pin for the packed trace
-        // record lives in smt-isa (`layout_packed_inst_fits_16_bytes`).
-        assert!(
-            std::mem::size_of::<DynInst>() <= 48,
-            "DynInst grew to {} bytes",
-            std::mem::size_of::<DynInst>()
-        );
-        assert_eq!(
-            std::mem::size_of::<Stage>(),
-            1,
-            "the stage lane must stay a byte lane (commit scans it)"
-        );
-        assert_eq!(std::mem::size_of::<[u64; 2]>(), 16, "deps lane entry size");
-        assert!(
-            std::mem::size_of::<PackedInst>() <= 16,
-            "PackedInst grew to {} bytes",
-            std::mem::size_of::<PackedInst>()
         );
     }
 }

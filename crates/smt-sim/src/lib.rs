@@ -40,13 +40,11 @@
 //! println!("throughput = {:.2} IPC", sim.result().throughput());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod config;
 mod core;
 mod inst;
-pub mod knobs;
 pub mod policy;
 mod stats;
 mod thread;

@@ -45,34 +45,8 @@ use crate::spec;
 use crate::workload::{table4_workloads, Workload};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// Largest thread count a family may request; mirrors
-/// `smt_isa::ThreadId::MAX_THREADS` (pinned by a sync test in `smt-sim`,
-/// which can see both crates).
-pub const MAX_FAMILY_THREADS: usize = 8;
-
-/// DCRA's activity-window length in cycles (the counter reset value a
-/// thread's FP activity decays from). Mirrors
-/// `smt_sim::knobs::DCRA_ACTIVITY_WINDOW`; the DCRA antagonist spaces its
-/// FP bursts just past this window so the thread's FP share is always
-/// being reclaimed at the moment it is needed. A sync test in `smt-sim`
-/// pins the two constants equal.
-pub const DCRA_ACTIVITY_WINDOW: u32 = 256;
-
-/// FLUSH++'s pressure-window length in cycles. Mirrors
-/// `smt_sim::knobs::FLUSHPP_PRESSURE_WINDOW` (sync-tested there); the
-/// FLUSH++ antagonist flips its memory/compute phases at roughly this
-/// period so the policy's cached classification is always one window
-/// stale.
-pub const FLUSHPP_PRESSURE_WINDOW: u64 = 4096;
-
-/// Baseline L2-hit latency in cycles — the delay after which an L2 *miss*
-/// is detected and reported to the policy, i.e. the trigger threshold of
-/// the STALL/FLUSH family. Mirrors `SimConfig::l2_detect_delay()` on the
-/// baseline machine (sync-tested in `smt-sim`); the STALL/FLUSH/DG
-/// antagonists generate loads that stall for about this long (L1 miss, L2
-/// hit) and therefore never trip the trigger.
-pub const L2_DETECT_DELAY: u32 = 20;
+use smt_isa::knobs::{DCRA_ACTIVITY_WINDOW, FLUSHPP_PRESSURE_WINDOW};
+use smt_isa::ThreadId;
 
 /// The nine canonical policies, as targets for adversarial generation.
 ///
@@ -185,7 +159,7 @@ pub struct FamilySpec {
     pub mixes: usize,
     /// Smallest thread count a mix may have.
     pub min_threads: usize,
-    /// Largest thread count a mix may have (<= [`MAX_FAMILY_THREADS`]).
+    /// Largest thread count a mix may have (<= [`ThreadId::MAX_THREADS`]).
     pub max_threads: usize,
 }
 
@@ -229,7 +203,7 @@ impl FamilySpec {
     /// # Errors
     ///
     /// Returns a message when the mix count is zero, the thread range is
-    /// empty or exceeds [`MAX_FAMILY_THREADS`], or (for the expected
+    /// empty or exceeds [`ThreadId::MAX_THREADS`], or (for the expected
     /// profile) no Table-4 workload fits the thread range.
     pub fn validate(&self) -> Result<(), String> {
         if self.mixes == 0 {
@@ -244,10 +218,11 @@ impl FamilySpec {
                 self.min_threads, self.max_threads
             ));
         }
-        if self.max_threads > MAX_FAMILY_THREADS {
+        if self.max_threads > ThreadId::MAX_THREADS {
             return Err(format!(
-                "max_threads {} exceeds the supported maximum {MAX_FAMILY_THREADS}",
-                self.max_threads
+                "max_threads {} exceeds the supported maximum {}",
+                self.max_threads,
+                ThreadId::MAX_THREADS
             ));
         }
         if self.profile == ScenarioProfile::Expected
@@ -597,8 +572,9 @@ fn adversarial_profiles(
 
 /// Builds the dedicated antagonist profile for `target`. Each shape
 /// exploits the specific signal the policy acts on; the knob constants
-/// ([`L2_DETECT_DELAY`], [`FLUSHPP_PRESSURE_WINDOW`],
-/// [`DCRA_ACTIVITY_WINDOW`]) anchor the timing-sensitive ones.
+/// ([`L2_DETECT_DELAY`](smt_isa::knobs::L2_DETECT_DELAY),
+/// [`FLUSHPP_PRESSURE_WINDOW`], [`DCRA_ACTIVITY_WINDOW`]) anchor the
+/// timing-sensitive ones.
 fn antagonist(target: PolicyTarget, rng: &mut SmallRng) -> BenchmarkProfile {
     let name = format!("adv-{}", target.name().to_ascii_lowercase());
     match target {
@@ -898,8 +874,8 @@ mod tests {
         s.max_threads = 4;
         assert!(s.validate().is_err(), "empty thread range");
         s.min_threads = 2;
-        s.max_threads = MAX_FAMILY_THREADS + 1;
-        assert!(s.validate().is_err(), "beyond MAX_FAMILY_THREADS");
+        s.max_threads = ThreadId::MAX_THREADS + 1;
+        assert!(s.validate().is_err(), "beyond ThreadId::MAX_THREADS");
         s.max_threads = 4;
         assert!(s.validate().is_ok());
         // Expected families need a Table-4 workload in range; 5..=8 has

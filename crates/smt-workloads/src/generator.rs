@@ -553,7 +553,7 @@ fn sample_geometric_with(rng: &mut SmallRng, mean: f64, ln_one_minus_p: f64) -> 
 mod tests {
     use super::*;
     use crate::spec;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     #[test]
     fn deterministic_for_same_seed() {
@@ -597,7 +597,7 @@ mod tests {
     fn mix_roughly_matches_profile() {
         let p = spec::profile("gzip").unwrap();
         let mut g = TraceGenerator::new(p, 42, 0);
-        let mut counts: HashMap<InstClass, u64> = HashMap::new();
+        let mut counts: BTreeMap<InstClass, u64> = BTreeMap::new();
         let n = 200_000;
         for _ in 0..n {
             *counts.entry(g.next_inst().class).or_default() += 1;

@@ -43,7 +43,6 @@
 //! assert!(inst.pc > 0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod family;

@@ -384,7 +384,7 @@ fn expand(shape: &Shape) -> BenchmarkProfile {
 
 // BTreeMap rather than HashMap: lookup is cold (once per RunSpec), and a
 // deterministic iteration order means no future consumer can accidentally
-// pick up RandomState ordering (DET-HASH-001 in `smt-lint`).
+// pick up RandomState ordering (clippy.toml bans std's `HashMap`).
 fn registry() -> &'static BTreeMap<&'static str, BenchmarkProfile> {
     static REGISTRY: OnceLock<BTreeMap<&'static str, BenchmarkProfile>> = OnceLock::new();
     REGISTRY.get_or_init(|| SHAPES.iter().map(|s| (s.name, expand(s))).collect())

@@ -41,7 +41,6 @@
 //! assert!(result.total_committed() > 0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use dcra;
