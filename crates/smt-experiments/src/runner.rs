@@ -562,7 +562,9 @@ impl Runner {
 
     /// The fault-isolated engine: runs `specs` on `workers` threads under
     /// explicit [`EngineOptions`], streaming `(spec_index, outcome)` pairs
-    /// into `sink` in completion order.
+    /// into `sink` in completion order. The calling thread is one of the
+    /// workers: the engine spawns `workers - 1` threads, so with
+    /// `workers == 1` everything, the sink included, runs on the caller.
     ///
     /// Fault-domain guarantees:
     ///
@@ -644,32 +646,36 @@ impl Runner {
         }
 
         if admitted > 0 {
-            let workers = workers.min(admitted);
             let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        let mut session = SimSession::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= admitted {
-                                break;
-                            }
-                            #[expect(
-                                clippy::indexing_slicing,
-                                reason = "worker indices are produced by the pool over 0..specs.len(); out of range is impossible by construction"
-                            )]
-                            let outcome = execute_with_retry(&mut session, &specs[i], opts);
-                            let counter = if outcome.is_completed() {
-                                &completed
-                            } else {
-                                &failed
-                            };
-                            counter.fetch_add(1, Ordering::Relaxed);
-                            deliver(i, outcome);
-                        }
-                    });
+            let work = || {
+                let mut session = SimSession::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= admitted {
+                        break;
+                    }
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "worker indices are produced by the pool over 0..specs.len(); out of range is impossible by construction"
+                    )]
+                    let outcome = execute_with_retry(&mut session, &specs[i], opts);
+                    let counter = if outcome.is_completed() {
+                        &completed
+                    } else {
+                        &failed
+                    };
+                    counter.fetch_add(1, Ordering::Relaxed);
+                    deliver(i, outcome);
                 }
+            };
+            // The calling thread is the last worker: it would otherwise
+            // sit blocked in the join, and simulating on it keeps its heap
+            // warm for the caller's own simulations after the call.
+            std::thread::scope(|scope| {
+                for _ in 1..workers.min(admitted) {
+                    scope.spawn(work);
+                }
+                work();
             });
         }
 
@@ -720,31 +726,18 @@ impl Runner {
 
     /// Single-thread baseline IPC of `bench` on `config` (ICOUNT, full
     /// machine), cached per (bench, complete one-thread machine config).
+    /// An uncached baseline runs in a one-shot session on the calling
+    /// thread; [`Runner::baselines`] measures many through the pool.
     pub fn single_ipc(
         &self,
         bench: &str,
         config: &SimConfig,
         lengths: &RunSpec,
     ) -> Result<f64, RunError> {
-        let mut single = config.clone();
-        single.threads = 1;
-        let key = BaselineKey {
-            bench: bench.to_string(),
-            config: single.clone(),
-        };
-        if let Some(v) = self
-            .baselines
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
-            return Ok(*v);
+        let (key, spec) = baseline_spec(bench, config, lengths);
+        if let Some(v) = self.cached(&key) {
+            return Ok(v);
         }
-        let mut spec = RunSpec::new(&[bench], PolicyKind::Icount);
-        spec.config = single;
-        spec.prewarm_insts = lengths.prewarm_insts;
-        spec.warmup_cycles = lengths.warmup_cycles;
-        spec.measure_cycles = lengths.measure_cycles;
         let ipc = self.run(&spec)?.throughput();
         self.baselines
             .lock()
@@ -766,6 +759,81 @@ impl Runner {
             .map(|b| self.single_ipc(b, config, lengths))
             .collect()
     }
+
+    /// [`Runner::single_ipcs`] for each of `workloads`, with every
+    /// uncached baseline measured in one batch on the worker pool (each
+    /// distinct benchmark once) instead of one after another on the
+    /// calling thread. The values, and the cache they land in, are the
+    /// ones `single_ipc` would give. A baseline that fails, panics
+    /// included, comes back as its typed [`RunError`]: the first in
+    /// workload order.
+    pub fn baselines(
+        &self,
+        workloads: &[Workload],
+        config: &SimConfig,
+        lengths: &RunSpec,
+    ) -> Result<Vec<Vec<f64>>, RunError> {
+        let (mut keys, mut specs) = (Vec::new(), Vec::new());
+        for bench in workloads.iter().flat_map(|w| &w.benchmarks) {
+            let (key, spec) = baseline_spec(bench, config, lengths);
+            if !keys.contains(&key) && self.cached(&key).is_none() {
+                keys.push(key);
+                specs.push(spec);
+            }
+        }
+        let mut first_error: Option<(usize, RunError)> = None;
+        self.run_isolated(
+            &specs,
+            default_workers(),
+            &EngineOptions::default(),
+            |i, outcome| match outcome.into_stats() {
+                Ok(stats) => {
+                    if let Some(key) = keys.get(i) {
+                        self.baselines
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .insert(key.clone(), stats.throughput());
+                    }
+                }
+                Err(error) => {
+                    if first_error.as_ref().is_none_or(|(j, _)| i < *j) {
+                        first_error = Some((i, error));
+                    }
+                }
+            },
+        );
+        if let Some((_, error)) = first_error {
+            return Err(error);
+        }
+        // Every baseline is cached now: these are lookups.
+        workloads
+            .iter()
+            .map(|w| self.single_ipcs(w, config, lengths))
+            .collect()
+    }
+
+    fn cached(&self, key: &BaselineKey) -> Option<f64> {
+        self.baselines
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(key)
+            .copied()
+    }
+}
+
+/// The run that measures `bench`'s single-thread baseline (ICOUNT on a
+/// one-thread copy of `config`, at `lengths`' prewarm, warm-up and
+/// measure lengths), and the cache key of its result.
+fn baseline_spec(bench: &str, config: &SimConfig, lengths: &RunSpec) -> (BaselineKey, RunSpec) {
+    let mut spec = RunSpec::new(&[bench], PolicyKind::Icount).with_config(config.clone());
+    spec.prewarm_insts = lengths.prewarm_insts;
+    spec.warmup_cycles = lengths.warmup_cycles;
+    spec.measure_cycles = lengths.measure_cycles;
+    let key = BaselineKey {
+        bench: bench.to_string(),
+        config: spec.config.clone(),
+    };
+    (key, spec)
 }
 
 #[cfg(test)]
@@ -921,6 +989,34 @@ mod tests {
         for (streamed, batched) in outcomes.iter().zip(&batch) {
             assert_eq!(streamed.as_ref().expect("seen").result, batched.result);
         }
+    }
+
+    #[test]
+    fn outcomes_match_for_any_worker_count_and_one_worker_is_the_caller() {
+        let specs = vec![
+            tiny(&["gzip"], PolicyKind::Icount),
+            tiny(&["mcf", "art"], PolicyKind::Dcra(DcraConfig::default())),
+            tiny(&["twolf", "gcc", "swim"], PolicyKind::Flush),
+            tiny(&["vpr"], PolicyKind::Stall),
+        ];
+        let r = Runner::new();
+        let reference = r.run_all_with_workers(&specs, 1);
+        assert!(reference.iter().all(RunOutcome::is_completed));
+        for workers in [2, 3] {
+            assert_eq!(
+                r.run_all_with_workers(&specs, workers),
+                reference,
+                "outcomes differ with {workers} workers"
+            );
+        }
+        // One worker spawns no thread: every run and delivery happens on
+        // the calling thread.
+        let caller = std::thread::current().id();
+        let mut sink_threads = Vec::new();
+        r.run_streaming_with_workers(&specs, 1, |_, _| {
+            sink_threads.push(std::thread::current().id());
+        });
+        assert_eq!(sink_threads, vec![caller; specs.len()]);
     }
 
     #[test]
@@ -1111,6 +1207,51 @@ mod tests {
             r.single_ipc("no-such-bench", &SimConfig::baseline(1), &lengths),
             Err(RunError::UnknownBenchmark { .. })
         ));
+    }
+
+    #[test]
+    fn pooled_baselines_match_single_ipc_and_fill_the_cache() {
+        let lengths = tiny(&["gzip"], PolicyKind::Icount);
+        let cfg = SimConfig::baseline(2);
+        let workloads: Vec<Workload> = smt_workloads::table4_workloads()
+            .into_iter()
+            .filter(|w| w.threads() == 2)
+            .take(4) // gcc runs in two of these
+            .collect();
+        let pooled = Runner::new();
+        let got = pooled
+            .baselines(&workloads, &cfg, &lengths)
+            .expect("registry benchmarks");
+        let serial = Runner::new();
+        for (w, ipcs) in workloads.iter().zip(&got) {
+            assert_eq!(
+                ipcs,
+                &serial
+                    .single_ipcs(w, &cfg, &lengths)
+                    .expect("known benches"),
+                "{w}"
+            );
+        }
+        let cache = pooled.baselines.lock().expect("not poisoned");
+        let distinct: std::collections::BTreeSet<&String> =
+            workloads.iter().flat_map(|w| &w.benchmarks).collect();
+        assert_eq!(cache.len(), distinct.len(), "one cached run per benchmark");
+    }
+
+    #[test]
+    fn a_panicking_baseline_surfaces_as_a_typed_error() {
+        // A zero-way L1 passes `SimConfig::validate` but panics building
+        // the cache; through the pool that panic is contained and typed.
+        let mut cfg = SimConfig::baseline(2);
+        cfg.mem.dl1.ways = 0;
+        let lengths = tiny(&["gzip"], PolicyKind::Icount);
+        let workloads = smt_workloads::table4_workloads();
+        match Runner::new().baselines(&workloads[..1], &cfg, &lengths) {
+            Err(RunError::Panicked { message }) => {
+                assert!(message.contains("at least one way"), "{message}");
+            }
+            other => panic!("expected a contained panic, got {other:?}"),
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@ use crate::runner::{PolicyKind, RunSpec, Runner};
 use smt_metrics::hmean;
 use smt_sim::SimConfig;
 use smt_workloads::{table4_workloads, Workload, WorkloadType};
+use std::cmp::Reverse;
 
 /// Aggregated metrics of one policy on one workload class.
 ///
@@ -114,28 +115,34 @@ pub fn sweep_policy_threads(
         .into_iter()
         .filter(|w| thread_counts.contains(&w.threads()))
         .collect();
-    let specs: Vec<RunSpec> = workloads
+    // The streaming sink below needs each workload's baselines for its
+    // Hmean, so they are measured first: one pooled batch of every
+    // uncached one, cached in the runner for later sweeps.
+    let singles = runner.baselines(&workloads, config, lengths)?;
+
+    // Dispatch longest-first: more threads means a longer run, and a pool
+    // that takes the 4-thread mixes last (Table-4 order) ends every call
+    // with one long run and idle workers. `order[j]` is the Table-4 index
+    // of the `j`-th spec dispatched; outcomes land there, so the schedule
+    // changes no result.
+    let mut dispatch: Vec<(usize, RunSpec)> = workloads
         .iter()
-        .map(|w| {
+        .enumerate()
+        .map(|(i, w)| {
             let mut s = RunSpec::for_workload(w, policy.clone()).with_config(config.clone());
             s.prewarm_insts = lengths.prewarm_insts;
             s.warmup_cycles = lengths.warmup_cycles;
             s.measure_cycles = lengths.measure_cycles;
-            s
+            (i, s)
         })
         .collect();
-
-    // Single-thread baselines first (cached across sweeps), so the
-    // streaming sink below stays cheap under its lock.
-    let singles: Vec<Vec<f64>> = workloads
-        .iter()
-        .map(|w| runner.single_ipcs(w, config, lengths))
-        .collect::<Result<_, _>>()?;
+    dispatch.sort_by_key(|(_, s)| Reverse(s.benches.len()));
+    let (order, specs): (Vec<usize>, Vec<RunSpec>) = dispatch.into_iter().unzip();
 
     // Stream outcomes into per-spec scalar metrics: the heavy 36-run
     // result vector is never materialised and metric extraction overlaps
     // the remaining simulations, but the class reduction below still sums
-    // in fixed spec order — f64 addition is not associative, and a
+    // in fixed Table-4 order — f64 addition is not associative, and a
     // completion-order sum would make identical sweeps differ in the last
     // ulp across runs.
     #[derive(Clone, Copy)]
@@ -149,18 +156,22 @@ pub fn sweep_policy_threads(
     let mut failures: Vec<(usize, RunError)> = Vec::new();
     #[expect(
         clippy::indexing_slicing,
-        reason = "per_spec is pre-sized to the spec list and singles is built from the same workload list; both are indexed by the pool's spec index"
+        reason = "order is a permutation of 0..workloads.len(), and per_spec and singles are built from the same workload list; the pool's spec index j ranges over the same length"
     )]
-    runner.run_streaming(&specs, |i, outcome| match outcome.into_stats() {
-        Ok(out) => {
-            per_spec[i] = Some(SpecMetrics {
-                tput: out.throughput(),
-                hm: hmean(&out.ipcs(), &singles[i]),
-                fpc: out.result.total_fetched() as f64 / out.result.total_committed().max(1) as f64,
-                mlp: smt_metrics::workload_mlp(&out.result),
-            });
+    runner.run_streaming(&specs, |j, outcome| {
+        let i = order[j];
+        match outcome.into_stats() {
+            Ok(out) => {
+                per_spec[i] = Some(SpecMetrics {
+                    tput: out.throughput(),
+                    hm: hmean(&out.ipcs(), &singles[i]),
+                    fpc: out.result.total_fetched() as f64
+                        / out.result.total_committed().max(1) as f64,
+                    mlp: smt_metrics::workload_mlp(&out.result),
+                });
+            }
+            Err(error) => failures.push((i, error)),
         }
-        Err(error) => failures.push((i, error)),
     });
     failures.sort_by_key(|(i, _)| *i);
 
@@ -295,6 +306,68 @@ mod tests {
             assert!(m.mlp.is_finite());
         }
         assert!(sweep.average().throughput.is_finite());
+    }
+
+    #[test]
+    fn pooled_sweep_matches_a_serial_reference_bit_for_bit() {
+        // The sweep measures its baselines as one pooled batch and
+        // dispatches 4-thread mixes first; neither may change a bit of the
+        // result. The reference runs each baseline with `single_ipc` and
+        // each spec with `Runner::run`, one after another in Table-4
+        // order, and reduces in that order.
+        let mut lengths = sweep_lengths();
+        lengths.prewarm_insts = 2_000;
+        lengths.warmup_cycles = 200;
+        lengths.measure_cycles = 1_000;
+        let config = SimConfig::baseline(2);
+        let policy = PolicyKind::from_name("DCRA").expect("canonical policy");
+        let sweep = sweep_policy(&Runner::new(), &policy, &config, &lengths)
+            .expect("baselines must measure");
+        assert!(sweep.failures.is_empty());
+
+        let serial = Runner::new();
+        let workloads = table4_workloads();
+        let mut expected = Vec::new();
+        for threads in [2, 3, 4] {
+            for kind in WorkloadType::ALL {
+                let group: Vec<[f64; 4]> = workloads
+                    .iter()
+                    .filter(|w| w.threads() == threads && w.kind == kind)
+                    .map(|w| {
+                        let mut spec =
+                            RunSpec::for_workload(w, policy.clone()).with_config(config.clone());
+                        spec.prewarm_insts = lengths.prewarm_insts;
+                        spec.warmup_cycles = lengths.warmup_cycles;
+                        spec.measure_cycles = lengths.measure_cycles;
+                        let out = serial.run(&spec).expect("registry benchmarks");
+                        let singles = serial
+                            .single_ipcs(w, &config, &lengths)
+                            .expect("registry benchmarks");
+                        [
+                            out.throughput(),
+                            hmean(&out.ipcs(), &singles),
+                            out.result.total_fetched() as f64
+                                / out.result.total_committed().max(1) as f64,
+                            smt_metrics::workload_mlp(&out.result),
+                        ]
+                    })
+                    .collect();
+                let n = group.len() as f64;
+                let mean = |f: usize| group.iter().map(|m| m[f]).sum::<f64>() / n;
+                expected.push((threads, kind, [mean(0), mean(1), mean(2), mean(3)]));
+            }
+        }
+        let got: Vec<_> = sweep
+            .classes
+            .iter()
+            .map(|&(t, k, m)| (t, k, [m.throughput, m.hmean, m.fetch_per_commit, m.mlp]))
+            .collect();
+        let bits = |v: &[(usize, WorkloadType, [f64; 4])]| -> Vec<_> {
+            v.iter()
+                .map(|(t, k, m)| (*t, *k, m.map(f64::to_bits)))
+                .collect()
+        };
+        assert_eq!(bits(&got), bits(&expected));
     }
 
     #[test]

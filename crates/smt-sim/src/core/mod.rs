@@ -42,7 +42,7 @@ use crate::stats::{SimResult, ThreadStats};
 use crate::thread::ThreadState;
 use events::{EventWheel, ReadyEntry};
 use smt_bpred::BranchPredictor;
-use smt_isa::{InstClass, PerResource, ThreadId};
+use smt_isa::{PerResource, ThreadId};
 use smt_mem::MemoryHierarchy;
 use smt_workloads::{BenchmarkProfile, ThreadTrace};
 use std::cmp::Reverse;
@@ -329,17 +329,31 @@ impl Simulator {
     ///
     /// The warm-up streams from a decorrelated generator twin, so the
     /// timed simulation still replays the same instruction stream from the
-    /// beginning — every prewarmed line is revisited warm.
+    /// beginning — every prewarmed line is revisited warm. It reads the
+    /// twin through [`TraceGenerator::next_access`](smt_workloads::TraceGenerator::next_access),
+    /// which draws what `next_inst` draws but builds no records, since
+    /// warm-up needs only the fetch pc and the data address.
+    ///
+    /// Every access is made at cycle 0, so the data misses leave fills in
+    /// the MSHRs that are still "in flight" when timed simulation starts:
+    /// on the baseline machine several hundred to 1.6k memory-level fills
+    /// per run at a 20k-instruction prewarm, several thousand at the
+    /// figures' 400k.
+    /// Until they are due, timed accesses to those lines coalesce with
+    /// them and they count towards the outstanding-miss (MLP) samples.
+    /// All of them are due by `dl1 + l2 + memory` latency (cycle 321 on
+    /// the baseline), so none outlives a timed warm-up of 322 cycles or
+    /// more; the `prewarm_fills_drain_within_one_memory_latency` test pins
+    /// this.
     pub fn prewarm(&mut self, insts_per_thread: u64) {
         for tid in 0..self.threads.len() {
             let t = ThreadId::new(tid);
             let mut gen = self.threads[tid].trace().decorrelated(0xCAFE);
             for _ in 0..insts_per_thread {
-                let inst = gen.next_inst();
-                self.mem.access_inst(t, inst.pc, 0);
-                if let Some(m) = inst.mem {
-                    let is_write = inst.class == InstClass::Store;
-                    self.mem.access_data(t, m.addr, is_write, 0);
+                let (pc, data) = gen.next_access();
+                self.mem.access_inst(t, pc, 0);
+                if let Some((addr, is_store)) = data {
+                    self.mem.access_data(t, addr, is_store, 0);
                 }
             }
         }

@@ -307,3 +307,41 @@ fn reset_reproduces_a_fresh_simulator_bit_for_bit() {
     fresh.run_cycles(20_000);
     assert_eq!(digest(&reused), digest(&fresh));
 }
+
+#[test]
+fn prewarm_fills_drain_within_one_memory_latency() {
+    // Prewarm makes every access at cycle 0, so its data misses leave
+    // memory-level fills in the MSHRs when timed simulation starts. Each
+    // is due exactly `dl1 + l2 + memory` latency later (cycle 321 on the
+    // baseline), so a timed warm-up of at least 322 cycles outlives them
+    // all. L2-level fills are due at `dl1 + l2`, earlier still.
+    for benches in [
+        &["mcf"][..],
+        &["mcf", "twolf", "vpr", "parser"],
+        &["gzip", "art"],
+    ] {
+        let mut s = sim(benches, RoundRobin::default());
+        s.prewarm(400_000);
+        let m = &s.config.mem;
+        let horizon =
+            u64::from(m.dl1.latency) + u64::from(m.l2.latency) + u64::from(m.memory_latency);
+        assert_eq!(horizon, 321, "baseline Table 2 latencies");
+        let mut mem = s.memory().clone();
+        let at =
+            |mem: &mut MemoryHierarchy, now| mem.outstanding_l2_misses(now).iter().sum::<u32>();
+        let fills = at(&mut mem, 0);
+        assert!(fills > 0, "{benches:?}: prewarm left no fill in flight");
+        assert_eq!(
+            at(&mut mem, horizon - 1),
+            fills,
+            "{benches:?}: none due early"
+        );
+        assert_eq!(mem.next_fill_ready_at(), Some(horizon));
+        assert_eq!(
+            at(&mut mem, horizon),
+            0,
+            "{benches:?}: all due by cycle {horizon}"
+        );
+        assert_eq!(mem.next_fill_ready_at(), None);
+    }
+}

@@ -75,6 +75,10 @@ pub struct TraceGenerator {
     mix_cdf: [(f64, InstClass); 8],
 }
 
+/// What [`TraceGenerator::next_access`] yields for one instruction: its
+/// fetch pc, and for loads and stores `(data address, is_store)`.
+type Access = (u64, Option<(u64, bool)>);
+
 /// Upper clamp of sampled dependence distances (instructions).
 const DEP_CLAMP: u64 = 512;
 
@@ -295,11 +299,17 @@ impl TraceGenerator {
     /// of draws) falls back to the original expression, which settles
     /// those draws by definition. The clamp collapses the `k = 512/513`
     /// boundary, so the table's tail needs no guard.
-    fn dep_distance(&mut self) -> u32 {
+    ///
+    /// Without `FULL` it only draws `u`, keeping the stream in step, and
+    /// returns 0: the address-only stream never reads the distance.
+    fn dep_distance<const FULL: bool>(&mut self) -> u32 {
         if self.profile.dep_mean <= 1.0 {
             return 1;
         }
         let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
+        if !FULL {
+            return 0;
+        }
         let table = &self.dep_table[..];
         // Thresholds are descending; count how many exceed `u`. The draw
         // is geometric, so almost every sample lands in the first few
@@ -402,16 +412,37 @@ impl TraceGenerator {
 
     /// Generates the next dynamic instruction of the stream.
     pub fn next_inst(&mut self) -> DecodedInst {
+        self.generate::<true>()
+            .1
+            .expect("the full stream builds every record")
+    }
+
+    /// The part of the next instruction functional warm-up reads: its
+    /// fetch pc and, for loads and stores, the data address and whether it
+    /// is a store. Advances the generator exactly as [`Self::next_inst`]
+    /// does — same random draws, same state afterwards — so the two calls
+    /// can be interleaved freely; it skips only the dependence-distance
+    /// search and the record build.
+    pub fn next_access(&mut self) -> (u64, Option<(u64, bool)>) {
+        self.generate::<false>().0
+    }
+
+    /// The one generator body behind [`Self::next_inst`] and
+    /// [`Self::next_access`]. `FULL` selects whether dependence distances
+    /// are resolved and the record built; every random draw happens either
+    /// way, so both streams stay in lockstep.
+    #[inline(always)]
+    fn generate<const FULL: bool>(&mut self) -> (Access, Option<DecodedInst>) {
         let class = self.sample_class();
         let pc = self.pc;
         self.pc = self.code_base
             + ((self.pc - self.code_base + 4) % self.profile.branches.code_bytes.max(256));
 
-        let inst = match class {
-            InstClass::Load => self.gen_load(pc),
-            InstClass::Store => self.gen_store(pc),
-            InstClass::Branch => self.gen_branch(pc),
-            c => self.gen_alu(pc, c),
+        let out = match class {
+            InstClass::Load => self.gen_load::<FULL>(pc),
+            InstClass::Store => self.gen_store::<FULL>(pc),
+            InstClass::Branch => self.gen_branch::<FULL>(pc),
+            c => self.gen_alu::<FULL>(pc, c),
         };
 
         self.seq += 1;
@@ -419,10 +450,10 @@ impl TraceGenerator {
         if self.phase_left == 0 {
             self.advance_phase();
         }
-        inst
+        out
     }
 
-    fn gen_load(&mut self, pc: u64) -> DecodedInst {
+    fn gen_load<const FULL: bool>(&mut self, pc: u64) -> (Access, Option<DecodedInst>) {
         let (addr, is_cold) = self.sample_address();
         let dest =
             if self.profile.fp_load_frac > 0.0 && self.rng.gen_bool(self.profile.fp_load_frac) {
@@ -430,64 +461,79 @@ impl TraceGenerator {
             } else {
                 RegClass::Int
             };
-        let mut b = DecodedInst::builder(InstClass::Load, pc)
-            .dest(dest)
-            .mem(addr, 8);
+        // 0 = no dependence (`dep` ignores it).
+        let mut dep = 0;
         if is_cold {
             // Pointer chasing: the address of this cold load depends on the
             // data of the previous cold load, serialising the misses.
             if let Some(prev) = self.last_cold_load_seq {
                 if self.rng.gen_bool(self.profile.mem.pointer_chase) {
-                    let dist = (self.seq - prev).clamp(1, 512) as u32;
-                    b = b.dep(dist);
+                    dep = (self.seq - prev).clamp(1, 512) as u32;
                 }
             }
             self.last_cold_load_seq = Some(self.seq);
         } else {
-            let d = self.dep_distance();
-            b = b.dep(d);
+            dep = self.dep_distance::<FULL>();
         }
-        b.build()
+        let inst = FULL.then(|| {
+            DecodedInst::builder(InstClass::Load, pc)
+                .dest(dest)
+                .mem(addr, 8)
+                .dep(dep)
+                .build()
+        });
+        ((pc, Some((addr, false))), inst)
     }
 
-    fn gen_store(&mut self, pc: u64) -> DecodedInst {
+    fn gen_store<const FULL: bool>(&mut self, pc: u64) -> (Access, Option<DecodedInst>) {
         let (addr, _) = self.sample_address();
-        let d1 = self.dep_distance();
-        let d2 = self.dep_distance();
-        DecodedInst::builder(InstClass::Store, pc)
-            .mem(addr, 8)
-            .dep(d1)
-            .dep(d2)
-            .build()
+        let d1 = self.dep_distance::<FULL>();
+        let d2 = self.dep_distance::<FULL>();
+        let inst = FULL.then(|| {
+            DecodedInst::builder(InstClass::Store, pc)
+                .mem(addr, 8)
+                .dep(d1)
+                .dep(d2)
+                .build()
+        });
+        ((pc, Some((addr, true))), inst)
     }
 
-    fn gen_branch(&mut self, pc: u64) -> DecodedInst {
+    fn gen_branch<const FULL: bool>(&mut self, pc: u64) -> (Access, Option<DecodedInst>) {
         // Returns match outstanding calls; calls occur with call_frac.
         if self.call_depth > 0 && self.rng.gen_bool(0.5) {
             self.call_depth -= 1;
             let target = self.code_base + self.rng.gen_range(0..64) * 4;
-            return DecodedInst::builder(InstClass::Branch, pc)
-                .branch(BranchKind::Return, true, target)
-                .build();
+            let inst = FULL.then(|| {
+                DecodedInst::builder(InstClass::Branch, pc)
+                    .branch(BranchKind::Return, true, target)
+                    .build()
+            });
+            return ((pc, None), inst);
         }
         if self.rng.gen_bool(self.profile.branches.call_frac) {
             self.call_depth = (self.call_depth + 1).min(64);
             let site = self.pick_site();
-            return DecodedInst::builder(InstClass::Branch, site.pc)
-                .branch(BranchKind::Call, true, site.target)
-                .build();
+            let inst = FULL.then(|| {
+                DecodedInst::builder(InstClass::Branch, site.pc)
+                    .branch(BranchKind::Call, true, site.target)
+                    .build()
+            });
+            return ((site.pc, None), inst);
         }
         let site = self.pick_site();
         let taken = self.rng.gen_bool(site.taken_prob);
-        let d = self.dep_distance();
-        let inst = DecodedInst::builder(InstClass::Branch, site.pc)
-            .branch(BranchKind::Conditional, taken, site.target)
-            .dep(d)
-            .build();
+        let d = self.dep_distance::<FULL>();
         if taken {
             self.pc = site.target;
         }
-        inst
+        let inst = FULL.then(|| {
+            DecodedInst::builder(InstClass::Branch, site.pc)
+                .branch(BranchKind::Conditional, taken, site.target)
+                .dep(d)
+                .build()
+        });
+        ((site.pc, None), inst)
     }
 
     fn pick_site(&mut self) -> BranchSite {
@@ -510,19 +556,31 @@ impl TraceGenerator {
         self.sites[idx]
     }
 
-    fn gen_alu(&mut self, pc: u64, class: InstClass) -> DecodedInst {
+    fn gen_alu<const FULL: bool>(
+        &mut self,
+        pc: u64,
+        class: InstClass,
+    ) -> (Access, Option<DecodedInst>) {
         let dest = if class.is_fp() {
             RegClass::Fp
         } else {
             RegClass::Int
         };
-        let d1 = self.dep_distance();
-        let mut b = DecodedInst::builder(class, pc).dest(dest).dep(d1);
-        if self.rng.gen_bool(0.25) {
-            let d2 = self.dep_distance();
-            b = b.dep(d2);
-        }
-        b.build()
+        let d1 = self.dep_distance::<FULL>();
+        // 0 = no second dependence (`dep` ignores it).
+        let d2 = if self.rng.gen_bool(0.25) {
+            self.dep_distance::<FULL>()
+        } else {
+            0
+        };
+        let inst = FULL.then(|| {
+            DecodedInst::builder(class, pc)
+                .dest(dest)
+                .dep(d1)
+                .dep(d2)
+                .build()
+        });
+        ((pc, None), inst)
     }
 }
 
@@ -578,8 +636,34 @@ mod tests {
             for i in 0..200_000 {
                 let expect =
                     sample_geometric_with(&mut reference_rng, p.dep_mean, l).clamp(1, 512) as u32;
-                let got = g.dep_distance();
+                let got = g.dep_distance::<true>();
                 assert_eq!(got, expect, "{bench}: draw {i} diverged");
+            }
+        }
+    }
+
+    /// The address-only stream that prewarm reads is the full stream seen
+    /// through `(pc, mem addr, class == Store)`, for every registry
+    /// profile, and it leaves the generator where `next_inst` would.
+    #[test]
+    fn access_stream_matches_next_inst() {
+        for name in spec::names() {
+            let p = spec::profile(name).unwrap();
+            for (seed, slot) in [(1, 0), (42, 3), (0x5eed, 7)] {
+                let base = TraceGenerator::new(p, seed, slot);
+                let mut full = base.decorrelated(0xCAFE);
+                let mut lean = base.decorrelated(0xCAFE);
+                for i in 0..200_000 {
+                    let inst = full.next_inst();
+                    let mem = inst.mem.map(|m| (m.addr, inst.class == InstClass::Store));
+                    assert_eq!(
+                        lean.next_access(),
+                        (inst.pc, mem),
+                        "{name} seed {seed} slot {slot}: inst {i}"
+                    );
+                }
+                assert_eq!(full.seq(), lean.seq());
+                assert_eq!(full.next_inst(), lean.next_inst(), "{name}: state after");
             }
         }
     }
