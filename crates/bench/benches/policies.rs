@@ -31,9 +31,7 @@ fn bench_policies(c: &mut Criterion) {
 }
 
 /// The acceptance benchmark of the event-driven-wakeup PR: the standard
-/// 4-thread mix for 100k measured cycles per iteration, per policy — the
-/// same configuration `scripts/bench_snapshot.sh` records into
-/// `BENCH_core.json`.
+/// 4-thread mix for 100k measured cycles per iteration, per policy.
 fn bench_mix4_100k(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulator_sweep");
     g.sample_size(3);

@@ -7,7 +7,7 @@
 //! ~90% of full speed with only ~37.5% of the resources.
 
 use crate::fault::RunError;
-use crate::runner::{PolicyKind, RunSpec, Runner};
+use crate::runner::{default_workers, PolicyKind, RunOutcome, RunSpec, Runner};
 use crate::tables::TextTable;
 use smt_isa::{PerResource, ResourceKind};
 use smt_sim::SimConfig;
@@ -78,7 +78,11 @@ pub fn run(runner: &Runner, measure_cycles: u64) -> Result<Vec<Fig2Result>, RunE
                 specs.push(s);
             }
         }
-        let outs = runner.run_all(&specs)?;
+        let outs = runner
+            .run_all_with_workers(&specs, default_workers())
+            .into_iter()
+            .map(RunOutcome::into_stats)
+            .collect::<Result<Vec<_>, _>>()?;
         let per_frac = benches.len();
         #[expect(
             clippy::indexing_slicing,

@@ -384,23 +384,17 @@ impl SimSession {
             )),
         };
         sim.prewarm(spec.prewarm_insts);
-        let budget = spec.budget.unwrap_or(default_budget);
-        if budget.is_unlimited() {
-            sim.run_cycles(spec.warmup_cycles);
-            sim.reset_stats();
-            sim.run_cycles(spec.measure_cycles);
-        } else {
-            // One watchdog spans warm-up and measurement, so the cycle cap
-            // bounds the whole run. A breach leaves the simulator in the
-            // session: its allocations are fine, and the next run's
-            // `reset` restores a clean machine.
-            let mut watch = CommitWatchdog::new(budget);
-            sim.run_cycles_budgeted(spec.warmup_cycles, &mut watch)
-                .map_err(RunError::from_breach)?;
-            sim.reset_stats();
-            sim.run_cycles_budgeted(spec.measure_cycles, &mut watch)
-                .map_err(RunError::from_breach)?;
-        }
+        // One watchdog spans warm-up and measurement, so the cycle cap
+        // bounds the whole run. An unlimited budget's watchdog never
+        // checks. A breach leaves the simulator in the session: its
+        // allocations are fine, and the next run's `reset` restores a
+        // clean machine.
+        let mut watch = CommitWatchdog::new(spec.budget.unwrap_or(default_budget));
+        sim.run_cycles_budgeted(spec.warmup_cycles, &mut watch)
+            .map_err(RunError::from_breach)?;
+        sim.reset_stats();
+        sim.run_cycles_budgeted(spec.measure_cycles, &mut watch)
+            .map_err(RunError::from_breach)?;
         let mem = (0..spec.benches.len())
             .map(|i| sim.memory().thread_stats(ThreadId::new(i)))
             .collect();
@@ -475,9 +469,8 @@ struct BaselineKey {
     config: SimConfig,
 }
 
-/// Worker count of the pool entry points that take none: the host's
-/// available parallelism.
-fn default_workers() -> usize {
+/// The drivers' worker count: the host's available parallelism.
+pub fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get())
 }
 
@@ -512,59 +505,26 @@ impl Runner {
     }
 
     /// Runs one spec to completion in a one-shot session. Spec-level
-    /// failures come back as [`RunError`]; panics propagate (use the
-    /// worker-pool entry points for panic containment).
+    /// failures come back as [`RunError`]; panics propagate (use
+    /// [`Runner::run_isolated`] for panic containment).
     pub fn run(&self, spec: &RunSpec) -> Result<RunStats, RunError> {
         SimSession::new().run(spec)
     }
 
-    /// Runs many specs on a pool of worker threads fed from a shared work
-    /// queue, streaming each [`RunOutcome`] into `sink` as it completes.
+    /// The engine: runs `specs` on a pool of `workers` threads fed from a
+    /// shared work queue, under explicit [`EngineOptions`], streaming
+    /// `(spec_index, outcome)` pairs into `sink` in *completion* order
+    /// (not spec order) under an internal lock. The calling thread is one
+    /// of the workers: the engine spawns `workers - 1` threads, so with
+    /// `workers == 1` everything, the sink included, runs on the caller.
     ///
     /// Every worker owns one [`SimSession`], so consecutive specs with the
-    /// same machine configuration reuse a simulator instead of building one
-    /// per run — the dominant setup cost of the paper-scale sweeps. The
-    /// sink receives `(spec_index, outcome)` pairs in *completion* order
-    /// (not spec order) under an internal lock; completed outcomes are
-    /// identical to sequential fresh-simulator runs, so consumers that
-    /// aggregate incrementally (the sweep and figure binaries) never
-    /// materialise the whole result vector.
-    ///
-    /// Each run executes in its own fault domain (see
-    /// [`Runner::run_isolated`], which this delegates to with default
-    /// [`EngineOptions`]).
-    pub fn run_streaming<F>(&self, specs: &[RunSpec], sink: F) -> EngineReport
-    where
-        F: FnMut(usize, RunOutcome) + Send,
-    {
-        self.run_streaming_with_workers(specs, default_workers(), sink)
-    }
-
-    /// [`Runner::run_streaming`] with an explicit worker count instead of
-    /// the host's available parallelism. Outcomes are identical for every
-    /// `workers >= 1` (each run is an isolated deterministic simulation;
-    /// only completion order varies) — the end-to-end suite pins this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero (with specs pending).
-    pub fn run_streaming_with_workers<F>(
-        &self,
-        specs: &[RunSpec],
-        workers: usize,
-        sink: F,
-    ) -> EngineReport
-    where
-        F: FnMut(usize, RunOutcome) + Send,
-    {
-        self.run_isolated(specs, workers, &EngineOptions::default(), sink)
-    }
-
-    /// The fault-isolated engine: runs `specs` on `workers` threads under
-    /// explicit [`EngineOptions`], streaming `(spec_index, outcome)` pairs
-    /// into `sink` in completion order. The calling thread is one of the
-    /// workers: the engine spawns `workers - 1` threads, so with
-    /// `workers == 1` everything, the sink included, runs on the caller.
+    /// same machine configuration reuse a simulator instead of building
+    /// one per run — the dominant setup cost of the paper-scale sweeps.
+    /// Completed outcomes are identical to sequential fresh-simulator runs
+    /// for every `workers >= 1` (only completion order varies), so
+    /// consumers that aggregate incrementally (the sweep and figure
+    /// drivers) never materialise the whole result vector.
     ///
     /// Fault-domain guarantees:
     ///
@@ -691,25 +651,9 @@ impl Runner {
         }
     }
 
-    /// Runs many specs in parallel and returns their statistics in spec
-    /// order, or the first failure (by spec index). For partial results in
-    /// the presence of failures use [`Runner::run_all_outcomes`].
-    pub fn run_all(&self, specs: &[RunSpec]) -> Result<Vec<RunStats>, RunError> {
-        let mut stats = Vec::with_capacity(specs.len());
-        for outcome in self.run_all_outcomes(specs) {
-            stats.push(outcome.into_stats()?);
-        }
-        Ok(stats)
-    }
-
-    /// Runs many specs in parallel (default worker count) and returns all
-    /// outcomes — completed and failed — in spec order.
-    pub fn run_all_outcomes(&self, specs: &[RunSpec]) -> Vec<RunOutcome> {
-        self.run_all_with_workers(specs, default_workers())
-    }
-
-    /// [`Runner::run_all_outcomes`] with an explicit worker count; results
-    /// are in spec order and independent of `workers`.
+    /// Runs many specs on `workers` threads with default
+    /// [`EngineOptions`] and returns every outcome — completed and
+    /// failed — in spec order, independent of `workers`.
     #[expect(
         clippy::indexing_slicing,
         clippy::expect_used,
@@ -717,7 +661,9 @@ impl Runner {
     )]
     pub fn run_all_with_workers(&self, specs: &[RunSpec], workers: usize) -> Vec<RunOutcome> {
         let mut slots: Vec<Option<RunOutcome>> = specs.iter().map(|_| None).collect();
-        self.run_streaming_with_workers(specs, workers, |i, outcome| slots[i] = Some(outcome));
+        self.run_isolated(specs, workers, &EngineOptions::default(), |i, outcome| {
+            slots[i] = Some(outcome);
+        });
         slots
             .into_iter()
             .map(|slot| slot.expect("worker pool covered every spec"))
@@ -940,14 +886,15 @@ mod tests {
             tiny(&["gzip"], PolicyKind::Icount),
             tiny(&["twolf"], PolicyKind::Dcra(DcraConfig::default())),
         ];
-        let batch = r.run_all(&specs).expect("valid specs");
-        let solo0 = r.run(&specs[0]).expect("valid spec");
-        let solo1 = r.run(&specs[1]).expect("valid spec");
-        assert_eq!(
-            batch[0].result, solo0.result,
-            "parallel run must be deterministic"
-        );
-        assert_eq!(batch[1].result, solo1.result);
+        let batch = r.run_all_with_workers(&specs, 2);
+        for (outcome, spec) in batch.iter().zip(&specs) {
+            let solo = r.run(spec).expect("valid spec");
+            let stats = outcome.stats().expect("valid spec");
+            assert_eq!(
+                stats.result, solo.result,
+                "parallel run must be deterministic"
+            );
+        }
     }
 
     #[test]
@@ -969,7 +916,7 @@ mod tests {
     }
 
     #[test]
-    fn run_streaming_covers_every_spec_incrementally() {
+    fn run_isolated_covers_every_spec_incrementally() {
         let r = Runner::new();
         let specs = vec![
             tiny(&["gzip"], PolicyKind::Icount),
@@ -978,15 +925,16 @@ mod tests {
         ];
         let mut seen = vec![false; specs.len()];
         let mut outcomes: Vec<Option<RunStats>> = specs.iter().map(|_| None).collect();
-        let report = r.run_streaming(&specs, |i, out| {
+        let report = r.run_isolated(&specs, 2, &EngineOptions::default(), |i, out| {
             seen[i] = true;
             outcomes[i] = Some(out.into_stats().expect("valid spec"));
         });
         assert!(seen.iter().all(|&s| s), "every spec must reach the sink");
         assert_eq!(report.completed, specs.len());
         assert_eq!(report.failed, 0);
-        let batch = r.run_all(&specs).expect("valid specs");
+        let batch = r.run_all_with_workers(&specs, 1);
         for (streamed, batched) in outcomes.iter().zip(&batch) {
+            let batched = batched.stats().expect("valid spec");
             assert_eq!(streamed.as_ref().expect("seen").result, batched.result);
         }
     }
@@ -1013,7 +961,7 @@ mod tests {
         // the calling thread.
         let caller = std::thread::current().id();
         let mut sink_threads = Vec::new();
-        r.run_streaming_with_workers(&specs, 1, |_, _| {
+        r.run_isolated(&specs, 1, &EngineOptions::default(), |_, _| {
             sink_threads.push(std::thread::current().id());
         });
         assert_eq!(sink_threads, vec![caller; specs.len()]);

@@ -6,13 +6,13 @@
 //! [`ScenarioMix`](smt_workloads::ScenarioMix) becomes a [`RunSpec`]
 //! via [`RunSpec::for_mix`], the
 //! family sweeps through the parallel work queue, and the summary carries
-//! the finiteness/throughput numbers the scenario-determinism suite and
-//! `bench_snapshot` assert on. [`PolicyTarget`]s (defined down in
+//! the finiteness/throughput numbers the scenario-determinism suite
+//! asserts on. [`PolicyTarget`]s (defined down in
 //! `smt-workloads` so the adversarial generator can name its victim) are
 //! mapped back to [`PolicyKind`]s here by name.
 
 use crate::fault::RunError;
-use crate::runner::{PolicyKind, RunSpec, Runner};
+use crate::runner::{default_workers, PolicyKind, RunSpec, Runner};
 use smt_workloads::{FamilySpec, PolicyTarget, ScenarioFamily};
 
 /// Run lengths for scenario sweeps. Families hold tens of mixes, so the
@@ -156,7 +156,7 @@ pub fn sweep_family(
     lengths: ScenarioLengths,
 ) -> FamilySweepSummary {
     let specs = specs_for_family(family, policy, lengths);
-    let outcomes = runner.run_all_outcomes(&specs);
+    let outcomes = runner.run_all_with_workers(&specs, default_workers());
     let mut mixes = Vec::with_capacity(outcomes.len());
     let mut failures = Vec::new();
     for (index, (mix, outcome)) in family.mixes().iter().zip(outcomes).enumerate() {

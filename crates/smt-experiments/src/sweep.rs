@@ -2,8 +2,8 @@
 //! the paper's 36 workloads and aggregate by workload class (the 9
 //! ILP/MIX/MEM × 2/3/4 classes of Section 4).
 
-use crate::fault::RunError;
-use crate::runner::{PolicyKind, RunSpec, Runner};
+use crate::fault::{EngineOptions, RunError};
+use crate::runner::{default_workers, PolicyKind, RunSpec, Runner};
 use smt_metrics::hmean;
 use smt_sim::SimConfig;
 use smt_workloads::{table4_workloads, Workload, WorkloadType};
@@ -158,21 +158,26 @@ pub fn sweep_policy_threads(
         clippy::indexing_slicing,
         reason = "order is a permutation of 0..workloads.len(), and per_spec and singles are built from the same workload list; the pool's spec index j ranges over the same length"
     )]
-    runner.run_streaming(&specs, |j, outcome| {
-        let i = order[j];
-        match outcome.into_stats() {
-            Ok(out) => {
-                per_spec[i] = Some(SpecMetrics {
-                    tput: out.throughput(),
-                    hm: hmean(&out.ipcs(), &singles[i]),
-                    fpc: out.result.total_fetched() as f64
-                        / out.result.total_committed().max(1) as f64,
-                    mlp: smt_metrics::workload_mlp(&out.result),
-                });
+    runner.run_isolated(
+        &specs,
+        default_workers(),
+        &EngineOptions::default(),
+        |j, outcome| {
+            let i = order[j];
+            match outcome.into_stats() {
+                Ok(out) => {
+                    per_spec[i] = Some(SpecMetrics {
+                        tput: out.throughput(),
+                        hm: hmean(&out.ipcs(), &singles[i]),
+                        fpc: out.result.total_fetched() as f64
+                            / out.result.total_committed().max(1) as f64,
+                        mlp: smt_metrics::workload_mlp(&out.result),
+                    });
+                }
+                Err(error) => failures.push((i, error)),
             }
-            Err(error) => failures.push((i, error)),
-        }
-    });
+        },
+    );
     failures.sort_by_key(|(i, _)| *i);
 
     let classes = thread_counts

@@ -2,7 +2,7 @@
 //! (the calibration target of the synthetic workload substrate).
 
 use crate::fault::RunError;
-use crate::runner::{PolicyKind, RunSpec, Runner};
+use crate::runner::{default_workers, PolicyKind, RunOutcome, RunSpec, Runner};
 use crate::tables::TextTable;
 use smt_workloads::spec;
 
@@ -39,7 +39,11 @@ pub fn run(runner: &Runner) -> Result<Vec<BenchCalibration>, RunError> {
             s
         })
         .collect();
-    let outs = runner.run_all(&specs)?;
+    let outs = runner
+        .run_all_with_workers(&specs, default_workers())
+        .into_iter()
+        .map(RunOutcome::into_stats)
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(spec::names()
         .iter()
         .zip(outs)

@@ -17,7 +17,7 @@
 //! `BLESS_GOLDENS=1 cargo test -p smt-experiments --test determinism -- --nocapture`
 //! and paste the printed table over `GOLDEN`.
 
-use smt_experiments::{PolicyKind, RunSpec, Runner, SimSession};
+use smt_experiments::{EngineOptions, PolicyKind, RunSpec, Runner, SimSession};
 use smt_sim::policy::AnyPolicy;
 use smt_sim::{SimConfig, Simulator};
 use smt_workloads::spec;
@@ -124,8 +124,9 @@ fn boxed_escape_hatch_matches_goldens_for_spot_checks() {
     }
 }
 
-/// Session reuse (`run_all`/`run_streaming` with per-worker `SimSession`s)
-/// must equal fresh-`Simulator` sequential runs outcome for outcome.
+/// Session reuse (one `SimSession`, and the engine's per-worker sessions
+/// through `run_isolated` and `run_all_with_workers`) must equal
+/// fresh-`Simulator` sequential runs outcome for outcome.
 #[test]
 fn session_runner_matches_fresh_sequential_runs() {
     let specs: Vec<RunSpec> = ["ICOUNT", "FLUSH", "SRA", "DCRA"]
@@ -178,13 +179,20 @@ fn session_runner_matches_fresh_sequential_runs() {
 
     // The parallel work-queue paths (per-worker sessions).
     let runner = Runner::new();
-    let all = runner.run_all(&specs).expect("known benches");
+    let all = runner.run_all_with_workers(&specs, 2);
     for (out, want) in all.iter().zip(&fresh) {
-        assert_eq!(&out.result, want, "run_all drifted on {}", want.policy);
+        let stats = out.stats().expect("run completed");
+        assert_eq!(
+            &stats.result, want,
+            "run_all_with_workers drifted on {}",
+            want.policy
+        );
     }
     let mut streamed: Vec<Option<smt_experiments::RunOutcome>> =
         specs.iter().map(|_| None).collect();
-    runner.run_streaming(&specs, |i, out| streamed[i] = Some(out));
+    runner.run_isolated(&specs, 2, &EngineOptions::default(), |i, out| {
+        streamed[i] = Some(out)
+    });
     for (out, want) in streamed.iter().zip(&fresh) {
         let stats = out
             .as_ref()
@@ -193,7 +201,7 @@ fn session_runner_matches_fresh_sequential_runs() {
             .expect("run completed");
         assert_eq!(
             &stats.result, want,
-            "run_streaming drifted on {}",
+            "run_isolated drifted on {}",
             want.policy
         );
     }

@@ -217,15 +217,18 @@ impl SimConfig {
 
 /// Per-run execution budget, enforced by
 /// [`Simulator::run_cycles_budgeted`](crate::Simulator::run_cycles_budgeted)
-/// through a [`CommitWatchdog`](crate::watch::CommitWatchdog).
+/// through a [`CommitWatchdog`](crate::watch::CommitWatchdog). Every
+/// experiment run goes through it; [`RunBudget::unlimited`] makes the
+/// watchdog a no-op.
 ///
 /// A budget bounds how far a single run may go before it is declared
 /// broken: `max_cycles` caps the absolute cycle count of the run, and
 /// `livelock_window` demands at least one committed instruction per
-/// window of cycles. Both limits are observational — the budgeted cycle
-/// loop steps the machine exactly like
-/// [`Simulator::run_cycles`](crate::Simulator::run_cycles), so a run that
-/// stays inside its budget is bit-identical to an unbudgeted run.
+/// window of cycles. Both limits are observational — the budgeted run is
+/// the one cycle loop behind
+/// [`Simulator::run_cycles`](crate::Simulator::run_cycles) with the
+/// watchdog looking on, so a run that stays inside its budget is
+/// bit-identical to an unbudgeted run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RunBudget {
     /// Hard cap on the run's total cycle count (`None` = unlimited). The
@@ -247,12 +250,6 @@ impl RunBudget {
             max_cycles: None,
             livelock_window: None,
         }
-    }
-
-    /// `true` if neither limit is set (the watchdog degenerates to a
-    /// single integer compare per observation).
-    pub fn is_unlimited(&self) -> bool {
-        self.max_cycles.is_none() && self.livelock_window.is_none()
     }
 }
 

@@ -13,7 +13,7 @@
 //! | [`fetch`]   | I-cache access, branch prediction, fetch-queue fill      |
 //! | [`squash`]  | misprediction/flush recovery (shared by events + policy) |
 //! | [`rings`]   | the power-of-two seq-indexed ring storage they share     |
-//! | [`profile`] | per-stage wall-clock attribution for `bench_snapshot`    |
+//! | [`profile`] | the run loop's observers: stage clock, watchdog hook     |
 //!
 //! Every stage is *batched*: it processes per-thread bursts (contiguous
 //! sequence-number runs) with thread-invariant state hoisted out of the
@@ -35,6 +35,8 @@ pub(crate) mod rings;
 pub(crate) mod squash;
 
 pub use profile::StageProfile;
+
+use profile::{ProfileClock, RunObserver};
 
 use crate::config::SimConfig;
 use crate::policy::{AnyPolicy, CycleView, Policy};
@@ -287,17 +289,6 @@ impl Simulator {
         &self.mem
     }
 
-    /// Raw cache statistics `(il1, dl1, l2)` of the hierarchy.
-    pub fn cache_stats_helper(
-        &self,
-    ) -> (
-        smt_mem::CacheStats,
-        smt_mem::CacheStats,
-        smt_mem::CacheStats,
-    ) {
-        self.mem.cache_stats()
-    }
-
     /// The branch predictor (for misprediction statistics).
     pub fn predictor(&self) -> &BranchPredictor {
         &self.bpred
@@ -361,25 +352,22 @@ impl Simulator {
     }
 
     /// Runs `n` cycles, fast-forwarding through spans where every thread
-    /// is stalled (the `core/forward` module). Bit-identical to
-    /// [`Self::run_cycles_stepped`] — the golden determinism suite and the
+    /// is stalled (the `core/forward` module). Bit-identical to calling
+    /// [`Self::step`] `n` times — the golden determinism suite and the
     /// stepped-vs-fast-forward property test pin this — but far faster on
     /// memory-bound workloads, where most cycles are empty waits on L2/
     /// memory fills.
     pub fn run_cycles(&mut self, n: u64) {
-        let end = self.now + n;
-        while self.now < end {
-            self.step();
-            self.fast_forward(end);
-        }
+        // The no-op observer never stops the run.
+        let _ = self.run_observed(n, &mut ());
     }
 
     /// [`Self::run_cycles`] under a
     /// [`CommitWatchdog`](crate::watch::CommitWatchdog): identical stepping
-    /// (step + fast-forward, so in-budget runs are bit-identical to
-    /// [`Self::run_cycles`] — the budget suite pins this), but every
-    /// executed cycle is reported to the watchdog, which converts a cycle
-    /// cap or commit-progress violation into an early
+    /// (so in-budget runs are bit-identical to [`Self::run_cycles`] — the
+    /// budget suite pins this), but the watchdog sees the clock after
+    /// every step + fast-forward span, and converts a cycle cap or
+    /// commit-progress violation into an early
     /// [`BudgetBreach`](crate::watch::BudgetBreach) return. On breach the
     /// simulator is left in a consistent mid-run state (the breach is
     /// detected between cycles, never inside one); the caller decides
@@ -393,11 +381,34 @@ impl Simulator {
         n: u64,
         watch: &mut crate::watch::CommitWatchdog,
     ) -> Result<(), crate::watch::BudgetBreach> {
+        self.run_observed(n, watch)
+    }
+
+    /// [`Self::run_cycles`] with per-stage wall-clock attribution: every
+    /// stage of every stepped cycle, and every fast-forward jump (into
+    /// [`StageProfile::forward`]), is timed into `profile`, and the
+    /// skipped cycles are counted in [`StageProfile::skipped`]. Simulation
+    /// output is bit-identical to `run_cycles`; only speed differs (nine
+    /// clock reads per stepped cycle).
+    pub fn run_cycles_profiled(&mut self, n: u64, profile: &mut StageProfile) {
+        // The profile clock never stops the run.
+        let _ = self.run_observed(n, &mut ProfileClock::new(profile));
+    }
+
+    /// The one cycle loop: step, fast-forward through any idle span up to
+    /// the run's end, then let the observer look.
+    fn run_observed<O: RunObserver>(
+        &mut self,
+        n: u64,
+        obs: &mut O,
+    ) -> Result<(), crate::watch::BudgetBreach> {
         let end = self.now + n;
         while self.now < end {
-            self.step();
+            self.step_observed(obs);
+            let stepped = self.now;
             self.fast_forward(end);
-            watch.observe(self.now, || self.committed_total())?;
+            obs.lap(|p| &mut p.forward);
+            obs.after_span(self, self.now - stepped)?;
         }
         Ok(())
     }
@@ -408,29 +419,6 @@ impl Simulator {
     /// [`CommitWatchdog`](crate::watch::CommitWatchdog) samples.
     pub fn committed_total(&self) -> u64 {
         self.stats.iter().map(|s| s.committed).sum()
-    }
-
-    /// Reference implementation of [`Self::run_cycles`]: one [`Self::step`]
-    /// per cycle, never fast-forwarding. The equivalence tests run both
-    /// paths and require identical output; keep it around for debugging
-    /// suspected fast-forward divergence.
-    pub fn run_cycles_stepped(&mut self, n: u64) {
-        for _ in 0..n {
-            self.step();
-        }
-    }
-
-    /// Runs until every thread has committed at least `insts` instructions
-    /// since the last [`Self::reset_stats`], or `max_cycles` elapse.
-    /// Fast-forwards like [`Self::run_cycles`]; commits only happen on
-    /// stepped cycles, so the stopping cycle is identical to the stepped
-    /// loop's.
-    pub fn run_until_committed(&mut self, insts: u64, max_cycles: u64) {
-        let limit = self.now + max_cycles;
-        while self.now < limit && self.stats.iter().any(|s| s.committed < insts) {
-            self.step();
-            self.fast_forward(limit);
-        }
     }
 
     /// Snapshot of the measured statistics.
@@ -469,33 +457,44 @@ impl Simulator {
         }
     }
 
-    /// Public alias of [`Self::step`] for instrumentation binaries.
-    #[doc(hidden)]
-    pub fn step_public(&mut self) {
-        self.step();
-    }
-
     /// Advances the machine one cycle. Steady-state allocation-free: the
     /// policy view, fetch order, ready lists and MLP sample buffer are all
     /// long-lived buffers reused across cycles.
     pub fn step(&mut self) {
+        self.step_observed(&mut ());
+    }
+
+    /// The one body of [`Self::step`], with the observer's stage clock
+    /// around each stage (no clock at all for `()`). Kept out of line, as
+    /// `step` was before the loop became generic, so the no-op instance
+    /// compiles to the same machine code as that `step`.
+    #[inline(never)]
+    fn step_observed<O: RunObserver>(&mut self, clock: &mut O) {
         let mut view = std::mem::take(&mut self.cycle_view);
         let mut order = std::mem::take(&mut self.order_scratch);
         self.idle = IdleTrack::default();
+        clock.start();
         self.fill_view(&mut view);
         self.policy.begin_cycle(&view);
         order.clear();
         self.policy.fetch_order(&view, &mut order);
+        clock.lap(|p| &mut p.policy);
 
         self.drain_events();
+        clock.lap(|p| &mut p.events);
         self.commit();
+        clock.lap(|p| &mut p.commit);
         self.issue();
+        clock.lap(|p| &mut p.issue);
         self.dispatch(&order);
+        clock.lap(|p| &mut p.dispatch);
         self.fetch(&order, &view);
+        clock.lap(|p| &mut p.fetch);
         self.sample_mlp();
         self.now += 1;
         self.cycle_view = view;
         self.order_scratch = order;
+        clock.lap(|p| &mut p.other);
     }
 
     pub(crate) fn sample_mlp(&mut self) {
@@ -509,38 +508,11 @@ impl Simulator {
         }
     }
 
-    /// Current pre-issue instruction count of a thread — the quantity the
-    /// ICOUNT fetch policy ranks threads by.
-    pub fn thread_icount(&self, t: ThreadId) -> u32 {
-        self.threads[t.index()].pre_issue
-    }
-
     /// Current per-thread occupancy of each controlled resource — the
     /// hardware usage counters of the paper's Section 3.4. Sampled by
     /// [`crate::watch::OccupancyRecorder`].
     pub fn thread_usage(&self, t: ThreadId) -> PerResource<u32> {
         self.usage[t.index()]
-    }
-
-    /// Debug snapshot of why a thread may be unable to fetch:
-    /// `(blocked_on_branch, icache_stalled, stalled_on_load, fetch_queue_len)`.
-    #[doc(hidden)]
-    pub fn thread_fetch_state(&self, t: ThreadId) -> (bool, bool, bool, usize) {
-        let th = &self.threads[t.index()];
-        (
-            false, // fetch no longer blocks on unresolved branches
-            th.icache_stall_until > self.now,
-            th.stall_on_load
-                .map(|l| th.get(l).is_some() && th.stage_of(l) != crate::inst::Stage::Done)
-                .unwrap_or(false),
-            th.fetch_queue_len(),
-        )
-    }
-
-    /// `true` while the given thread's trace reports a memory phase
-    /// (ground truth for the Table-5 experiment).
-    pub fn thread_in_memory_phase(&self, t: ThreadId) -> bool {
-        self.threads[t.index()].trace().in_memory_phase()
     }
 
     /// The thread's pending L1-data-miss count (the paper's slow/fast phase

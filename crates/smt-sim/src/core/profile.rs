@@ -1,12 +1,12 @@
-//! Per-stage wall-clock attribution for the cycle loop.
+//! The hooks of the one cycle loop, and per-stage wall-clock attribution.
 //!
-//! [`Simulator::step_profiled`] runs the identical stage sequence as
-//! [`Simulator::step`], wrapping each stage in a monotonic-clock pair and
-//! accumulating the elapsed time into a [`StageProfile`]. It exists for
-//! instrumentation binaries (`bench_snapshot` records the percentage
-//! breakdown into `BENCH_core.json` so future optimisation PRs can see
-//! where batching paid off); the unprofiled `step` stays free of timer
-//! calls.
+//! [`Simulator::step`] and the run loop behind every `run_cycles*` method
+//! are generic over a crate-private [`RunObserver`]. `()` observes
+//! nothing, so its instance compiles to the bare loop. [`ProfileClock`]
+//! times each stage into a [`StageProfile`] (what
+//! [`Simulator::run_cycles_profiled`] reports), and
+//! [`CommitWatchdog`] stops the run on a budget breach (what
+//! [`Simulator::run_cycles_budgeted`] enforces).
 
 #![expect(
     clippy::disallowed_methods,
@@ -14,7 +14,7 @@
 )]
 
 use super::Simulator;
-use crate::policy::Policy;
+use crate::watch::{BudgetBreach, CommitWatchdog};
 use std::time::{Duration, Instant};
 
 /// Accumulated wall-clock time per pipeline stage of the cycle loop.
@@ -28,7 +28,7 @@ pub struct StageProfile {
     /// `cycles` always equals simulated time.
     pub cycles: u64,
     /// Cycles covered by fast-forward jumps instead of steps (a subset of
-    /// `cycles`; only [`Simulator::run_cycles_profiled`] produces them).
+    /// `cycles`).
     pub skipped: u64,
     /// View refresh + `begin_cycle` + `fetch_order`.
     pub policy: Duration,
@@ -85,67 +85,75 @@ impl StageProfile {
     }
 }
 
-impl Simulator {
-    /// Advances the machine one cycle exactly like [`Simulator::step`],
-    /// attributing each stage's wall-clock cost to `profile`. Simulation
-    /// output is bit-identical to `step`; only speed differs (six timer
-    /// reads per cycle).
-    pub fn step_profiled(&mut self, profile: &mut StageProfile) {
-        let mut view = std::mem::take(&mut self.cycle_view);
-        let mut order = std::mem::take(&mut self.order_scratch);
-        self.idle = super::IdleTrack::default();
-        let t0 = Instant::now();
-        self.fill_view(&mut view);
-        self.policy.begin_cycle(&view);
-        order.clear();
-        self.policy.fetch_order(&view, &mut order);
-        let t1 = Instant::now();
-        profile.policy += t1 - t0;
+/// Names one [`StageProfile`] field, so a clock can charge time to it.
+pub(crate) type Stage = fn(&mut StageProfile) -> &mut Duration;
 
-        self.drain_events();
-        let t2 = Instant::now();
-        profile.events += t2 - t1;
+/// What the cycle loop reports to, and asks of, its observer. Every hook
+/// defaults to nothing, and the loop never reads simulated state back
+/// from an observer, so every instance simulates bit-identically.
+pub(crate) trait RunObserver {
+    /// Marks the start of a stepped cycle, so the loop's own bookkeeping
+    /// between spans is charged to no stage.
+    #[inline(always)]
+    fn start(&mut self) {}
 
-        self.commit();
-        let t3 = Instant::now();
-        profile.commit += t3 - t2;
+    /// Charges the time since the last mark to `stage` and marks again.
+    #[inline(always)]
+    fn lap(&mut self, _stage: Stage) {}
 
-        self.issue();
-        let t4 = Instant::now();
-        profile.issue += t4 - t3;
+    /// Called after each span of one step plus the fast-forward jump that
+    /// followed it (`skipped` cycles). An error stops the run between
+    /// cycles.
+    #[inline(always)]
+    fn after_span(&mut self, _sim: &Simulator, _skipped: u64) -> Result<(), BudgetBreach> {
+        Ok(())
+    }
+}
 
-        self.dispatch(&order);
-        let t5 = Instant::now();
-        profile.dispatch += t5 - t4;
+/// The no-op observer: the plain `step` and `run_cycles`.
+impl RunObserver for () {}
 
-        self.fetch(&order, &view);
-        let t6 = Instant::now();
-        profile.fetch += t6 - t5;
+/// The watchdog observes progress only; its stage clock is the no-op one.
+impl RunObserver for CommitWatchdog {
+    #[inline(always)]
+    fn after_span(&mut self, sim: &Simulator, _skipped: u64) -> Result<(), BudgetBreach> {
+        self.observe(sim.now, || sim.committed_total())
+    }
+}
 
-        self.sample_mlp();
-        self.now += 1;
-        self.cycle_view = view;
-        self.order_scratch = order;
-        profile.other += t6.elapsed();
-        profile.cycles += 1;
+/// Times every stage of every stepped cycle, and every fast-forward jump,
+/// into a [`StageProfile`]: nine clock reads per span.
+pub(crate) struct ProfileClock<'a> {
+    profile: &'a mut StageProfile,
+    mark: Instant,
+}
+
+impl<'a> ProfileClock<'a> {
+    pub(crate) fn new(profile: &'a mut StageProfile) -> Self {
+        ProfileClock {
+            profile,
+            mark: Instant::now(),
+        }
+    }
+}
+
+impl RunObserver for ProfileClock<'_> {
+    #[inline(always)]
+    fn start(&mut self) {
+        self.mark = Instant::now();
     }
 
-    /// Profiled equivalent of [`Simulator::run_cycles`]: per-stage
-    /// attribution via [`Simulator::step_profiled`], with fast-forward
-    /// jumps timed into [`StageProfile::forward`] and the skipped cycles
-    /// counted in [`StageProfile::skipped`]. Simulation output is
-    /// bit-identical to `run_cycles`.
-    pub fn run_cycles_profiled(&mut self, n: u64, profile: &mut StageProfile) {
-        let end = self.now + n;
-        while self.now < end {
-            self.step_profiled(profile);
-            let before = self.now;
-            let t0 = Instant::now();
-            self.fast_forward(end);
-            profile.forward += t0.elapsed();
-            let jumped = self.now - before;
-            profile.cycles += jumped;
-            profile.skipped += jumped;
-        }
+    #[inline(always)]
+    fn lap(&mut self, stage: Stage) {
+        let now = Instant::now();
+        *stage(self.profile) += now - self.mark;
+        self.mark = now;
+    }
+
+    #[inline(always)]
+    fn after_span(&mut self, _sim: &Simulator, skipped: u64) -> Result<(), BudgetBreach> {
+        self.profile.cycles += 1 + skipped;
+        self.profile.skipped += skipped;
+        Ok(())
     }
 }

@@ -90,24 +90,19 @@ fn mispredictions_block_fetch_but_do_not_refetch() {
 }
 
 #[test]
-fn run_until_committed_stops_early() {
-    let mut s = sim(&["gzip"], RoundRobin::default());
-    s.run_until_committed(1_000, 1_000_000);
-    assert!(s.result().threads[0].committed >= 1_000);
-    assert!(s.now() < 1_000_000);
-}
-
-#[test]
-fn profiled_step_is_bit_identical_to_step() {
-    let mut plain = sim(&["mcf", "gzip"], RoundRobin::default());
-    let mut profiled = sim(&["mcf", "gzip"], RoundRobin::default());
+fn profiled_run_is_bit_identical_to_run_cycles() {
+    // Two consecutive calls on a MEM mix: the profile accumulates across
+    // calls, and the fast-forward spans it times must not drift the run.
+    let mut plain = sim(&["mcf", "art"], RoundRobin::default());
+    let mut profiled = sim(&["mcf", "art"], RoundRobin::default());
     let mut prof = StageProfile::default();
-    for _ in 0..20_000 {
-        plain.step();
-        profiled.step_profiled(&mut prof);
+    for _ in 0..2 {
+        plain.run_cycles(20_000);
+        profiled.run_cycles_profiled(20_000, &mut prof);
     }
     assert_eq!(plain.result(), profiled.result());
-    assert_eq!(prof.cycles, 20_000);
+    assert_eq!(prof.cycles, 40_000);
+    assert!(prof.skipped > 0, "a MEM mix must fast-forward some cycles");
     assert!(prof.total().as_nanos() > 0);
     let share_sum: f64 = prof.shares().iter().map(|(_, s)| s).sum();
     assert!((share_sum - 1.0).abs() < 1e-9, "shares sum to {share_sum}");

@@ -183,10 +183,10 @@ impl std::fmt::Display for BudgetBreach {
 
 /// Enforces a [`RunBudget`] over a running simulation.
 ///
-/// Constructed once per run and fed every executed cycle through
+/// Constructed once per run and fed the clock through
 /// [`CommitWatchdog::observe`]; the simulator's
 /// [`run_cycles_budgeted`](crate::Simulator::run_cycles_budgeted) loop does
-/// this automatically. The watchdog is purely observational — it never
+/// this after every step and the fast-forward jump that follows it. The watchdog is purely observational — it never
 /// mutates the simulator — so a run that stays within budget is
 /// bit-identical to an unbudgeted run.
 ///

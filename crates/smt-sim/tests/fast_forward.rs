@@ -1,8 +1,8 @@
 //! Stepped-vs-fast-forward equivalence: for randomized machine
 //! configurations, workload mixes and seeds, running the simulator with
 //! multi-cycle fast-forward (`run_cycles`) must produce *bit-identical*
-//! output to the one-cycle-at-a-time reference loop
-//! (`run_cycles_stepped`) — for every one of the nine canonical policies.
+//! output to a one-cycle-at-a-time reference loop of `step` calls — for
+//! every one of the nine canonical policies.
 //!
 //! This is the contract that makes fast-forward a pure performance
 //! feature: `Policy::on_idle_cycles` replays per-cycle policy state
@@ -44,7 +44,7 @@ fn digest(sim: &Simulator) -> (SimResult, u64, String) {
         sim.now(),
         format!(
             "{:?} {:?}",
-            sim.cache_stats_helper(),
+            sim.memory().cache_stats(),
             sim.predictor().stats()
         ),
     )
@@ -86,11 +86,15 @@ proptest! {
             };
             let mut stepped = Simulator::new(cfg.clone(), &profiles, pol_a, seed);
             let mut fast = Simulator::new(cfg.clone(), &profiles, pol_b, seed);
-            stepped.run_cycles_stepped(warm);
+            for _ in 0..warm {
+                stepped.step();
+            }
             fast.run_cycles(warm);
             stepped.reset_stats();
             fast.reset_stats();
-            stepped.run_cycles_stepped(measured);
+            for _ in 0..measured {
+                stepped.step();
+            }
             fast.run_cycles(measured);
             prop_assert_eq!(
                 digest(&stepped),
@@ -100,31 +104,5 @@ proptest! {
                 name, benches, cfg_seed, seed
             );
         }
-    }
-
-    /// `run_until_committed` fast-forwards too; its stopping cycle and
-    /// statistics must match a stepped reference loop.
-    #[test]
-    fn run_until_committed_matches_stepped(
-        seed in 0u64..500,
-        insts in 100u64..800,
-    ) {
-        let profiles = [
-            spec::profile("mcf").unwrap(),
-            spec::profile("art").unwrap(),
-        ];
-        let cfg = SimConfig::baseline(2);
-        let policy = || AnyPolicy::from(smt_policies::Stall);
-        let mut fast = Simulator::new(cfg.clone(), &profiles, policy(), seed);
-        fast.run_until_committed(insts, 100_000);
-
-        let mut stepped = Simulator::new(cfg, &profiles, policy(), seed);
-        let limit = 100_000;
-        while stepped.now() < limit
-            && stepped.result().threads.iter().any(|t| t.committed < insts)
-        {
-            stepped.step();
-        }
-        prop_assert_eq!(digest(&stepped), digest(&fast));
     }
 }
