@@ -22,6 +22,12 @@
 //!    fetch-stalled until it drains below it; fast threads are
 //!    unrestricted.
 //!
+//! §3.4 offers two hardware forms of the sharing model, a combinational
+//! circuit and a read-only table. [`Dcra`] computes the circuit's values
+//! ([`slow_share`]); [`allocation_table`] regenerates the table's contents
+//! (the paper's Table 1). [`DcraDc`] adds the paper's future-work
+//! degenerate-case detection.
+//!
 //! # Examples
 //!
 //! ```
@@ -42,10 +48,8 @@ mod classify;
 mod degenerate;
 mod policy;
 mod sharing;
-mod table_policy;
 
 pub use classify::{ActivityTracker, ThreadPhase};
 pub use degenerate::{DcraDc, DegenerateConfig};
 pub use policy::{Dcra, DcraConfig};
 pub use sharing::{allocation_table, slow_share, SharingConfig, SharingFactor, TableEntry};
-pub use table_policy::{AllocationRom, TableDcra};

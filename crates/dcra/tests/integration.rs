@@ -147,29 +147,6 @@ fn activity_donation_helps_fp_slow_threads() {
 }
 
 #[test]
-fn table_driven_implementation_matches_combinational_end_to_end() {
-    // The paper offers two implementations of the sharing model (§3.4): a
-    // combinational circuit and a read-only table. On identical runs they
-    // must produce cycle-identical machines.
-    let profiles = [
-        spec::profile("art").unwrap(),
-        spec::profile("gzip").unwrap(),
-    ];
-    let run = |policy: Box<dyn smt_sim::policy::Policy>| {
-        let mut sim = Simulator::new(SimConfig::baseline(2), &profiles, policy, 42);
-        sim.prewarm(100_000);
-        sim.run_cycles(60_000);
-        sim.result()
-    };
-    let comb = run(Box::<Dcra>::default());
-    let table = run(Box::<dcra::TableDcra>::default());
-    assert_eq!(
-        comb, table,
-        "ROM-based DCRA diverged from the combinational one"
-    );
-}
-
-#[test]
 fn degenerate_detection_reclaims_resources_from_mcf() {
     // DCRA-DC (the paper's future work): when mcf is detected as
     // degenerate, the co-running fast thread should do at least as well as

@@ -3,7 +3,8 @@
 //!
 //! Each paper artefact has a module with a `run(...)` entry point returning
 //! a structured result and a formatted text table; the `bin/` targets print
-//! them. `EXPERIMENTS.md` records paper-vs-measured values.
+//! them. The two studies ([`ablation`], [`partitioning`]) are lists of
+//! labelled policies that [`sweep::run_study`] runs.
 //!
 //! | Module | Paper artefact |
 //! |--------|----------------|
@@ -17,7 +18,7 @@
 //! | [`fig6`] | Fig. 6 — register-file size sensitivity |
 //! | [`fig7`] | Fig. 7 — memory-latency sensitivity |
 //! | [`extra`] | §5.2 — front-end activity and memory parallelism |
-//! | [`ablation`] | design-choice ablations (activity window, sharing factor, DCRA-DC, ROM implementation) |
+//! | [`ablation`] | design-choice ablations (activity window, sharing factor, DCRA-DC) |
 //! | [`partitioning`] | §5.1 partial static partitioning vs dynamic allocation |
 
 #![warn(missing_docs)]

@@ -5,14 +5,13 @@
 //! from *dynamic, phase-aware* non-uniform allocation. This experiment
 //! makes that discussion concrete: it statically partitions each subset of
 //! the resource classes (none, queues only, registers only, both) and
-//! compares against DCRA's dynamic allocation on the same workloads.
+//! compares against DCRA's dynamic allocation on the same workloads. Run
+//! the list with [`crate::sweep::run_study`].
 
-use crate::fault::RunError;
-use crate::runner::{PolicyKind, RunSpec, Runner};
-use crate::tables::{f3, TextTable};
+use crate::runner::PolicyKind;
+use crate::sweep::STUDY_THREADS;
 use smt_isa::{PerResource, ResourceKind};
-use smt_metrics::hmean;
-use smt_workloads::{workloads_of, Workload, WorkloadType};
+use smt_sim::SimConfig;
 
 /// Which resource classes a variant statically partitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,14 +50,18 @@ impl Partition {
     }
 
     /// The policy realising this variant on a machine with `threads`
-    /// contexts and `totals` resource entries.
+    /// contexts and `totals` resource entries. A partial variant splits
+    /// its resources `R/T` and caps the rest at their full totals, which
+    /// leaves them shared.
     pub fn policy(self, threads: u32, totals: &PerResource<u32>) -> PolicyKind {
-        let caps_for = |kinds: &[ResourceKind]| {
-            let mut caps = PerResource::<Option<u32>>::default();
-            for k in kinds {
-                caps[*k] = Some((totals[*k] / threads).max(1));
-            }
-            caps
+        let caps_for = |split: &[ResourceKind]| {
+            PerResource(ResourceKind::ALL.map(|k| {
+                Some(if split.contains(&k) {
+                    (totals[k] / threads).max(1)
+                } else {
+                    totals[k]
+                })
+            }))
         };
         match self {
             Partition::None => PolicyKind::Icount,
@@ -76,75 +79,32 @@ impl Partition {
     }
 }
 
-/// One variant's average metrics over the study workloads.
-#[derive(Debug, Clone)]
-pub struct PartitionRow {
-    /// Variant.
-    pub partition: Partition,
-    /// Mean IPC throughput.
-    pub throughput: f64,
-    /// Mean Hmean.
-    pub hmean: f64,
-}
-
-/// The MIX2 + MEM2 workloads (where partitioning choices matter).
-pub fn study_workloads() -> Vec<Workload> {
-    let mut w = workloads_of(WorkloadType::Mix, 2);
-    w.extend(workloads_of(WorkloadType::Mem, 2));
-    w
-}
-
-/// Runs the study.
-pub fn run(runner: &Runner, measure_cycles: u64) -> Result<Vec<PartitionRow>, RunError> {
-    let workloads = study_workloads();
-    let mut rows = Vec::new();
-    for &partition in Partition::ALL.iter() {
-        let mut tput = 0.0;
-        let mut hm = 0.0;
-        for w in &workloads {
-            let mut spec = RunSpec::for_workload(
-                w,
-                partition.policy(
-                    w.threads() as u32,
-                    &smt_sim::SimConfig::baseline(w.threads()).resource_totals(),
-                ),
-            );
-            spec.measure_cycles = measure_cycles;
-            let out = runner.run(&spec)?;
-            let singles = runner.single_ipcs(w, &spec.config, &spec)?;
-            tput += out.throughput();
-            hm += hmean(&out.ipcs(), &singles);
-        }
-        let n = workloads.len() as f64;
-        rows.push(PartitionRow {
-            partition,
-            throughput: tput / n,
-            hmean: hm / n,
-        });
-    }
-    Ok(rows)
-}
-
-/// Formats the study.
-pub fn report(rows: &[PartitionRow]) -> TextTable {
-    let mut t = TextTable::new(&["variant", "throughput", "hmean"]);
-    for r in rows {
-        t.row_owned(vec![
-            r.partition.label().to_string(),
-            f3(r.throughput),
-            f3(r.hmean),
-        ]);
-    }
-    t
+/// The labelled variants, in presentation order, on the
+/// [`STUDY_THREADS`]-context baseline machine.
+pub fn variants() -> Vec<(String, PolicyKind)> {
+    let totals = SimConfig::baseline(STUDY_THREADS).resource_totals();
+    Partition::ALL
+        .iter()
+        .map(|p| {
+            (
+                p.label().to_string(),
+                p.policy(STUDY_THREADS as u32, &totals),
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::study_workloads;
+    use smt_policies::StaticAllocation;
+    use smt_sim::policy::{CycleView, ThreadView};
+    use smt_workloads::WorkloadType;
 
     #[test]
     fn variants_produce_distinct_policies() {
-        let totals = smt_sim::SimConfig::baseline(2).resource_totals();
+        let totals = SimConfig::baseline(2).resource_totals();
         let kinds: Vec<PolicyKind> = Partition::ALL
             .iter()
             .map(|p| p.policy(2, &totals))
@@ -152,13 +112,34 @@ mod tests {
         assert_eq!(kinds[0].name(), "ICOUNT");
         assert_eq!(kinds[3].name(), "SRA");
         assert_eq!(kinds[4].name(), "DCRA");
-        // Queue-only caps leave registers unlimited.
-        if let PolicyKind::SraCapped(caps) = &kinds[1] {
-            assert!(caps[ResourceKind::IntQueue].is_some());
-            assert!(caps[ResourceKind::IntRegs].is_none());
-        } else {
-            panic!("queues-only variant must be SraCapped");
-        }
+    }
+
+    #[test]
+    fn partial_variants_leave_the_rest_shared() {
+        // A `None` cap means the even split to `StaticAllocation`, so the
+        // shared resources must be capped at their totals explicitly.
+        let totals = SimConfig::baseline(2).resource_totals();
+        let view = CycleView::new(0, totals, &vec![ThreadView::default(); 2]);
+        let cap = |p: Partition, k: ResourceKind| match p.policy(2, &totals) {
+            PolicyKind::SraCapped(caps) => StaticAllocation::with_caps(caps).cap(k, &view),
+            other => panic!("{p:?} must be capped SRA, got {}", other.name()),
+        };
+        assert_eq!(
+            cap(Partition::QueuesOnly, ResourceKind::IntRegs),
+            totals[ResourceKind::IntRegs]
+        );
+        assert_eq!(
+            cap(Partition::QueuesOnly, ResourceKind::IntQueue),
+            totals[ResourceKind::IntQueue] / 2
+        );
+        assert_eq!(
+            cap(Partition::RegistersOnly, ResourceKind::LsQueue),
+            totals[ResourceKind::LsQueue]
+        );
+        assert_eq!(
+            cap(Partition::RegistersOnly, ResourceKind::FpRegs),
+            totals[ResourceKind::FpRegs] / 2
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::chaos::ChaosPolicy;
 use crate::fault::{EngineOptions, EngineReport, InjectedFault, RunError};
-use dcra::{Dcra, DcraConfig, SharingConfig};
+use dcra::{Dcra, DcraConfig, DcraDc, SharingConfig};
 use smt_isa::{PerResource, ThreadId};
 use smt_policies as pol;
 use smt_sim::policy::AnyPolicy;
@@ -46,6 +46,9 @@ pub enum PolicyKind {
     SraCapped(PerResource<Option<u32>>),
     /// The paper's proposal, with its sharing-factor configuration.
     Dcra(DcraConfig),
+    /// DCRA with degenerate-case detection (the paper's future work), at
+    /// its default configuration.
+    DcraDc,
 }
 
 impl PolicyKind {
@@ -61,6 +64,7 @@ impl PolicyKind {
             PolicyKind::PredictiveDataGating => "PDG",
             PolicyKind::Sra | PolicyKind::SraCapped(_) => "SRA",
             PolicyKind::Dcra(_) => "DCRA",
+            PolicyKind::DcraDc => "DCRA-DC",
         }
     }
 
@@ -93,8 +97,8 @@ impl PolicyKind {
     }
 
     /// Instantiates the policy. All nine canonical policies come back as
-    /// statically-dispatched [`AnyPolicy`] variants; only external policies
-    /// (none here) would need the boxed escape hatch.
+    /// statically-dispatched [`AnyPolicy`] variants; only the experimental
+    /// DCRA-DC rides the boxed escape hatch.
     pub fn build(&self) -> AnyPolicy {
         match self {
             PolicyKind::RoundRobin => smt_sim::policy::RoundRobin::default().into(),
@@ -107,6 +111,7 @@ impl PolicyKind {
             PolicyKind::Sra => pol::StaticAllocation::new().into(),
             PolicyKind::SraCapped(caps) => pol::StaticAllocation::with_caps(*caps).into(),
             PolicyKind::Dcra(cfg) => Dcra::new(*cfg).into(),
+            PolicyKind::DcraDc => AnyPolicy::Boxed(Box::<DcraDc>::default()),
         }
     }
 }
@@ -808,6 +813,7 @@ mod tests {
             PolicyKind::PredictiveDataGating,
             PolicyKind::Sra,
             PolicyKind::Dcra(DcraConfig::default()),
+            PolicyKind::DcraDc,
         ] {
             assert_eq!(k.build().name(), k.name());
         }

@@ -1,12 +1,15 @@
 //! Shared machinery for the policy-comparison figures: run a policy over
 //! the paper's 36 workloads and aggregate by workload class (the 9
-//! ILP/MIX/MEM × 2/3/4 classes of Section 4).
+//! ILP/MIX/MEM × 2/3/4 classes of Section 4). Also the single-table
+//! studies ([`crate::ablation`], [`crate::partitioning`]): a list of
+//! labelled policies, each averaged over [`study_workloads`].
 
 use crate::fault::{EngineOptions, RunError};
-use crate::runner::{default_workers, PolicyKind, RunSpec, Runner};
+use crate::runner::{default_workers, PolicyKind, RunOutcome, RunSpec, Runner};
+use crate::tables::{f3, TextTable};
 use smt_metrics::hmean;
 use smt_sim::SimConfig;
-use smt_workloads::{table4_workloads, Workload, WorkloadType};
+use smt_workloads::{table4_workloads, workloads_of, Workload, WorkloadType};
 use std::cmp::Reverse;
 
 /// Aggregated metrics of one policy on one workload class.
@@ -218,6 +221,90 @@ pub fn sweep_policy_threads(
     })
 }
 
+/// Hardware contexts of every [`study_workloads`] mix.
+pub const STUDY_THREADS: usize = 2;
+
+/// The studies' workloads: Table 4's 2-thread MIX and MEM groups, where a
+/// policy's sharing choices matter most (a mixture of fast and slow
+/// threads).
+pub fn study_workloads() -> Vec<Workload> {
+    let mut w = workloads_of(WorkloadType::Mix, STUDY_THREADS);
+    w.extend(workloads_of(WorkloadType::Mem, STUDY_THREADS));
+    w
+}
+
+/// One labelled policy's mean metrics over a study's workloads.
+#[derive(Debug, Clone)]
+pub struct StudyRow {
+    /// Variant label.
+    pub label: String,
+    /// Mean IPC throughput.
+    pub throughput: f64,
+    /// Mean Hmean.
+    pub hmean: f64,
+}
+
+/// Runs every labelled policy over `workloads` on the baseline machine at
+/// `lengths`' prewarm, warm-up and measure lengths, and averages each
+/// variant's throughput and Hmean. The baselines are one pooled batch and
+/// the runs one pooled spec list; each row sums in workload order, so the
+/// rows do not depend on the worker count. The first failed run, in spec
+/// order, fails the study.
+pub fn run_study(
+    runner: &Runner,
+    workloads: &[Workload],
+    variants: &[(String, PolicyKind)],
+    lengths: &RunSpec,
+) -> Result<Vec<StudyRow>, RunError> {
+    // Baselines run on a one-thread copy of the machine.
+    let singles = runner.baselines(workloads, &SimConfig::baseline(1), lengths)?;
+    // Workload-major, so a worker's consecutive runs mostly replay one
+    // workload's traces.
+    let specs: Vec<RunSpec> = workloads
+        .iter()
+        .flat_map(|w| {
+            variants.iter().map(|(_, policy)| {
+                let mut s = RunSpec::for_workload(w, policy.clone());
+                s.prewarm_insts = lengths.prewarm_insts;
+                s.warmup_cycles = lengths.warmup_cycles;
+                s.measure_cycles = lengths.measure_cycles;
+                s
+            })
+        })
+        .collect();
+    let runs = runner
+        .run_all_with_workers(&specs, default_workers())
+        .into_iter()
+        .map(RunOutcome::into_stats)
+        .collect::<Result<Vec<_>, _>>()?;
+    let n = workloads.len() as f64;
+    Ok(variants
+        .iter()
+        .enumerate()
+        .map(|(v, (label, _))| {
+            let (mut tput, mut hm) = (0.0, 0.0);
+            for (out, singles) in runs.iter().skip(v).step_by(variants.len()).zip(&singles) {
+                tput += out.throughput();
+                hm += hmean(&out.ipcs(), singles);
+            }
+            StudyRow {
+                label: label.clone(),
+                throughput: tput / n,
+                hmean: hm / n,
+            }
+        })
+        .collect())
+}
+
+/// Formats a study's rows.
+pub fn study_report(rows: &[StudyRow]) -> TextTable {
+    let mut t = TextTable::new(&["variant", "throughput", "hmean"]);
+    for r in rows {
+        t.row_owned(vec![r.label.clone(), f3(r.throughput), f3(r.hmean)]);
+    }
+    t
+}
+
 /// Standard lengths for the figure sweeps (shorter than Table-3
 /// calibration; 36 workloads × several policies must finish in minutes).
 pub fn sweep_lengths() -> RunSpec {
@@ -373,6 +460,68 @@ mod tests {
                 .collect()
         };
         assert_eq!(bits(&got), bits(&expected));
+    }
+
+    #[test]
+    fn pooled_study_matches_a_serial_reference_bit_for_bit() {
+        // The reference builds a fresh simulator per run and runs them one
+        // after another in variant-major order, with each workload's
+        // baselines from `single_ipcs`.
+        let mut lengths = sweep_lengths();
+        lengths.prewarm_insts = 2_000;
+        lengths.warmup_cycles = 200;
+        lengths.measure_cycles = 1_000;
+        let all = study_workloads();
+        let workloads = [all[0].clone(), all[all.len() - 1].clone()];
+        let zero = dcra::SharingConfig {
+            queue_factor: dcra::SharingFactor::Zero,
+            reg_factor: dcra::SharingFactor::Zero,
+        };
+        let variants = [
+            (
+                "C = 0".to_string(),
+                PolicyKind::Dcra(dcra::DcraConfig {
+                    sharing: zero,
+                    ..dcra::DcraConfig::default()
+                }),
+            ),
+            ("DCRA-DC".to_string(), PolicyKind::DcraDc),
+        ];
+        let rows = run_study(&Runner::new(), &workloads, &variants, &lengths)
+            .expect("registry benchmarks");
+
+        let serial = Runner::new();
+        for ((label, policy), row) in variants.iter().zip(&rows) {
+            let (mut tput, mut hm) = (0.0, 0.0);
+            for w in &workloads {
+                let profiles: Vec<_> = w
+                    .benchmarks
+                    .iter()
+                    .map(|b| smt_workloads::spec::profile(b).expect("registry benchmark"))
+                    .collect();
+                let mut sim = smt_sim::Simulator::new(
+                    SimConfig::baseline(w.threads()),
+                    &profiles,
+                    policy.build(),
+                    42,
+                );
+                sim.prewarm(lengths.prewarm_insts);
+                sim.run_cycles(lengths.warmup_cycles);
+                sim.reset_stats();
+                sim.run_cycles(lengths.measure_cycles);
+                let r = sim.result();
+                let singles = serial
+                    .single_ipcs(w, sim.config(), &lengths)
+                    .expect("registry benchmarks");
+                tput += r.throughput();
+                hm += hmean(&r.ipcs(), &singles);
+            }
+            let n = workloads.len() as f64;
+            assert_eq!(&row.label, label);
+            assert_eq!(row.throughput.to_bits(), (tput / n).to_bits(), "{label}");
+            assert_eq!(row.hmean.to_bits(), (hm / n).to_bits(), "{label}");
+        }
+        assert_eq!(rows.len(), variants.len());
     }
 
     #[test]

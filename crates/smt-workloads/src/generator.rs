@@ -234,8 +234,8 @@ impl TraceGenerator {
         self.seq
     }
 
-    /// `true` while the generator is in a memory phase (used by tests and
-    /// the Table-5 experiment for ground truth).
+    /// `true` while the generator is in a memory phase (ground truth for
+    /// the phase tests).
     pub fn in_memory_phase(&self) -> bool {
         self.phase == Phase::Memory
     }

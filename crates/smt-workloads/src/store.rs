@@ -23,9 +23,7 @@
 //!   bounded on arbitrarily long runs.
 //!
 //! The store is bit-exact: replayed records unpack to precisely what
-//! [`TraceGenerator::next_inst`] streams, and the per-instruction
-//! memory-phase bits reproduce the generator's lazily-observed phase
-//! signal (see [`ThreadTrace::in_memory_phase`]).
+//! [`TraceGenerator::next_inst`] streams.
 
 use crate::generator::TraceGenerator;
 use crate::profile::BenchmarkProfile;
@@ -48,7 +46,6 @@ pub const MAX_PREFIX_BLOCKS: usize = 1_024;
 
 const BLOCK_SHIFT: u32 = TRACE_BLOCK.trailing_zeros();
 const BLOCK_MASK: u64 = TRACE_BLOCK as u64 - 1;
-const PHASE_WORDS: usize = TRACE_BLOCK / 64;
 
 /// One pre-generated block of [`TRACE_BLOCK`] consecutive instructions:
 /// the packed hot lane plus sidecar payload lanes indexed by
@@ -61,10 +58,6 @@ struct TraceBlock {
     insts: Vec<PackedInst>,
     mem: Vec<MemAccess>,
     branches: Vec<BranchInfo>,
-    /// Per-instruction memory-phase bit: the generator's phase *after*
-    /// generating that instruction (the signal the lazily-generating
-    /// pre-store code observed at its generation frontier).
-    phase: [u64; PHASE_WORDS],
 }
 
 impl TraceBlock {
@@ -75,8 +68,7 @@ impl TraceBlock {
         self.insts.clear();
         self.mem.clear();
         self.branches.clear();
-        self.phase = [0; PHASE_WORDS];
-        for i in 0..TRACE_BLOCK {
+        for _ in 0..TRACE_BLOCK {
             let d = gen.next_inst();
             debug_assert!(
                 d.mem.is_none() || d.branch.is_none(),
@@ -92,15 +84,7 @@ impl TraceBlock {
                 0
             };
             self.insts.push(PackedInst::pack(&d, aux as u16));
-            if gen.in_memory_phase() {
-                self.phase[i / 64] |= 1 << (i % 64);
-            }
         }
-    }
-
-    #[inline]
-    fn phase_bit(&self, off: usize) -> bool {
-        self.phase[off / 64] & (1 << (off % 64)) != 0
     }
 }
 
@@ -170,12 +154,6 @@ pub struct ThreadTrace {
     tail_gen: Option<TraceGenerator>,
     /// Next tail block index (≥ [`MAX_PREFIX_BLOCKS`]) to generate.
     tail_next_block: u64,
-    /// One past the newest sequence number served to the current run —
-    /// the generation frontier the pre-store lazy path exposed, tracked
-    /// for [`ThreadTrace::in_memory_phase`].
-    requested_tip: u64,
-    /// The generator's phase before the first instruction.
-    initial_mem_phase: bool,
 }
 
 impl ThreadTrace {
@@ -194,13 +172,11 @@ impl ThreadTrace {
             profile: profile.clone(),
             seed,
             slot,
-            initial_mem_phase: gen.in_memory_phase(),
             prefix_gen: gen,
             prefix: Vec::new(),
             ring: vec![TraceBlock::default(); ring_len],
             tail_gen: None,
             tail_next_block: MAX_PREFIX_BLOCKS as u64,
-            requested_tip: 0,
         }
     }
 
@@ -217,7 +193,6 @@ impl ThreadTrace {
             self.profile = profile.clone();
             self.seed = seed;
             self.slot = slot;
-            self.initial_mem_phase = gen.in_memory_phase();
             self.prefix_gen = gen;
             self.prefix.clear();
         }
@@ -226,7 +201,6 @@ impl ThreadTrace {
         // `tail_next_block` from the cap).
         self.tail_gen = None;
         self.tail_next_block = MAX_PREFIX_BLOCKS as u64;
-        self.requested_tip = 0;
         reused
     }
 
@@ -241,29 +215,13 @@ impl ThreadTrace {
         self.prefix_gen.decorrelated(salt)
     }
 
-    /// `true` while the generation frontier of the *served* stream sits in
-    /// a memory phase — bit-identical to what the pre-store lazy path
-    /// reported: the generator's phase after generating the newest served
-    /// instruction (or the initial phase before anything was served).
-    /// Ground truth for the Table-5 experiment.
-    pub fn in_memory_phase(&self) -> bool {
-        if self.requested_tip == 0 {
-            return self.initial_mem_phase;
-        }
-        let seq = self.requested_tip - 1;
-        let block = self.block_ref(seq >> BLOCK_SHIFT);
-        block.phase_bit((seq & BLOCK_MASK) as usize)
-    }
-
     /// The packed record at `seq`, extending the generation frontier by
     /// whole blocks as needed. 16 bytes out of a contiguous lane — the
     /// burst-fetch hot call.
     #[inline]
     pub fn packed(&mut self, seq: u64) -> PackedInst {
         let block = self.block(seq >> BLOCK_SHIFT);
-        let p = block.insts[(seq & BLOCK_MASK) as usize];
-        self.served(seq);
-        p
+        block.insts[(seq & BLOCK_MASK) as usize]
     }
 
     /// The fetch stage's hot read: the packed record at `seq` plus the
@@ -280,7 +238,6 @@ impl ThreadTrace {
         } else {
             0
         };
-        self.served(seq);
         (packed, addr)
     }
 
@@ -309,17 +266,11 @@ impl ThreadTrace {
         } else {
             (None, None)
         };
-        self.served(seq);
         TraceRecord {
             packed,
             mem,
             branch,
         }
-    }
-
-    #[inline]
-    fn served(&mut self, seq: u64) {
-        self.requested_tip = self.requested_tip.max(seq + 1);
     }
 
     /// Resident block `b`, generating forward to materialise it if needed.
@@ -350,7 +301,7 @@ impl ThreadTrace {
     }
 
     /// Resident block `b` without generating (the block must already be
-    /// materialised — used by phase queries on the served frontier).
+    /// materialised — used by [`ThreadTrace::branch_payload`]).
     #[inline]
     fn block_ref(&self, b: u64) -> &TraceBlock {
         if b < MAX_PREFIX_BLOCKS as u64 {
@@ -455,19 +406,19 @@ mod tests {
 
     #[test]
     fn phase_signal_matches_lazy_generation() {
+        // mcf alternates compute and memory phases; the replayed stream
+        // must match lazy generation through every phase switch.
         let p = spec::profile("mcf").expect("registry profile");
         let mut store = ThreadTrace::new(p, 3, 0, 512);
         let mut gen = TraceGenerator::new(p, 3, 0);
-        assert_eq!(store.in_memory_phase(), gen.in_memory_phase());
+        let mut switches = 0;
+        let mut phase = gen.in_memory_phase();
         for seq in 0..20_000u64 {
-            let _ = store.packed(seq);
-            gen.next_inst();
-            assert_eq!(
-                store.in_memory_phase(),
-                gen.in_memory_phase(),
-                "phase diverged at seq {seq}"
-            );
+            assert_eq!(store.record(seq).unpack(), gen.next_inst(), "seq {seq}");
+            switches += usize::from(gen.in_memory_phase() != phase);
+            phase = gen.in_memory_phase();
         }
+        assert!(switches > 0, "the stream never changed phase");
     }
 
     #[test]
