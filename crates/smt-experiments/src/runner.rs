@@ -1,6 +1,7 @@
 //! Simulation runner: builds simulators from declarative specs, runs them
 //! (in parallel across OS threads, each worker owning one reusable
-//! [`SimSession`]) and caches single-thread baselines for the Hmean metric.
+//! [`SimSession`]), caches single-thread baselines for the Hmean metric
+//! and memoises the post-prewarm memory state of every workload it runs.
 //!
 //! Every run executes inside its own **fault domain**: panics are caught
 //! per run ([`std::panic::catch_unwind`]), budgets bound runaway runs, and
@@ -13,14 +14,15 @@ use crate::chaos::ChaosPolicy;
 use crate::fault::{EngineOptions, EngineReport, InjectedFault, RunError};
 use dcra::{Dcra, DcraConfig, DcraDc, SharingConfig};
 use smt_isa::{PerResource, ThreadId};
+use smt_mem::{MemoryConfig, WarmState};
 use smt_policies as pol;
 use smt_sim::policy::AnyPolicy;
 use smt_sim::watch::CommitWatchdog;
 use smt_sim::{RunBudget, SimConfig, SimResult, Simulator};
 use smt_workloads::{spec, BenchmarkProfile, ScenarioMix, Workload};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Which policy to run. A declarative, `Clone`able stand-in for a built
 /// policy so run specs can be sent across threads.
@@ -350,18 +352,20 @@ impl SimSession {
     /// containment go through the [`Runner`] engine instead, which wraps
     /// each attempt in [`std::panic::catch_unwind`].
     pub fn run(&mut self, spec: &RunSpec) -> Result<RunStats, RunError> {
-        self.run_attempt(spec, 0, spec.budget.unwrap_or_default())
+        self.run_attempt(spec, 0, spec.budget.unwrap_or_default(), None)
     }
 
     /// One attempt of `spec`. `attempt` is 0-based and only consulted by
     /// injected faults (a transient fault stops panicking once
     /// `attempt >= fail_attempts`); `default_budget` applies when the spec
-    /// carries no budget of its own.
+    /// carries no budget of its own. With a `memo` the prewarm goes
+    /// through it; without one it runs.
     fn run_attempt(
         &mut self,
         spec: &RunSpec,
         attempt: u32,
         default_budget: RunBudget,
+        memo: Option<&PrewarmMemo>,
     ) -> Result<RunStats, RunError> {
         spec.config
             .validate()
@@ -388,7 +392,10 @@ impl SimSession {
                 spec.seed,
             )),
         };
-        sim.prewarm(spec.prewarm_insts);
+        match memo {
+            Some(memo) => memo.prewarm(sim, &profiles, spec),
+            None => sim.prewarm(spec.prewarm_insts),
+        }
         // One watchdog spans warm-up and measurement, so the cycle cap
         // bounds the whole run. An unlimited budget's watchdog never
         // checks. A breach leaves the simulator in the session: its
@@ -418,18 +425,93 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
+/// Everything [`Simulator::prewarm`] reads: each thread's profile
+/// (compared by value, so generated and overridden profiles are safe),
+/// the run seed, the memory configuration and the prewarm length. The
+/// policy and the core's sizes are not part of it: a policy sweep, or a
+/// register sweep over one workload, shares one entry.
+#[derive(Debug)]
+struct PrewarmKey {
+    seed: u64,
+    insts: u64,
+    mem: MemoryConfig,
+    profiles: Vec<BenchmarkProfile>,
+}
+
+impl PrewarmKey {
+    fn matches(&self, spec: &RunSpec, profiles: &[&BenchmarkProfile]) -> bool {
+        self.seed == spec.seed
+            && self.insts == spec.prewarm_insts
+            && self.mem == spec.config.mem
+            && self.profiles.len() == profiles.len()
+            && self.profiles.iter().zip(profiles).all(|(a, b)| a == *b)
+    }
+}
+
+/// The runner's memo of post-prewarm memory states, one compact
+/// [`WarmState`] per distinct [`PrewarmKey`]. Exact: a restored run is
+/// bit-identical to one that prewarmed (see
+/// [`MemoryHierarchy::restore_warm`](smt_mem::MemoryHierarchy::restore_warm)).
+/// It grows by one entry per key and is never evicted.
+#[derive(Debug, Default)]
+struct PrewarmMemo {
+    entries: Mutex<Vec<(PrewarmKey, Arc<WarmState>)>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl PrewarmMemo {
+    /// Leaves `sim`, just built or reset onto `spec`, as
+    /// `sim.prewarm(spec.prewarm_insts)` would: restored from the memo on
+    /// a hit, prewarmed and captured on a miss. Two workers that miss the
+    /// same key at once both prewarm; the first insert wins.
+    fn prewarm(&self, sim: &mut Simulator, profiles: &[&BenchmarkProfile], spec: &RunSpec) {
+        let found = self
+            .lock()
+            .iter()
+            .find(|(k, _)| k.matches(spec, profiles))
+            .map(|(_, warm)| Arc::clone(warm));
+        if let Some(warm) = found {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            sim.restore_warm(&warm);
+            return;
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        sim.prewarm(spec.prewarm_insts);
+        let warm = Arc::new(sim.warm_state());
+        let mut entries = self.lock();
+        if !entries.iter().any(|(k, _)| k.matches(spec, profiles)) {
+            let key = PrewarmKey {
+                seed: spec.seed,
+                insts: spec.prewarm_insts,
+                mem: spec.config.mem.clone(),
+                profiles: profiles.iter().map(|&p| p.clone()).collect(),
+            };
+            entries.push((key, warm));
+        }
+    }
+
+    /// Every update is one `push` of a complete entry, so a poisoned lock
+    /// still guards a valid list.
+    fn lock(&self) -> MutexGuard<'_, Vec<(PrewarmKey, Arc<WarmState>)>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// Runs `spec` on `session` under the engine's fault domain: each attempt
 /// is wrapped in `catch_unwind`, a caught panic discards the (possibly
 /// corrupt) simulator, and transient failures retry per `opts.retry`.
+/// Prewarms go through `memo`.
 fn execute_with_retry(
     session: &mut SimSession,
     spec: &RunSpec,
     opts: &EngineOptions,
+    memo: &PrewarmMemo,
 ) -> RunOutcome {
     let mut attempt = 0u32;
     loop {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            session.run_attempt(spec, attempt, opts.budget)
+            session.run_attempt(spec, attempt, opts.budget, Some(memo))
         }));
         attempt += 1;
         let error = match result {
@@ -501,10 +583,11 @@ pub struct Runner {
         reason = "lookup-only cache: never iterated, so RandomState order cannot reach any output"
     )]
     baselines: Mutex<std::collections::HashMap<BaselineKey, f64>>,
+    prewarm_memo: PrewarmMemo,
 }
 
 impl Runner {
-    /// Creates a runner with an empty baseline cache.
+    /// Creates a runner with an empty baseline cache and prewarm memo.
     pub fn new() -> Self {
         Runner::default()
     }
@@ -526,6 +609,9 @@ impl Runner {
     /// Every worker owns one [`SimSession`], so consecutive specs with the
     /// same machine configuration reuse a simulator instead of building
     /// one per run — the dominant setup cost of the paper-scale sweeps.
+    /// Every run's prewarm goes through the runner's prewarm memo, so a
+    /// workload is prewarmed once per runner, whichever policy, worker or
+    /// call runs it (see [`Runner::prewarm_memo_stats`]).
     /// Completed outcomes are identical to sequential fresh-simulator runs
     /// for every `workers >= 1` (only completion order varies), so
     /// consumers that aggregate incrementally (the sweep and figure
@@ -623,7 +709,8 @@ impl Runner {
                         clippy::indexing_slicing,
                         reason = "worker indices are produced by the pool over 0..specs.len(); out of range is impossible by construction"
                     )]
-                    let outcome = execute_with_retry(&mut session, &specs[i], opts);
+                    let outcome =
+                        execute_with_retry(&mut session, &specs[i], opts, &self.prewarm_memo);
                     let counter = if outcome.is_completed() {
                         &completed
                     } else {
@@ -761,6 +848,23 @@ impl Runner {
             .iter()
             .map(|w| self.single_ipcs(w, config, lengths))
             .collect()
+    }
+
+    /// The prewarm memo's counters: `(hits, misses, bytes)`. Every engine
+    /// run that reaches its prewarm counts once, as a hit (the memoised
+    /// state was restored) or a miss (it prewarmed and, unless another
+    /// worker beat it to the same key, inserted the state). `bytes` is the
+    /// sum of the memoised states' [`WarmState::bytes`]. The counts are
+    /// deterministic unless two runs with the same key are in flight at
+    /// once.
+    pub fn prewarm_memo_stats(&self) -> (u64, u64, usize) {
+        let memo = &self.prewarm_memo;
+        let bytes = memo.lock().iter().map(|(_, warm)| warm.bytes()).sum();
+        (
+            memo.hits.load(Ordering::Relaxed),
+            memo.misses.load(Ordering::Relaxed),
+            bytes,
+        )
     }
 
     fn cached(&self, key: &BaselineKey) -> Option<f64> {
@@ -1019,12 +1123,16 @@ mod tests {
             ..EngineOptions::default()
         };
         let mut session = SimSession::new();
-        let outcome = execute_with_retry(&mut session, &spec, &opts);
+        let memo = PrewarmMemo::default();
+        let outcome = execute_with_retry(&mut session, &spec, &opts, &memo);
         let (stats, attempts) = match outcome {
             RunOutcome::Completed { stats, attempts } => (stats, attempts),
             other => panic!("retry should complete, got {other:?}"),
         };
         assert_eq!(attempts, 2, "first attempt panics, second succeeds");
+        // The panic came after the prewarm: the retry restored it.
+        assert_eq!(memo.hits.into_inner(), 1);
+        assert_eq!(memo.misses.into_inner(), 1);
         let mut clean = spec.clone();
         clean.fault = None;
         let reference = Runner::new().run(&clean).expect("valid spec");
@@ -1044,6 +1152,7 @@ mod tests {
             &mut SimSession::new(),
             &spec,
             &EngineOptions::default(), // RetryPolicy::none()
+            &PrewarmMemo::default(),
         );
         assert!(
             matches!(

@@ -344,3 +344,91 @@ fn scenario_mix_session_reuse_matches_fresh_simulator() {
         assert_eq!(reused.result, fresh, "{}: session reuse drifted", mix.id);
     }
 }
+
+/// The runner's prewarm memo: two policies swept on one `Runner`, the
+/// second sweep's every prewarm restored from the first's, must give the
+/// class rows that fresh serial sessions (which always prewarm) give,
+/// bit for bit; and the memo's counters must show that it served them.
+#[test]
+fn memoised_prewarm_sweeps_match_fresh_serial_sessions() {
+    use smt_experiments::sweep::{sweep_lengths, sweep_policy_threads};
+    use smt_metrics::{hmean, workload_mlp};
+    use smt_workloads::{table4_workloads, WorkloadType};
+
+    let mut lengths = sweep_lengths();
+    lengths.prewarm_insts = 10_000;
+    lengths.warmup_cycles = 500;
+    lengths.measure_cycles = 3_000;
+    let config = SimConfig::baseline(2);
+    let workloads: Vec<_> = table4_workloads()
+        .into_iter()
+        .filter(|w| w.threads() == 2)
+        .collect();
+    let mut benches: Vec<&str> = workloads
+        .iter()
+        .flat_map(|w| w.benchmarks.iter().map(String::as_str))
+        .collect();
+    benches.sort_unstable();
+    benches.dedup();
+
+    let runner = Runner::new();
+    let serial = Runner::new();
+    for (i, name) in ["ICOUNT", "DCRA"].iter().enumerate() {
+        let policy = PolicyKind::from_name(name).expect("canonical policy");
+        let sweep = sweep_policy_threads(&runner, &policy, &config, &lengths, &[2])
+            .expect("baselines must measure");
+        assert!(sweep.failures.is_empty());
+        let (hits, misses, bytes) = runner.prewarm_memo_stats();
+        let workload_runs = workloads.len() as u64;
+        assert_eq!(hits, i as u64 * workload_runs, "{name}: memo hits");
+        assert_eq!(
+            misses,
+            workload_runs + benches.len() as u64,
+            "{name}: one prewarm per workload and per baseline"
+        );
+        assert!(bytes > 0);
+
+        let mut expected = Vec::new();
+        for kind in WorkloadType::ALL {
+            let group: Vec<[f64; 4]> = workloads
+                .iter()
+                .filter(|w| w.kind == kind)
+                .map(|w| {
+                    let mut spec =
+                        RunSpec::for_workload(w, policy.clone()).with_config(config.clone());
+                    spec.prewarm_insts = lengths.prewarm_insts;
+                    spec.warmup_cycles = lengths.warmup_cycles;
+                    spec.measure_cycles = lengths.measure_cycles;
+                    let out = SimSession::new().run(&spec).expect("registry benchmarks");
+                    let singles = serial
+                        .single_ipcs(w, &config, &lengths)
+                        .expect("registry benchmarks");
+                    [
+                        out.throughput(),
+                        hmean(&out.ipcs(), &singles),
+                        out.result.total_fetched() as f64
+                            / out.result.total_committed().max(1) as f64,
+                        workload_mlp(&out.result),
+                    ]
+                })
+                .collect();
+            let n = group.len() as f64;
+            let mean = |f: usize| (group.iter().map(|m| m[f]).sum::<f64>() / n).to_bits();
+            expected.push((2, kind, [mean(0), mean(1), mean(2), mean(3)]));
+        }
+        let got: Vec<_> = sweep
+            .classes
+            .iter()
+            .map(|&(t, k, m)| {
+                let row = [m.throughput, m.hmean, m.fetch_per_commit, m.mlp];
+                (t, k, row.map(f64::to_bits))
+            })
+            .collect();
+        assert_eq!(got, expected, "{name}: memoised sweep drifted");
+    }
+    assert_eq!(
+        serial.prewarm_memo_stats(),
+        (0, 0, 0),
+        "one-shot runs skip the memo"
+    );
+}

@@ -182,6 +182,37 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
+    /// The resident lines (address `>> log2(line_bytes)`), least recently
+    /// used first. With the hit/miss counters this is all the cache's
+    /// observable state: hits depend on which tags a set holds, and the
+    /// victim on their recency order. Which way holds a tag, and the
+    /// absolute LRU stamps, are never observed.
+    pub(crate) fn resident_lines(&self) -> Box<[u64]> {
+        let mut stamped: Vec<(u64, u64)> = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, w)| w.tag != u64::MAX)
+            .map(|(i, w)| (w.lru, (w.tag << self.set_shift) | (i / self.ways) as u64))
+            .collect();
+        // Stamps come from one per-access tick, so they are unique.
+        stamped.sort_unstable();
+        stamped.iter().map(|&(_, line)| line).collect()
+    }
+
+    /// Rebuilds the state [`Cache::resident_lines`] captured: cold, then
+    /// one access per line in the given (least recently used first)
+    /// order, then zeroed counters. Every set receives at most `ways`
+    /// lines, so nothing is evicted and each set ends with the captured
+    /// tags in the captured recency order.
+    pub(crate) fn restore(&mut self, lines: &[u64]) {
+        self.reset_cold();
+        for &line in lines {
+            self.access(line << self.line_shift, false);
+        }
+        self.reset_stats();
+    }
+
     /// Number of sets.
     pub fn sets(&self) -> usize {
         self.sets

@@ -35,11 +35,12 @@ pub use cache::{Cache, CacheConfig, CacheStats};
 pub use mshr::{MshrFile, OutstandingMiss};
 pub use tlb::{Tlb, TlbStats};
 
+use mshr::FillGroup;
 use serde::{Deserialize, Serialize};
 use smt_isa::ThreadId;
 
-/// Which level of the hierarchy serviced an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// Which level of the hierarchy serviced an access, ordered by depth.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum HitLevel {
     /// Serviced by the L1 (or coalesced with an L1-resident state).
     L1,
@@ -180,6 +181,40 @@ fn ratio(num: u64, den: u64) -> f64 {
         0.0
     } else {
         num as f64 / den as f64
+    }
+}
+
+/// The observable state of a [`MemoryHierarchy`], captured by
+/// [`MemoryHierarchy::warm_state`] and rebuilt by
+/// [`MemoryHierarchy::restore_warm`].
+///
+/// Compact rather than a clone: the resident lines of each cache and the
+/// resident pages of each TLB in recency order, and the in-flight fills
+/// grouped by `(owner, level, deadline)`. After a functional warm-up most
+/// cache ways are still invalid and the fills share one or two deadlines,
+/// so this is a small fraction of a cloned hierarchy. Every list is
+/// allocated at its exact length.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WarmState {
+    il1: Box<[u64]>,
+    dl1: Box<[u64]>,
+    l2: Box<[u64]>,
+    dtlb: Box<[Box<[u64]>]>,
+    fills: Box<[FillGroup]>,
+}
+
+impl WarmState {
+    /// Bytes held, the struct itself included.
+    pub fn bytes(&self) -> usize {
+        let lines = |l: &[u64]| std::mem::size_of_val(l);
+        std::mem::size_of::<Self>()
+            + lines(&self.il1)
+            + lines(&self.dl1)
+            + lines(&self.l2)
+            + std::mem::size_of_val(&*self.dtlb)
+            + self.dtlb.iter().map(|p| lines(p)).sum::<usize>()
+            + std::mem::size_of_val(&*self.fills)
+            + self.fills.iter().map(FillGroup::heap_bytes).sum::<usize>()
     }
 }
 
@@ -390,6 +425,50 @@ impl MemoryHierarchy {
         }
     }
 
+    /// Captures the hierarchy's state for [`Self::restore_warm`]. The
+    /// statistics are not captured: restoring zeroes them.
+    pub fn warm_state(&self) -> WarmState {
+        WarmState {
+            il1: self.il1.resident_lines(),
+            dl1: self.dl1.resident_lines(),
+            l2: self.l2.resident_lines(),
+            dtlb: self.dtlb.iter().map(Tlb::resident_pages).collect(),
+            fills: self.mshr.fills(),
+        }
+    }
+
+    /// Rebuilds a state captured by [`Self::warm_state`] on a hierarchy of
+    /// the same configuration and thread count, with zeroed statistics —
+    /// what `reset_cold` followed by the accesses that led to the capture
+    /// and [`Self::reset_stats`] would leave. It starts from cold
+    /// structures and goes through the ordinary access paths only: each
+    /// cache and TLB replays its lines least recently used first (no set
+    /// overflows, so nothing is evicted and every set keeps its contents
+    /// and recency order), and every fill is re-allocated. From then on
+    /// every outcome, fill deadline, outstanding-miss count and statistic
+    /// equals the captured hierarchy's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the state was captured with a different thread count.
+    pub fn restore_warm(&mut self, state: &WarmState) {
+        assert_eq!(
+            state.dtlb.len(),
+            self.dtlb.len(),
+            "warm state captured for a different thread count"
+        );
+        self.il1.restore(&state.il1);
+        self.dl1.restore(&state.dl1);
+        self.l2.restore(&state.l2);
+        for (tlb, pages) in self.dtlb.iter_mut().zip(state.dtlb.iter()) {
+            tlb.restore(pages);
+        }
+        self.mshr.restore(&state.fills);
+        for s in &mut self.stats {
+            *s = ThreadMemStats::default();
+        }
+    }
+
     /// Raw cache statistics `(il1, dl1, l2)`.
     pub fn cache_stats(&self) -> (CacheStats, CacheStats, CacheStats) {
         (self.il1.stats(), self.dl1.stats(), self.l2.stats())
@@ -520,6 +599,90 @@ mod tests {
         // Long after the fills, nothing is outstanding.
         let out = mem.outstanding_l2_misses(10_000);
         assert_eq!(out, vec![0, 0]);
+    }
+
+    /// A restored hierarchy is indistinguishable from the one captured.
+    /// One hierarchy runs a long seeded stream; at every round it is
+    /// captured, the capture is restored into a second (dirty) hierarchy,
+    /// and both must agree on every observable over the next stretch of
+    /// the stream. The tiny caches and TLBs evict constantly, so a wrong
+    /// recency order shows within a few rounds. Accesses spread over time
+    /// with occasional purges, so the captures hold stale heap nodes and
+    /// dead entries, and each stretch runs past the captured deadlines.
+    #[test]
+    fn restored_state_matches_the_captured_hierarchy() {
+        let cfg = MemoryConfig {
+            il1: CacheConfig {
+                size_bytes: 1024,
+                ways: 2,
+                line_bytes: 64,
+                latency: 1,
+                banks: 1,
+            },
+            dtlb_entries: 8,
+            ..small_config()
+        };
+        let mut state = 0x5eed_cafe_f00d_u64;
+        let mut draw = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let access = |mem: &mut MemoryHierarchy, r: u64, now: u64| {
+            let t = ThreadId::new((r & 1) as usize);
+            let addr = (r >> 1) % 4096 * 64 + (r % 64);
+            if r.is_multiple_of(5) {
+                mem.access_inst(t, addr, now)
+            } else {
+                mem.access_data(t, addr, r.is_multiple_of(7), now)
+            }
+        };
+
+        let mut original = MemoryHierarchy::new(&cfg, 2);
+        let mut restored = MemoryHierarchy::new(&cfg, 2);
+        let mut now = 0;
+        for i in 0..3_000u64 {
+            let r = draw();
+            access(&mut original, r, now);
+            now += r % 3 / 2;
+            if i.is_multiple_of(97) {
+                original.outstanding_l2_misses(now);
+            }
+        }
+        for round in 0..40 {
+            original.reset_stats();
+            let warm = original.warm_state();
+            assert!(warm.bytes() > 0);
+            restored.restore_warm(&warm);
+            assert_eq!(restored.warm_state(), warm, "round {round}: round trip");
+            for i in 0..1_000u64 {
+                let r = draw();
+                assert_eq!(
+                    access(&mut original, r, now),
+                    access(&mut restored, r, now),
+                    "round {round}, access {i} at cycle {now}"
+                );
+                assert_eq!(original.next_fill_ready_at(), restored.next_fill_ready_at());
+                if i.is_multiple_of(13) {
+                    assert_eq!(
+                        original.outstanding_l2_misses(now),
+                        restored.outstanding_l2_misses(now),
+                        "round {round}: outstanding at cycle {now}"
+                    );
+                }
+                if i.is_multiple_of(101) {
+                    original.collect_expired_fills(now);
+                    restored.collect_expired_fills(now);
+                }
+                now += r % 4 / 3;
+            }
+            assert_eq!(original.cache_stats(), restored.cache_stats());
+            for t in 0..2 {
+                let t = ThreadId::new(t);
+                assert_eq!(original.thread_stats(t), restored.thread_stats(t));
+            }
+        }
     }
 
     #[test]

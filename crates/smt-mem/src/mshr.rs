@@ -18,6 +18,24 @@ pub struct OutstandingMiss {
     pub level: HitLevel,
 }
 
+/// In-flight fills that share an owner, a level and a deadline: one
+/// group of [`MshrFile::fills`]. A functional warm-up makes every access
+/// at one cycle, so its fills fall into a handful of groups.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct FillGroup {
+    owner: ThreadId,
+    level: HitLevel,
+    ready_at: u64,
+    lines: Box<[u64]>,
+}
+
+impl FillGroup {
+    /// Heap bytes held by the group's line list.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.lines)
+    }
+}
+
 /// The MSHR file: a map from line address to its in-flight fill.
 ///
 /// Lines are inserted when a miss leaves the L1 and removed lazily once
@@ -196,6 +214,46 @@ impl MshrFile {
         self.expiry.clear();
         self.mem_expiry.clear();
         self.mem_inflight.clear();
+    }
+
+    /// Every tracked fill, expired-but-unpurged ones included (they still
+    /// block re-allocation), grouped by `(owner, level, ready_at)` with
+    /// each group's lines sorted. The map and the per-thread counts are
+    /// functions of this; of the expiry heaps only the live nodes are
+    /// observable, and their keys are unique, so they pop in one order
+    /// whatever the order of insertion.
+    pub(crate) fn fills(&self) -> Box<[FillGroup]> {
+        let mut live: Vec<(ThreadId, HitLevel, u64, u64)> = self
+            .entries
+            .iter()
+            .map(|(&line, e)| (e.owner, e.level, e.ready_at, line))
+            .collect();
+        live.sort_unstable();
+        live.chunk_by(|a, b| (a.0, a.1, a.2) == (b.0, b.1, b.2))
+            .map(|run| {
+                let (owner, level, ready_at, _) = run[0];
+                FillGroup {
+                    owner,
+                    level,
+                    ready_at,
+                    lines: run.iter().map(|f| f.3).collect(),
+                }
+            })
+            .collect()
+    }
+
+    /// Rebuilds the state [`MshrFile::fills`] captured by re-allocating
+    /// every fill into an empty file: the map, the per-thread counts and
+    /// both expiry heaps. Stale heap nodes of the original are not
+    /// rebuilt; [`MshrFile::purge_expired`] and [`MshrFile::next_ready_at`]
+    /// skip them anyway.
+    pub(crate) fn restore(&mut self, groups: &[FillGroup]) {
+        self.reset_cold();
+        for g in groups {
+            for &line in g.lines.iter() {
+                self.allocate(line, g.owner, g.level, g.ready_at);
+            }
+        }
     }
 
     /// Number of tracked in-flight fills (any level).

@@ -157,6 +157,29 @@ impl Tlb {
         self.tail = NONE;
         self.stats = TlbStats::default();
     }
+
+    /// The resident pages, least recently used first (a walk from the
+    /// tail of the recency list). Slot positions are never observed.
+    pub(crate) fn resident_pages(&self) -> Box<[u64]> {
+        let mut pages = Vec::with_capacity(self.pages.len());
+        let mut slot = self.tail;
+        while slot != NONE {
+            pages.push(self.pages[slot as usize]);
+            slot = self.prev[slot as usize];
+        }
+        pages.into_boxed_slice()
+    }
+
+    /// Rebuilds the state [`Tlb::resident_pages`] captured: cold, one
+    /// access per page in order (at most `capacity` pages, so nothing is
+    /// evicted), zeroed counters.
+    pub(crate) fn restore(&mut self, pages: &[u64]) {
+        self.reset_cold();
+        for &page in pages {
+            self.access(page << self.page_shift);
+        }
+        self.stats = TlbStats::default();
+    }
 }
 
 #[cfg(test)]

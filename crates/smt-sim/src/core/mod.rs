@@ -45,7 +45,7 @@ use crate::thread::ThreadState;
 use events::{EventWheel, ReadyEntry};
 use smt_bpred::BranchPredictor;
 use smt_isa::{PerResource, ThreadId};
-use smt_mem::MemoryHierarchy;
+use smt_mem::{MemoryHierarchy, WarmState};
 use smt_workloads::{BenchmarkProfile, ThreadTrace};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -336,6 +336,13 @@ impl Simulator {
     /// the baseline), so none outlives a timed warm-up of 322 cycles or
     /// more; the `prewarm_fills_drain_within_one_memory_latency` test pins
     /// this.
+    ///
+    /// The result depends only on the thread profiles, the seed, the
+    /// memory configuration and `insts_per_thread` — never on the policy
+    /// or the core's sizes. A caller that prewarms the same workload many
+    /// times can therefore prewarm once, keep [`Self::warm_state`], and
+    /// [`Self::restore_warm`] it into every later run: the experiment
+    /// runner's engine does this for every run it executes.
     pub fn prewarm(&mut self, insts_per_thread: u64) {
         for tid in 0..self.threads.len() {
             let t = ThreadId::new(tid);
@@ -349,6 +356,25 @@ impl Simulator {
             }
         }
         self.mem.reset_stats();
+    }
+
+    /// The memory hierarchy's state in compact, exact form (see
+    /// [`MemoryHierarchy::warm_state`]); taken right after
+    /// [`Self::prewarm`], it is the whole effect of the prewarm.
+    pub fn warm_state(&self) -> WarmState {
+        self.mem.warm_state()
+    }
+
+    /// Restores a [`Self::warm_state`] into the memory hierarchy with
+    /// zeroed statistics. After [`Self::new`] or [`Self::reset`] onto the
+    /// same profiles, seed and memory configuration, this leaves the
+    /// simulator exactly as [`Self::prewarm`] would have.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the state was captured with a different thread count.
+    pub fn restore_warm(&mut self, state: &WarmState) {
+        self.mem.restore_warm(state);
     }
 
     /// Runs `n` cycles, fast-forwarding through spans where every thread

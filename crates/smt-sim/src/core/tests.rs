@@ -310,6 +310,8 @@ fn prewarm_fills_drain_within_one_memory_latency() {
     // is due exactly `dl1 + l2 + memory` latency later (cycle 321 on the
     // baseline), so a timed warm-up of at least 322 cycles outlives them
     // all. L2-level fills are due at `dl1 + l2`, earlier still.
+    // The same holds for a simulator that restored the prewarm's
+    // captured state instead of running it.
     for benches in [
         &["mcf"][..],
         &["mcf", "twolf", "vpr", "parser"],
@@ -317,26 +319,55 @@ fn prewarm_fills_drain_within_one_memory_latency() {
     ] {
         let mut s = sim(benches, RoundRobin::default());
         s.prewarm(400_000);
+        let mut restored = sim(benches, RoundRobin::default());
+        restored.restore_warm(&s.warm_state());
         let m = &s.config.mem;
         let horizon =
             u64::from(m.dl1.latency) + u64::from(m.l2.latency) + u64::from(m.memory_latency);
         assert_eq!(horizon, 321, "baseline Table 2 latencies");
-        let mut mem = s.memory().clone();
         let at =
             |mem: &mut MemoryHierarchy, now| mem.outstanding_l2_misses(now).iter().sum::<u32>();
-        let fills = at(&mut mem, 0);
-        assert!(fills > 0, "{benches:?}: prewarm left no fill in flight");
-        assert_eq!(
-            at(&mut mem, horizon - 1),
-            fills,
-            "{benches:?}: none due early"
-        );
-        assert_eq!(mem.next_fill_ready_at(), Some(horizon));
-        assert_eq!(
-            at(&mut mem, horizon),
-            0,
-            "{benches:?}: all due by cycle {horizon}"
-        );
-        assert_eq!(mem.next_fill_ready_at(), None);
+        for source in [&s, &restored] {
+            let mut mem = source.memory().clone();
+            let fills = at(&mut mem, 0);
+            assert!(fills > 0, "{benches:?}: prewarm left no fill in flight");
+            assert_eq!(
+                at(&mut mem, horizon - 1),
+                fills,
+                "{benches:?}: none due early"
+            );
+            assert_eq!(mem.next_fill_ready_at(), Some(horizon));
+            assert_eq!(
+                at(&mut mem, horizon),
+                0,
+                "{benches:?}: all due by cycle {horizon}"
+            );
+            assert_eq!(mem.next_fill_ready_at(), None);
+        }
     }
+}
+
+#[test]
+fn reset_then_restore_matches_a_fresh_prewarm() {
+    // `reset` must leave the hierarchy cold, so that restoring a
+    // captured prewarm onto a dirty, reset simulator is exactly a fresh
+    // simulator's prewarm: same statistics, cycle for cycle.
+    let profiles = [spec::profile("mcf").unwrap(), spec::profile("art").unwrap()];
+    let run = |s: &mut Simulator| {
+        s.run_cycles(5_000);
+        s.reset_stats();
+        s.run_cycles(20_000);
+        (s.result(), s.memory().cache_stats())
+    };
+    let mut fresh = Simulator::new(SimConfig::baseline(2), &profiles, RoundRobin::default(), 11);
+    fresh.prewarm(50_000);
+    let warm = fresh.warm_state();
+
+    let mut reused = sim(&["gzip", "twolf"], RoundRobin::default());
+    reused.prewarm(10_000);
+    reused.run_cycles(20_000);
+    reused.reset(&profiles, RoundRobin::default(), 11);
+    reused.restore_warm(&warm);
+    assert_eq!(reused.warm_state(), warm);
+    assert_eq!(run(&mut reused), run(&mut fresh));
 }

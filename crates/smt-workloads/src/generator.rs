@@ -66,11 +66,10 @@ pub struct TraceGenerator {
     /// every instruction (`ln` twice per sample was a measurable share of
     /// generation time). `NaN` when `dep_mean <= 1`.
     dep_ln_one_minus_p: f64,
-    /// Descending geometric thresholds `exp(k · ln(1-p))` for
-    /// `k = 1..=DEP_CLAMP`, shared across generators with the same
-    /// `dep_mean` — the table behind the `ln`-free dependence-distance
-    /// fast path (see [`TraceGenerator::dep_distance`]).
-    dep_table: Arc<Vec<f64>>,
+    /// The thresholds and guide behind the `ln`-free dependence-distance
+    /// fast path (see [`TraceGenerator::dep_distance`]), shared across
+    /// generators with the same `dep_mean`.
+    dep_table: Arc<DepTable>,
     /// Cumulative mix thresholds for sampling instruction classes.
     mix_cdf: [(f64, InstClass); 8],
 }
@@ -82,14 +81,30 @@ type Access = (u64, Option<(u64, bool)>);
 /// Upper clamp of sampled dependence distances (instructions).
 const DEP_CLAMP: u64 = 512;
 
-/// The per-`dep_mean` threshold table for the dependence-distance sampler,
+/// Buckets of [`DepTable::guide`]: a power of two, so `u · DEP_GUIDE`
+/// and the bucket bounds `(b + 1) / DEP_GUIDE` are exact in floating point.
+const DEP_GUIDE: usize = 1024;
+
+/// The dependence-distance sampler's tables for one `dep_mean`.
+#[derive(Debug)]
+struct DepTable {
+    /// Descending geometric thresholds `exp(k · ln(1-p))` for
+    /// `k = 1..=DEP_CLAMP`.
+    thresholds: Vec<f64>,
+    /// `guide[b]` = number of thresholds `>= (b + 1) / DEP_GUIDE`. Every
+    /// one of them exceeds any `u` in bucket `b`, so counting the
+    /// thresholds above `u` can start there.
+    guide: Vec<u16>,
+}
+
+/// The per-`dep_mean` tables for the dependence-distance sampler,
 /// built once per distinct mean and shared (generators are rebuilt for
 /// every sweep run; rebuilding 512 `exp` calls each time would eat the
 /// session-reuse savings). Keyed by the bit pattern of `ln(1 - 1/mean)`;
-/// a non-finite key (mean ≤ 1) yields an empty table, which is never
-/// consulted because the sampler short-circuits first.
-fn dep_threshold_table(ln_one_minus_p: f64) -> Arc<Vec<f64>> {
-    type TableCache = Mutex<Vec<(u64, Arc<Vec<f64>>)>>;
+/// a non-finite key (mean ≤ 1) yields no thresholds, and the tables are
+/// never consulted because the sampler short-circuits first.
+fn dep_threshold_table(ln_one_minus_p: f64) -> Arc<DepTable> {
+    type TableCache = Mutex<Vec<(u64, Arc<DepTable>)>>;
     static CACHE: OnceLock<TableCache> = OnceLock::new();
     let key = ln_one_minus_p.to_bits();
     let mut cache = CACHE
@@ -99,13 +114,21 @@ fn dep_threshold_table(ln_one_minus_p: f64) -> Arc<Vec<f64>> {
     if let Some((_, table)) = cache.iter().find(|(k, _)| *k == key) {
         return Arc::clone(table);
     }
-    let table: Arc<Vec<f64>> = Arc::new(if ln_one_minus_p.is_finite() {
+    let thresholds: Vec<f64> = if ln_one_minus_p.is_finite() {
         (1..=DEP_CLAMP)
             .map(|k| (ln_one_minus_p * k as f64).exp())
             .collect()
     } else {
         Vec::new()
-    });
+    };
+    let guide = (1..=DEP_GUIDE)
+        .map(|b| {
+            let bound = b as f64 / DEP_GUIDE as f64;
+            let count = thresholds.partition_point(|&t| t >= bound);
+            u16::try_from(count).expect("at most DEP_CLAMP thresholds")
+        })
+        .collect();
+    let table = Arc::new(DepTable { thresholds, guide });
     cache.push((key, Arc::clone(&table)));
     table
 }
@@ -310,23 +333,25 @@ impl TraceGenerator {
         if !FULL {
             return 0;
         }
-        let table = &self.dep_table[..];
-        // Thresholds are descending; count how many exceed `u`. The draw
-        // is geometric, so almost every sample lands in the first few
-        // thresholds: count those with a branchless (vectorisable) sweep
-        // and only fall back to binary search for the rare deep tail —
-        // a data-dependent binary search over 512 entries costs ~9 branch
-        // mispredictions, which is as slow as the `ln` it replaces.
-        const SWEEP: usize = 16;
-        let head = table[..SWEEP.min(table.len())]
-            .iter()
-            .map(|&t| usize::from(t > u))
-            .sum::<usize>();
-        let above = if head < SWEEP.min(table.len()) {
-            head
-        } else {
-            SWEEP + table[SWEEP..].partition_point(|&t| t > u)
-        };
+        let DepTable {
+            thresholds: table,
+            guide,
+        } = &*self.dep_table;
+        // Thresholds are descending; count how many exceed `u`. The guide
+        // skips every threshold at or above `u`'s bucket, and a bucket
+        // holds few more except in the deep tail (`u` well below
+        // `dep_mean / DEP_GUIDE`): step over a few, and only binary-search
+        // the rest when they run out — a data-dependent binary search over
+        // 512 entries costs ~9 branch mispredictions, as slow as the `ln`
+        // it replaces.
+        const STEPS: usize = 4;
+        let start = usize::from(guide[(u * DEP_GUIDE as f64) as usize]);
+        let rest = &table[start..];
+        let above = start
+            + match rest.iter().take(STEPS).position(|&t| t <= u) {
+                Some(n) => n,
+                None => rest.partition_point(|&t| t > u),
+            };
         if above >= table.len() {
             return DEP_CLAMP as u32; // k > DEP_CLAMP, clamped
         }

@@ -196,6 +196,28 @@ fn chaos_soak_contains_every_fault_and_preserves_good_runs() {
             "{workers} workers: every poisoned delivery must be reported"
         );
     }
+
+    // One runner served every sweep, so only the clean sweep prewarmed
+    // (its seeds are all distinct); every later attempt that got as far
+    // as its prewarm, retries included, was restored from the memo — and
+    // the bit-identity checks above cover every restored run.
+    let per_sweep: u64 = (0..clean.len())
+        .map(|i| match plan.fault_at(i) {
+            None
+            | Some(FaultKind::PoisonedSink)
+            | Some(FaultKind::Livelock)
+            | Some(FaultKind::CycleCap) => 1,
+            Some(FaultKind::Panic) | Some(FaultKind::TransientPanic) => 2,
+            Some(FaultKind::InvalidConfig) | Some(FaultKind::UnknownBenchmark) => 0,
+        })
+        .sum();
+    let (hits, misses, _) = runner.prewarm_memo_stats();
+    assert_eq!(misses, clean.len() as u64, "one prewarm per clean run");
+    assert_eq!(
+        hits,
+        3 * per_sweep,
+        "memo hits over the three faulty sweeps"
+    );
 }
 
 /// Admission control under chaos: capping the queue rejects the tail as
