@@ -40,23 +40,32 @@ impl BranchTargetBuffer {
     /// Panics if `ways` is zero, `entries` is not a multiple of `ways`, or
     /// the resulting set count is not a power of two.
     pub fn new(entries: usize, ways: usize) -> Self {
-        assert!(ways > 0, "BTB needs at least one way");
-        assert!(
-            entries.is_multiple_of(ways),
-            "entries must be a multiple of ways"
-        );
-        let sets = entries / ways;
-        assert!(
-            sets.is_power_of_two(),
-            "BTB set count must be a power of two"
-        );
+        if let Err(why) = Self::validate(entries, ways) {
+            panic!("{why}");
+        }
         BranchTargetBuffer {
             entries: vec![None; entries],
             lru: vec![0; entries],
-            sets,
+            sets: entries / ways,
             ways,
             tick: 0,
         }
+    }
+
+    /// Checks the geometry [`BranchTargetBuffer::new`] relies on: at least
+    /// one way, `entries` a multiple of `ways`, and a power-of-two set
+    /// count.
+    pub(crate) fn validate(entries: usize, ways: usize) -> Result<(), String> {
+        if ways == 0 {
+            return Err("BTB needs at least one way".into());
+        }
+        if !entries.is_multiple_of(ways) {
+            return Err("BTB entries must be a multiple of ways".into());
+        }
+        if !(entries / ways).is_power_of_two() {
+            return Err("BTB set count must be a power of two".into());
+        }
+        Ok(())
     }
 
     #[inline]

@@ -45,10 +45,9 @@ impl Gshare {
     ///
     /// Panics if `entries` is zero or not a power of two.
     pub fn with_history(entries: usize, threads: usize, history_bits: u32) -> Self {
-        assert!(
-            entries.is_power_of_two(),
-            "gshare entries must be a power of two"
-        );
+        if let Err(why) = Self::validate(entries) {
+            panic!("{why}");
+        }
         let history_bits = history_bits.min(entries.trailing_zeros());
         Gshare {
             counters: vec![1; entries],
@@ -56,6 +55,15 @@ impl Gshare {
             index_mask: entries as u64 - 1,
             history_bits,
         }
+    }
+
+    /// Checks the size [`Gshare::with_history`] relies on: a power-of-two
+    /// (so non-zero) counter count.
+    pub(crate) fn validate(entries: usize) -> Result<(), String> {
+        if !entries.is_power_of_two() {
+            return Err("gshare entries must be a power of two".into());
+        }
+        Ok(())
     }
 
     #[inline]

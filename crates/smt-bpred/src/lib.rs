@@ -53,6 +53,18 @@ pub struct PredictorConfig {
     pub history_bits: u32,
 }
 
+impl PredictorConfig {
+    /// Checks every size [`BranchPredictor::new`] relies on: a
+    /// power-of-two gshare table, a BTB with at least one way, a multiple
+    /// of `btb_ways` entries and a power-of-two set count, and a non-empty
+    /// RAS.
+    pub fn validate(&self) -> Result<(), String> {
+        Gshare::validate(self.gshare_entries)?;
+        BranchTargetBuffer::validate(self.btb_entries, self.btb_ways)?;
+        ReturnAddressStack::validate(self.ras_entries)
+    }
+}
+
 impl Default for PredictorConfig {
     fn default() -> Self {
         PredictorConfig {
@@ -137,8 +149,7 @@ impl BranchPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if any size in `config` is zero or not a power of two where a
-    /// power of two is required (gshare entries).
+    /// Panics if `config` fails [`PredictorConfig::validate`].
     pub fn new(config: &PredictorConfig, threads: usize) -> Self {
         BranchPredictor {
             gshare: Gshare::with_history(config.gshare_entries, threads, config.history_bits),

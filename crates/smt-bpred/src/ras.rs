@@ -31,12 +31,23 @@ impl ReturnAddressStack {
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "RAS capacity must be non-zero");
+        if let Err(why) = Self::validate(capacity) {
+            panic!("{why}");
+        }
         ReturnAddressStack {
             slots: vec![0; capacity],
             top: 0,
             len: 0,
         }
+    }
+
+    /// Checks the size [`ReturnAddressStack::new`] relies on: a non-zero
+    /// capacity.
+    pub(crate) fn validate(capacity: usize) -> Result<(), String> {
+        if capacity == 0 {
+            return Err("RAS capacity must be non-zero".into());
+        }
+        Ok(())
     }
 
     /// Pushes a return address, overwriting the oldest entry when full.

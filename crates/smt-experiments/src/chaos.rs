@@ -8,7 +8,7 @@
 //! mixed good/faulty runs through
 //! [`Runner::run_isolated`](crate::runner::Runner::run_isolated) and
 //! assert that every *good* run stays bit-identical to a fault-free
-//! sweep while every fault surfaces as a typed
+//! sweep while every fault surfaces, on its one attempt, as a typed
 //! [`RunError`](crate::fault::RunError).
 //!
 //! Fault assignment is a pure function of `(seed, index)` via a
@@ -30,12 +30,9 @@ pub const CHAOS_MARKER: &str = "chaos-injected";
 /// The kinds of sabotage a [`FaultPlan`] can assign to a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The policy panics on every attempt → the run fails
+    /// The policy panics mid-run → the run fails
     /// [`RunError::Panicked`](crate::fault::RunError::Panicked).
     Panic,
-    /// The policy panics on the first attempt only → with retries enabled
-    /// the run completes on attempt 2, bit-identical to a clean run.
-    TransientPanic,
     /// The spec's machine configuration is invalidated (zero-sized fetch
     /// queue) → [`RunError::InvalidSpec`](crate::fault::RunError::InvalidSpec).
     InvalidConfig,
@@ -56,9 +53,8 @@ pub enum FaultKind {
     PoisonedSink,
 }
 
-const ALL_KINDS: [FaultKind; 7] = [
+const ALL_KINDS: [FaultKind; 6] = [
     FaultKind::Panic,
-    FaultKind::TransientPanic,
     FaultKind::InvalidConfig,
     FaultKind::UnknownBenchmark,
     FaultKind::Livelock,
@@ -134,16 +130,7 @@ impl FaultPlan {
                 match self.fault_at(i) {
                     None | Some(FaultKind::PoisonedSink) => {}
                     Some(FaultKind::Panic) => {
-                        s.fault = Some(InjectedFault::PanicAtCycle {
-                            at_cycle: 64,
-                            fail_attempts: u32::MAX,
-                        });
-                    }
-                    Some(FaultKind::TransientPanic) => {
-                        s.fault = Some(InjectedFault::PanicAtCycle {
-                            at_cycle: 64,
-                            fail_attempts: 1,
-                        });
+                        s.fault = Some(InjectedFault::PanicAtCycle { at_cycle: 64 });
                     }
                     Some(FaultKind::InvalidConfig) => {
                         s.config.fetch_queue = 0;
@@ -159,16 +146,16 @@ impl FaultPlan {
                     Some(FaultKind::Livelock) => {
                         // A fresh machine cannot commit by cycle 1, so a
                         // one-cycle window trips deterministically.
-                        s.budget = Some(RunBudget {
+                        s.budget = RunBudget {
                             max_cycles: None,
                             livelock_window: Some(1),
-                        });
+                        };
                     }
                     Some(FaultKind::CycleCap) => {
-                        s.budget = Some(RunBudget {
+                        s.budget = RunBudget {
                             max_cycles: Some(50),
                             livelock_window: None,
-                        });
+                        };
                     }
                 }
                 s
@@ -362,29 +349,18 @@ mod tests {
             })
             .collect();
         // A plan that assigns each kind to one index, hand-rolled.
-        let mut plan = FaultPlan {
+        let plan = FaultPlan {
             faults: ALL_KINDS.iter().copied().map(Some).collect(),
         };
-        plan.faults[0] = Some(FaultKind::Panic);
         let specs = plan.instrument(&clean);
-        assert!(matches!(
-            specs[0].fault,
-            Some(InjectedFault::PanicAtCycle {
-                fail_attempts: u32::MAX,
-                ..
-            })
-        ));
-        let transient = ALL_KINDS
+        let panic = ALL_KINDS
             .iter()
-            .position(|k| *k == FaultKind::TransientPanic)
+            .position(|k| *k == FaultKind::Panic)
             .unwrap();
-        assert!(matches!(
-            specs[transient].fault,
-            Some(InjectedFault::PanicAtCycle {
-                fail_attempts: 1,
-                ..
-            })
-        ));
+        assert_eq!(
+            specs[panic].fault,
+            Some(InjectedFault::PanicAtCycle { at_cycle: 64 })
+        );
         let invalid = ALL_KINDS
             .iter()
             .position(|k| *k == FaultKind::InvalidConfig)
@@ -399,15 +375,12 @@ mod tests {
             .iter()
             .position(|k| *k == FaultKind::Livelock)
             .unwrap();
-        assert_eq!(
-            specs[livelock].budget.and_then(|b| b.livelock_window),
-            Some(1)
-        );
+        assert_eq!(specs[livelock].budget.livelock_window, Some(1));
         let cap = ALL_KINDS
             .iter()
             .position(|k| *k == FaultKind::CycleCap)
             .unwrap();
-        assert_eq!(specs[cap].budget.and_then(|b| b.max_cycles), Some(50));
+        assert_eq!(specs[cap].budget.max_cycles, Some(50));
         let sink = ALL_KINDS
             .iter()
             .position(|k| *k == FaultKind::PoisonedSink)

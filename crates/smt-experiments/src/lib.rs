@@ -47,5 +47,5 @@ pub mod table3;
 pub mod table5;
 pub mod tables;
 
-pub use fault::{EngineOptions, EngineReport, InjectedFault, RetryPolicy, RunError};
+pub use fault::{EngineReport, InjectedFault, RunError};
 pub use runner::{PolicyKind, RunOutcome, RunSpec, RunStats, Runner, SimSession};

@@ -3,15 +3,14 @@
 //! [`SimSession`]), caches single-thread baselines for the Hmean metric
 //! and memoises the post-prewarm memory state of every workload it runs.
 //!
-//! Every run executes inside its own **fault domain**: panics are caught
-//! per run ([`std::panic::catch_unwind`]), budgets bound runaway runs, and
-//! every failure mode surfaces as a typed
-//! [`RunError`] inside [`RunOutcome::Failed`]
-//! rather than tearing the sweep down. See `ARCHITECTURE.md`, "Fault
-//! domains & error taxonomy".
+//! Every run executes once inside its own **fault domain**: panics are
+//! caught per run ([`std::panic::catch_unwind`]), the spec's budget bounds
+//! a runaway run, and every failure mode surfaces as a typed [`RunError`]
+//! inside [`RunOutcome::Failed`] rather than tearing the sweep down. See
+//! `ARCHITECTURE.md`, "Fault domains & error taxonomy".
 
 use crate::chaos::ChaosPolicy;
-use crate::fault::{EngineOptions, EngineReport, InjectedFault, RunError};
+use crate::fault::{EngineReport, InjectedFault, RunError};
 use dcra::{Dcra, DcraConfig, DcraDc, SharingConfig};
 use smt_isa::{PerResource, ThreadId};
 use smt_mem::{MemoryConfig, WarmState};
@@ -141,10 +140,10 @@ pub struct RunSpec {
     /// [`smt_workloads::spec`] — run through the same machinery; `benches`
     /// then only carries the display names.
     pub profile_overrides: Option<Vec<BenchmarkProfile>>,
-    /// Per-run budget overriding the engine default. `None` (the usual
-    /// case) defers to [`EngineOptions::budget`] — or
-    /// [`RunBudget::default`] for one-shot sessions.
-    pub budget: Option<RunBudget>,
+    /// Per-run budget: a cycle cap and a livelock window, both enforced
+    /// by a [`CommitWatchdog`] over warm-up and measurement.
+    /// [`RunSpec::new`] sets [`RunBudget::default`].
+    pub budget: RunBudget,
     /// Deterministic fault injection for chaos tests; `None` everywhere
     /// else. See [`crate::chaos`].
     pub fault: Option<InjectedFault>,
@@ -165,7 +164,7 @@ impl RunSpec {
             warmup_cycles: 30_000,
             measure_cycles: 250_000,
             profile_overrides: None,
-            budget: None,
+            budget: RunBudget::default(),
             fault: None,
         }
     }
@@ -242,63 +241,42 @@ impl RunStats {
 }
 
 /// What became of one run inside the fault-isolated engine: either the
-/// statistics of a completed run or the typed error it failed with. In
-/// both cases `attempts` counts executions (0 for admission-control
-/// rejections that never ran).
+/// statistics of a completed run or the typed error it failed with.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunOutcome {
     /// The run completed and produced statistics.
-    Completed {
-        /// The run's statistics.
-        stats: RunStats,
-        /// Attempts consumed, retries included (1 = first try).
-        attempts: u32,
-    },
-    /// The run failed on every permitted attempt (or was rejected).
-    Failed {
-        /// Why the final attempt failed.
-        error: RunError,
-        /// Attempts consumed (0 = rejected before running).
-        attempts: u32,
-    },
+    Completed(RunStats),
+    /// The run failed.
+    Failed(RunError),
 }
 
 impl RunOutcome {
     /// The statistics, if the run completed.
     pub fn stats(&self) -> Option<&RunStats> {
         match self {
-            RunOutcome::Completed { stats, .. } => Some(stats),
-            RunOutcome::Failed { .. } => None,
+            RunOutcome::Completed(stats) => Some(stats),
+            RunOutcome::Failed(_) => None,
         }
     }
 
     /// The error, if the run failed.
     pub fn error(&self) -> Option<&RunError> {
         match self {
-            RunOutcome::Completed { .. } => None,
-            RunOutcome::Failed { error, .. } => Some(error),
+            RunOutcome::Completed(_) => None,
+            RunOutcome::Failed(error) => Some(error),
         }
     }
 
     /// `true` if the run completed.
     pub fn is_completed(&self) -> bool {
-        matches!(self, RunOutcome::Completed { .. })
+        matches!(self, RunOutcome::Completed(_))
     }
 
-    /// Attempts consumed (0 for admission-control rejections).
-    pub fn attempts(&self) -> u32 {
-        match self {
-            RunOutcome::Completed { attempts, .. } | RunOutcome::Failed { attempts, .. } => {
-                *attempts
-            }
-        }
-    }
-
-    /// Unwraps into `Result`, discarding the attempt count.
+    /// Unwraps into `Result`.
     pub fn into_stats(self) -> Result<RunStats, RunError> {
         match self {
-            RunOutcome::Completed { stats, .. } => Ok(stats),
-            RunOutcome::Failed { error, .. } => Err(error),
+            RunOutcome::Completed(stats) => Ok(stats),
+            RunOutcome::Failed(error) => Err(error),
         }
     }
 }
@@ -350,21 +328,16 @@ impl SimSession {
     /// and budget breaches come back as typed [`RunError`]s. Panics from
     /// policy or simulator code propagate — one-shot callers that need
     /// containment go through the [`Runner`] engine instead, which wraps
-    /// each attempt in [`std::panic::catch_unwind`].
+    /// each run in [`std::panic::catch_unwind`].
     pub fn run(&mut self, spec: &RunSpec) -> Result<RunStats, RunError> {
-        self.run_attempt(spec, 0, spec.budget.unwrap_or_default(), None)
+        self.run_with(spec, None)
     }
 
-    /// One attempt of `spec`. `attempt` is 0-based and only consulted by
-    /// injected faults (a transient fault stops panicking once
-    /// `attempt >= fail_attempts`); `default_budget` applies when the spec
-    /// carries no budget of its own. With a `memo` the prewarm goes
-    /// through it; without one it runs.
-    fn run_attempt(
+    /// [`SimSession::run`], with the prewarm going through `memo` when
+    /// there is one.
+    fn run_with(
         &mut self,
         spec: &RunSpec,
-        attempt: u32,
-        default_budget: RunBudget,
         memo: Option<&PrewarmMemo>,
     ) -> Result<RunStats, RunError> {
         spec.config
@@ -372,13 +345,10 @@ impl SimSession {
             .map_err(|e| RunError::InvalidSpec { message: e })?;
         let profiles = spec.profiles()?;
         let policy = match spec.fault {
-            Some(InjectedFault::PanicAtCycle {
-                at_cycle,
-                fail_attempts,
-            }) if attempt < fail_attempts => {
+            Some(InjectedFault::PanicAtCycle { at_cycle }) => {
                 AnyPolicy::Boxed(Box::new(ChaosPolicy::new(spec.policy.build(), at_cycle)))
             }
-            _ => spec.policy.build(),
+            None => spec.policy.build(),
         };
         let sim = match &mut self.sim {
             Some(sim) if sim.config() == &spec.config => {
@@ -401,7 +371,7 @@ impl SimSession {
         // checks. A breach leaves the simulator in the session: its
         // allocations are fine, and the next run's `reset` restores a
         // clean machine.
-        let mut watch = CommitWatchdog::new(spec.budget.unwrap_or(default_budget));
+        let mut watch = CommitWatchdog::new(spec.budget);
         sim.run_cycles_budgeted(spec.warmup_cycles, &mut watch)
             .map_err(RunError::from_breach)?;
         sim.reset_stats();
@@ -498,48 +468,20 @@ impl PrewarmMemo {
     }
 }
 
-/// Runs `spec` on `session` under the engine's fault domain: each attempt
-/// is wrapped in `catch_unwind`, a caught panic discards the (possibly
-/// corrupt) simulator, and transient failures retry per `opts.retry`.
-/// Prewarms go through `memo`.
-fn execute_with_retry(
-    session: &mut SimSession,
-    spec: &RunSpec,
-    opts: &EngineOptions,
-    memo: &PrewarmMemo,
-) -> RunOutcome {
-    let mut attempt = 0u32;
-    loop {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            session.run_attempt(spec, attempt, opts.budget, Some(memo))
-        }));
-        attempt += 1;
-        let error = match result {
-            Ok(Ok(stats)) => {
-                return RunOutcome::Completed {
-                    stats,
-                    attempts: attempt,
-                }
-            }
-            Ok(Err(error)) => error,
-            Err(payload) => {
-                // The unwound simulator may hold arbitrary state; discard
-                // it so the next run on this worker starts clean.
-                *session = SimSession::new();
-                RunError::Panicked {
-                    message: panic_message(payload),
-                }
-            }
-        };
-        if attempt >= opts.retry.max_attempts || !error.is_transient() {
-            return RunOutcome::Failed {
-                error,
-                attempts: attempt,
-            };
-        }
-        let backoff = opts.retry.backoff_for(attempt);
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff);
+/// Runs `spec` once on `session` under the engine's fault domain: the run
+/// is wrapped in `catch_unwind`, and a caught panic discards the (possibly
+/// corrupt) simulator. The prewarm goes through `memo`.
+fn execute(session: &mut SimSession, spec: &RunSpec, memo: &PrewarmMemo) -> RunOutcome {
+    match catch_unwind(AssertUnwindSafe(|| session.run_with(spec, Some(memo)))) {
+        Ok(Ok(stats)) => RunOutcome::Completed(stats),
+        Ok(Err(error)) => RunOutcome::Failed(error),
+        Err(payload) => {
+            // The unwound simulator may hold arbitrary state; discard it
+            // so the next run on this worker starts clean.
+            *session = SimSession::new();
+            RunOutcome::Failed(RunError::Panicked {
+                message: panic_message(payload),
+            })
         }
     }
 }
@@ -599,8 +541,8 @@ impl Runner {
         SimSession::new().run(spec)
     }
 
-    /// The engine: runs `specs` on a pool of `workers` threads fed from a
-    /// shared work queue, under explicit [`EngineOptions`], streaming
+    /// The engine: runs each of `specs` once on a pool of `workers`
+    /// threads fed from a shared work queue, streaming
     /// `(spec_index, outcome)` pairs into `sink` in *completion* order
     /// (not spec order) under an internal lock. The calling thread is one
     /// of the workers: the engine spawns `workers - 1` threads, so with
@@ -623,16 +565,9 @@ impl Runner {
     ///   spec, injected chaos) is caught on its worker; the worker's
     ///   simulator is discarded and the queue keeps draining. The panic
     ///   surfaces as [`RunError::Panicked`].
-    /// * **Budgets** — every run is bounded by its spec's budget or
-    ///   `opts.budget`; breaches surface as [`RunError::CycleBudget`] /
-    ///   [`RunError::Livelock`].
-    /// * **Retry** — transient failures retry up to
-    ///   `opts.retry.max_attempts` with deterministic replay (same seed,
-    ///   same spec, fresh simulator).
-    /// * **Admission control** — with `opts.queue_capacity = Some(cap)`,
-    ///   spec indices `>= cap` are rejected up front as
-    ///   [`RunError::QueueFull`] (attempts 0) and delivered to the sink
-    ///   before any run executes.
+    /// * **Budgets** — every run is bounded by its spec's
+    ///   [`RunSpec::budget`]; breaches surface as
+    ///   [`RunError::CycleBudget`] / [`RunError::Livelock`].
     /// * **Sink isolation** — a panicking sink callback is caught too; the
     ///   shared sink lock is explicitly poison-recovered, sibling
     ///   deliveries proceed, and the affected indices are reported in
@@ -641,13 +576,7 @@ impl Runner {
     /// # Panics
     ///
     /// Panics if `workers` is zero (with specs pending).
-    pub fn run_isolated<F>(
-        &self,
-        specs: &[RunSpec],
-        workers: usize,
-        opts: &EngineOptions,
-        sink: F,
-    ) -> EngineReport
+    pub fn run_isolated<F>(&self, specs: &[RunSpec], workers: usize, sink: F) -> EngineReport
     where
         F: FnMut(usize, RunOutcome) + Send,
     {
@@ -655,9 +584,6 @@ impl Runner {
             return EngineReport::default();
         }
         assert!(workers > 0, "need at least one worker");
-        let admitted = opts
-            .queue_capacity
-            .map_or(specs.len(), |cap| specs.len().min(cap));
         let sink = Mutex::new(sink);
         let sink_panics: Mutex<Vec<usize>> = Mutex::new(Vec::new());
         let completed = AtomicUsize::new(0);
@@ -679,57 +605,31 @@ impl Runner {
             }
         };
 
-        // Admission control: rejections are decided and delivered before
-        // any simulation starts, so a flooded queue fails fast.
-        let rejected = specs.len() - admitted;
-        for (i, _) in specs.iter().enumerate().skip(admitted) {
-            failed.fetch_add(1, Ordering::Relaxed);
-            deliver(
-                i,
-                RunOutcome::Failed {
-                    error: RunError::QueueFull {
-                        capacity: admitted,
-                        depth: specs.len(),
-                    },
-                    attempts: 0,
-                },
-            );
-        }
-
-        if admitted > 0 {
-            let next = AtomicUsize::new(0);
-            let work = || {
-                let mut session = SimSession::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= admitted {
-                        break;
-                    }
-                    #[expect(
-                        clippy::indexing_slicing,
-                        reason = "worker indices are produced by the pool over 0..specs.len(); out of range is impossible by construction"
-                    )]
-                    let outcome =
-                        execute_with_retry(&mut session, &specs[i], opts, &self.prewarm_memo);
-                    let counter = if outcome.is_completed() {
-                        &completed
-                    } else {
-                        &failed
-                    };
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    deliver(i, outcome);
-                }
-            };
-            // The calling thread is the last worker: it would otherwise
-            // sit blocked in the join, and simulating on it keeps its heap
-            // warm for the caller's own simulations after the call.
-            std::thread::scope(|scope| {
-                for _ in 1..workers.min(admitted) {
-                    scope.spawn(work);
-                }
-                work();
-            });
-        }
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut session = SimSession::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(spec) = specs.get(i) else { break };
+                let outcome = execute(&mut session, spec, &self.prewarm_memo);
+                let counter = if outcome.is_completed() {
+                    &completed
+                } else {
+                    &failed
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+                deliver(i, outcome);
+            }
+        };
+        // The calling thread is the last worker: it would otherwise sit
+        // blocked in the join, and simulating on it keeps its heap warm
+        // for the caller's own simulations after the call.
+        std::thread::scope(|scope| {
+            for _ in 1..workers.min(specs.len()) {
+                scope.spawn(work);
+            }
+            work();
+        });
 
         let mut sink_panics = sink_panics
             .into_inner()
@@ -738,13 +638,12 @@ impl Runner {
         EngineReport {
             completed: completed.into_inner(),
             failed: failed.into_inner(),
-            rejected,
             sink_panics,
         }
     }
 
-    /// Runs many specs on `workers` threads with default
-    /// [`EngineOptions`] and returns every outcome — completed and
+    /// Runs many specs on `workers` threads through
+    /// [`Runner::run_isolated`] and returns every outcome — completed and
     /// failed — in spec order, independent of `workers`.
     #[expect(
         clippy::indexing_slicing,
@@ -753,7 +652,7 @@ impl Runner {
     )]
     pub fn run_all_with_workers(&self, specs: &[RunSpec], workers: usize) -> Vec<RunOutcome> {
         let mut slots: Vec<Option<RunOutcome>> = specs.iter().map(|_| None).collect();
-        self.run_isolated(specs, workers, &EngineOptions::default(), |i, outcome| {
+        self.run_isolated(specs, workers, |i, outcome| {
             slots[i] = Some(outcome);
         });
         slots
@@ -820,11 +719,8 @@ impl Runner {
             }
         }
         let mut first_error: Option<(usize, RunError)> = None;
-        self.run_isolated(
-            &specs,
-            default_workers(),
-            &EngineOptions::default(),
-            |i, outcome| match outcome.into_stats() {
+        self.run_isolated(&specs, default_workers(), |i, outcome| {
+            match outcome.into_stats() {
                 Ok(stats) => {
                     if let Some(key) = keys.get(i) {
                         self.baselines
@@ -838,8 +734,8 @@ impl Runner {
                         first_error = Some((i, error));
                     }
                 }
-            },
-        );
+            }
+        });
         if let Some((_, error)) = first_error {
             return Err(error);
         }
@@ -894,7 +790,6 @@ fn baseline_spec(bench: &str, config: &SimConfig, lengths: &RunSpec) -> (Baselin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::RetryPolicy;
     use smt_sim::policy::Policy as _;
 
     fn tiny(benches: &[&str], policy: PolicyKind) -> RunSpec {
@@ -962,12 +857,26 @@ mod tests {
 
     #[test]
     fn session_rejects_zero_sized_queues() {
-        let mut spec = tiny(&["gzip"], PolicyKind::Icount);
-        spec.config.fetch_queue = 0;
-        assert!(matches!(
-            SimSession::new().run(&spec),
-            Err(RunError::InvalidSpec { .. })
-        ));
+        // Each of these would otherwise panic building the simulator.
+        let breakers: [fn(&mut SimConfig); 6] = [
+            |c| c.fetch_queue = 0,
+            |c| c.mem.dl1.ways = 0,
+            |c| c.mem.l2.ways = usize::MAX,
+            |c| c.mem.l2.line_bytes = 48,
+            |c| c.mem.dtlb_entries = 0,
+            |c| c.bpred.btb_ways = 0,
+        ];
+        for (i, breaker) in breakers.iter().enumerate() {
+            let mut spec = tiny(&["gzip"], PolicyKind::Icount);
+            breaker(&mut spec.config);
+            assert!(
+                matches!(
+                    SimSession::new().run(&spec),
+                    Err(RunError::InvalidSpec { .. })
+                ),
+                "breaker {i}"
+            );
+        }
     }
 
     #[test]
@@ -1035,7 +944,7 @@ mod tests {
         ];
         let mut seen = vec![false; specs.len()];
         let mut outcomes: Vec<Option<RunStats>> = specs.iter().map(|_| None).collect();
-        let report = r.run_isolated(&specs, 2, &EngineOptions::default(), |i, out| {
+        let report = r.run_isolated(&specs, 2, |i, out| {
             seen[i] = true;
             outcomes[i] = Some(out.into_stats().expect("valid spec"));
         });
@@ -1071,7 +980,7 @@ mod tests {
         // the calling thread.
         let caller = std::thread::current().id();
         let mut sink_threads = Vec::new();
-        r.run_isolated(&specs, 1, &EngineOptions::default(), |_, _| {
+        r.run_isolated(&specs, 1, |_, _| {
             sink_threads.push(std::thread::current().id());
         });
         assert_eq!(sink_threads, vec![caller; specs.len()]);
@@ -1081,118 +990,33 @@ mod tests {
     fn failed_runs_do_not_poison_their_worker_session() {
         // A faulted run sandwiched between good runs must leave its worker
         // (and the shared sink) fully functional, and the good runs
-        // bit-identical to a clean batch.
+        // bit-identical to a clean batch. The faulted run panics after its
+        // prewarm, so the fault-free copy that follows it restores the
+        // memo entry the panicked run captured; that run must be exact too.
         crate::chaos::silence_chaos_panics();
         let good = [
             tiny(&["gzip", "mcf"], PolicyKind::Icount),
             tiny(&["art", "gcc"], PolicyKind::Flush),
         ];
         let mut bad = tiny(&["twolf", "swim"], PolicyKind::Stall);
-        bad.fault = Some(InjectedFault::PanicAtCycle {
-            at_cycle: 64,
-            fail_attempts: u32::MAX,
-        });
-        let specs = vec![good[0].clone(), bad, good[1].clone()];
+        let after_bad = bad.clone();
+        bad.fault = Some(InjectedFault::PanicAtCycle { at_cycle: 64 });
+        let specs = vec![good[0].clone(), bad, good[1].clone(), after_bad.clone()];
         let r = Runner::new();
         let outcomes = r.run_all_with_workers(&specs, 1);
         match &outcomes[1] {
-            RunOutcome::Failed {
-                error: RunError::Panicked { message },
-                attempts: 1,
-            } => assert!(message.contains("chaos-injected"), "{message}"),
+            RunOutcome::Failed(RunError::Panicked { message }) => {
+                assert!(message.contains("chaos-injected"), "{message}")
+            }
             other => panic!("expected contained panic, got {other:?}"),
         }
-        for (i, spec) in [(0usize, &good[0]), (2usize, &good[1])] {
+        let (hits, misses, _) = r.prewarm_memo_stats();
+        assert_eq!((hits, misses), (1, 3), "the fault-free copy is a memo hit");
+        for (i, spec) in [(0usize, &good[0]), (2, &good[1]), (3, &after_bad)] {
             let clean = r.run(spec).expect("valid spec");
             let stats = outcomes[i].stats().expect("good run completed");
             assert_eq!(stats.result, clean.result, "spec {i} contaminated");
             assert_eq!(stats.mem, clean.mem);
-        }
-    }
-
-    #[test]
-    fn transient_faults_retry_to_a_bit_identical_completion() {
-        crate::chaos::silence_chaos_panics();
-        let mut spec = tiny(&["gzip", "mcf"], PolicyKind::Icount);
-        spec.fault = Some(InjectedFault::PanicAtCycle {
-            at_cycle: 64,
-            fail_attempts: 1,
-        });
-        let opts = EngineOptions {
-            retry: RetryPolicy::immediate(2),
-            ..EngineOptions::default()
-        };
-        let mut session = SimSession::new();
-        let memo = PrewarmMemo::default();
-        let outcome = execute_with_retry(&mut session, &spec, &opts, &memo);
-        let (stats, attempts) = match outcome {
-            RunOutcome::Completed { stats, attempts } => (stats, attempts),
-            other => panic!("retry should complete, got {other:?}"),
-        };
-        assert_eq!(attempts, 2, "first attempt panics, second succeeds");
-        // The panic came after the prewarm: the retry restored it.
-        assert_eq!(memo.hits.into_inner(), 1);
-        assert_eq!(memo.misses.into_inner(), 1);
-        let mut clean = spec.clone();
-        clean.fault = None;
-        let reference = Runner::new().run(&clean).expect("valid spec");
-        assert_eq!(stats.result, reference.result, "retry must replay exactly");
-        assert_eq!(stats.mem, reference.mem);
-    }
-
-    #[test]
-    fn without_retries_a_transient_fault_still_fails_typed() {
-        crate::chaos::silence_chaos_panics();
-        let mut spec = tiny(&["gzip"], PolicyKind::Icount);
-        spec.fault = Some(InjectedFault::PanicAtCycle {
-            at_cycle: 64,
-            fail_attempts: 1,
-        });
-        let outcome = execute_with_retry(
-            &mut SimSession::new(),
-            &spec,
-            &EngineOptions::default(), // RetryPolicy::none()
-            &PrewarmMemo::default(),
-        );
-        assert!(
-            matches!(
-                outcome,
-                RunOutcome::Failed {
-                    error: RunError::Panicked { .. },
-                    attempts: 1,
-                }
-            ),
-            "got {outcome:?}"
-        );
-    }
-
-    #[test]
-    fn admission_control_rejects_past_capacity() {
-        let r = Runner::new();
-        let specs = vec![
-            tiny(&["gzip"], PolicyKind::Icount),
-            tiny(&["mcf"], PolicyKind::Stall),
-            tiny(&["art"], PolicyKind::Flush),
-        ];
-        let opts = EngineOptions {
-            queue_capacity: Some(2),
-            ..EngineOptions::default()
-        };
-        let mut outcomes: Vec<Option<RunOutcome>> = specs.iter().map(|_| None).collect();
-        let report = r.run_isolated(&specs, 2, &opts, |i, o| outcomes[i] = Some(o));
-        assert_eq!(report.completed, 2);
-        assert_eq!(report.failed, 1);
-        assert_eq!(report.rejected, 1);
-        assert!(outcomes[0].as_ref().expect("ran").is_completed());
-        assert!(outcomes[1].as_ref().expect("ran").is_completed());
-        match outcomes[2].as_ref().expect("delivered") {
-            RunOutcome::Failed {
-                error: RunError::QueueFull { capacity, depth },
-                attempts: 0,
-            } => {
-                assert_eq!((*capacity, *depth), (2, 3));
-            }
-            other => panic!("expected QueueFull, got {other:?}"),
         }
     }
 
@@ -1206,7 +1030,7 @@ mod tests {
             tiny(&["art"], PolicyKind::Flush),
         ];
         let mut delivered = Vec::new();
-        let report = r.run_isolated(&specs, 2, &EngineOptions::default(), |i, o| {
+        let report = r.run_isolated(&specs, 2, |i, o| {
             if i == 1 {
                 panic!("chaos-injected sink failure for spec {i}");
             }
@@ -1221,18 +1045,18 @@ mod tests {
     #[test]
     fn budget_breaches_surface_as_typed_errors() {
         let mut spec = tiny(&["gzip"], PolicyKind::Icount);
-        spec.budget = Some(RunBudget {
+        spec.budget = RunBudget {
             max_cycles: Some(50),
             livelock_window: None,
-        });
+        };
         match SimSession::new().run(&spec) {
             Err(RunError::CycleBudget { limit: 50, .. }) => {}
             other => panic!("expected CycleBudget, got {other:?}"),
         }
-        spec.budget = Some(RunBudget {
+        spec.budget = RunBudget {
             max_cycles: None,
             livelock_window: Some(1),
-        });
+        };
         match SimSession::new().run(&spec) {
             Err(RunError::Livelock { window: 1, .. }) => {}
             other => panic!("expected Livelock, got {other:?}"),
@@ -1244,7 +1068,7 @@ mod tests {
         // The default livelock watchdog must never perturb a healthy run.
         let spec = tiny(&["gzip", "mcf"], PolicyKind::Icount);
         let mut unbudgeted = spec.clone();
-        unbudgeted.budget = Some(RunBudget::unlimited());
+        unbudgeted.budget = RunBudget::unlimited();
         let watched = SimSession::new().run(&spec).expect("valid spec");
         let free = SimSession::new().run(&unbudgeted).expect("valid spec");
         assert_eq!(watched.result, free.result);
@@ -1302,18 +1126,18 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_baseline_surfaces_as_a_typed_error() {
-        // A zero-way L1 passes `SimConfig::validate` but panics building
-        // the cache; through the pool that panic is contained and typed.
+    fn an_invalid_baseline_surfaces_as_a_typed_error() {
+        // A zero-way L1 fails `SimConfig::validate` before any simulator
+        // is built; through the pool the failure comes back typed.
         let mut cfg = SimConfig::baseline(2);
         cfg.mem.dl1.ways = 0;
         let lengths = tiny(&["gzip"], PolicyKind::Icount);
         let workloads = smt_workloads::table4_workloads();
         match Runner::new().baselines(&workloads[..1], &cfg, &lengths) {
-            Err(RunError::Panicked { message }) => {
+            Err(RunError::InvalidSpec { message }) => {
                 assert!(message.contains("at least one way"), "{message}");
             }
-            other => panic!("expected a contained panic, got {other:?}"),
+            other => panic!("expected InvalidSpec, got {other:?}"),
         }
     }
 

@@ -13,7 +13,7 @@
 
 use crate::fault::RunError;
 use crate::runner::{default_workers, PolicyKind, RunSpec, Runner};
-use smt_workloads::{FamilySpec, PolicyTarget, ScenarioFamily};
+use smt_workloads::{PolicyTarget, ScenarioFamily};
 
 /// Run lengths for scenario sweeps. Families hold tens of mixes, so the
 /// default is far shorter than the paper-scale 250k-cycle measurement.
@@ -36,15 +36,6 @@ impl ScenarioLengths {
             prewarm_insts: 60_000,
             warmup_cycles: 5_000,
             measure_cycles: 30_000,
-        }
-    }
-
-    /// Measurement lengths for bench snapshots and degradation checks.
-    pub fn measure() -> Self {
-        ScenarioLengths {
-            prewarm_insts: 120_000,
-            warmup_cycles: 10_000,
-            measure_cycles: 60_000,
         }
     }
 
@@ -183,25 +174,10 @@ pub fn sweep_family(
     }
 }
 
-/// Generates and sweeps a family in one call.
-///
-/// # Errors
-///
-/// Propagates [`FamilySpec::validate`] failures from generation.
-pub fn sweep_spec(
-    runner: &Runner,
-    spec: &FamilySpec,
-    seed: u64,
-    policy: &PolicyKind,
-    lengths: ScenarioLengths,
-) -> Result<FamilySweepSummary, String> {
-    let family = ScenarioFamily::generate(spec, seed)?;
-    Ok(sweep_family(runner, &family, policy, lengths))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smt_workloads::FamilySpec;
 
     #[test]
     fn every_policy_target_maps_to_a_kind() {

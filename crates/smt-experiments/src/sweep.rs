@@ -4,7 +4,7 @@
 //! studies ([`crate::ablation`], [`crate::partitioning`]): a list of
 //! labelled policies, each averaged over [`study_workloads`].
 
-use crate::fault::{EngineOptions, RunError};
+use crate::fault::RunError;
 use crate::runner::{default_workers, PolicyKind, RunOutcome, RunSpec, Runner};
 use crate::tables::{f3, TextTable};
 use smt_metrics::hmean;
@@ -161,26 +161,21 @@ pub fn sweep_policy_threads(
         clippy::indexing_slicing,
         reason = "order is a permutation of 0..workloads.len(), and per_spec and singles are built from the same workload list; the pool's spec index j ranges over the same length"
     )]
-    runner.run_isolated(
-        &specs,
-        default_workers(),
-        &EngineOptions::default(),
-        |j, outcome| {
-            let i = order[j];
-            match outcome.into_stats() {
-                Ok(out) => {
-                    per_spec[i] = Some(SpecMetrics {
-                        tput: out.throughput(),
-                        hm: hmean(&out.ipcs(), &singles[i]),
-                        fpc: out.result.total_fetched() as f64
-                            / out.result.total_committed().max(1) as f64,
-                        mlp: smt_metrics::workload_mlp(&out.result),
-                    });
-                }
-                Err(error) => failures.push((i, error)),
+    runner.run_isolated(&specs, default_workers(), |j, outcome| {
+        let i = order[j];
+        match outcome.into_stats() {
+            Ok(out) => {
+                per_spec[i] = Some(SpecMetrics {
+                    tput: out.throughput(),
+                    hm: hmean(&out.ipcs(), &singles[i]),
+                    fpc: out.result.total_fetched() as f64
+                        / out.result.total_committed().max(1) as f64,
+                    mlp: smt_metrics::workload_mlp(&out.result),
+                });
             }
-        },
-    );
+            Err(error) => failures.push((i, error)),
+        }
+    });
     failures.sort_by_key(|(i, _)| *i);
 
     let classes = thread_counts

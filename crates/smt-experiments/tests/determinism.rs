@@ -17,7 +17,7 @@
 //! `BLESS_GOLDENS=1 cargo test -p smt-experiments --test determinism -- --nocapture`
 //! and paste the printed table over `GOLDEN`.
 
-use smt_experiments::{EngineOptions, PolicyKind, RunSpec, Runner, SimSession};
+use smt_experiments::{PolicyKind, RunSpec, Runner, SimSession};
 use smt_sim::policy::AnyPolicy;
 use smt_sim::{SimConfig, Simulator};
 use smt_workloads::spec;
@@ -190,9 +190,7 @@ fn session_runner_matches_fresh_sequential_runs() {
     }
     let mut streamed: Vec<Option<smt_experiments::RunOutcome>> =
         specs.iter().map(|_| None).collect();
-    runner.run_isolated(&specs, 2, &EngineOptions::default(), |i, out| {
-        streamed[i] = Some(out)
-    });
+    runner.run_isolated(&specs, 2, |i, out| streamed[i] = Some(out));
     for (out, want) in streamed.iter().zip(&fresh) {
         let stats = out
             .as_ref()
@@ -204,52 +202,6 @@ fn session_runner_matches_fresh_sequential_runs() {
             "run_isolated drifted on {}",
             want.policy
         );
-    }
-}
-
-/// Retry determinism: a run that panics on its first attempt and is
-/// retried must end bit-identical to a run that never faulted. The retry
-/// path rebuilds the worker's `SimSession` from scratch after the caught
-/// panic, so any state leak from the poisoned attempt would show up here
-/// as golden-level drift.
-#[test]
-fn retried_runs_are_bit_identical_to_first_attempt_runs() {
-    use smt_experiments::chaos::silence_chaos_panics;
-    use smt_experiments::{EngineOptions, InjectedFault, RetryPolicy, RunOutcome};
-    silence_chaos_panics();
-
-    let mut clean = RunSpec::new(&["gzip", "mcf"], PolicyKind::dcra_for_latency(300));
-    clean.prewarm_insts = 30_000;
-    clean.warmup_cycles = 2_000;
-    clean.measure_cycles = 15_000;
-    let mut faulty = clean.clone();
-    faulty.fault = Some(InjectedFault::PanicAtCycle {
-        at_cycle: 500,
-        fail_attempts: 1,
-    });
-
-    let runner = Runner::new();
-    let reference = runner.run(&clean).expect("known bench");
-
-    let opts = EngineOptions {
-        retry: RetryPolicy::immediate(2),
-        ..EngineOptions::default()
-    };
-    let outcomes = std::sync::Mutex::new(vec![None; 1]);
-    let report = runner.run_isolated(std::slice::from_ref(&faulty), 1, &opts, |i, out| {
-        outcomes.lock().unwrap()[i] = Some(out);
-    });
-    assert_eq!(report.completed, 1, "retried run must complete");
-    let outcome = outcomes.lock().unwrap()[0].take().expect("sink delivered");
-    match outcome {
-        RunOutcome::Completed { stats, attempts } => {
-            assert_eq!(attempts, 2, "first attempt must have panicked");
-            assert_eq!(
-                stats, reference,
-                "retried run drifted from the fault-free run"
-            );
-        }
-        RunOutcome::Failed { error, .. } => panic!("retry did not recover: {error}"),
     }
 }
 
@@ -273,8 +225,7 @@ fn simulation_output_matches_pre_rewrite_goldens() {
     );
 }
 
-/// Scenario smoke for CI's `cargo test scenario` filter: the adversarial
-/// family must flow through the same golden determinism machinery — two
+/// Scenario smoke: the adversarial family must flow through the same golden determinism machinery — two
 /// generations of the family swept back to back through a shared session
 /// pool give identical results, and a regeneration from the same seed is
 /// indistinguishable from the first.

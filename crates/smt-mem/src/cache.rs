@@ -17,6 +17,30 @@ pub struct CacheConfig {
     pub banks: usize,
 }
 
+impl CacheConfig {
+    /// Checks the geometry [`Cache::new`] relies on: at least one way, a
+    /// power-of-two line size, a capacity that is a multiple of
+    /// `ways × line_bytes`, and a power-of-two set count.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.ways == 0 {
+            return Err("cache needs at least one way".into());
+        }
+        if !self.line_bytes.is_power_of_two() {
+            return Err("line size must be a power of two".into());
+        }
+        let Some(way_bytes) = self.ways.checked_mul(self.line_bytes as usize) else {
+            return Err("ways × line size overflows".into());
+        };
+        if !self.size_bytes.is_multiple_of(way_bytes) {
+            return Err("capacity must be a multiple of ways × line size".into());
+        }
+        if !(self.size_bytes / way_bytes).is_power_of_two() {
+            return Err("set count must be a power of two".into());
+        }
+        Ok(())
+    }
+}
+
 /// Hit/miss counters of one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
@@ -84,22 +108,12 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is inconsistent (zero ways, capacity not a
-    /// multiple of `ways × line_bytes`, or a non-power-of-two set count or
-    /// line size).
+    /// Panics if the geometry fails [`CacheConfig::validate`].
     pub fn new(config: &CacheConfig) -> Self {
-        assert!(config.ways > 0, "cache needs at least one way");
-        assert!(
-            config.line_bytes.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        let way_bytes = config.ways * config.line_bytes as usize;
-        assert!(
-            config.size_bytes.is_multiple_of(way_bytes),
-            "capacity must be a multiple of ways × line size"
-        );
-        let sets = config.size_bytes / way_bytes;
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
+        if let Err(why) = config.validate() {
+            panic!("{why}");
+        }
+        let sets = config.size_bytes / (config.ways * config.line_bytes as usize);
         Cache {
             slots: vec![
                 Way {

@@ -115,6 +115,18 @@ pub struct MemoryConfig {
     pub perfect_dl1: bool,
 }
 
+impl MemoryConfig {
+    /// Checks every geometry [`MemoryHierarchy::new`] relies on: the three
+    /// caches ([`CacheConfig::validate`]) and the data TLB (at least one
+    /// entry, a power-of-two page size).
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, cache) in [("il1", &self.il1), ("dl1", &self.dl1), ("l2", &self.l2)] {
+            cache.validate().map_err(|why| format!("{name}: {why}"))?;
+        }
+        Tlb::validate(self.dtlb_entries, self.page_bytes).map_err(|why| format!("dtlb: {why}"))
+    }
+}
+
 impl Default for MemoryConfig {
     fn default() -> Self {
         MemoryConfig {
@@ -232,6 +244,10 @@ pub struct MemoryHierarchy {
 
 impl MemoryHierarchy {
     /// Builds the hierarchy for `threads` hardware contexts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` fails [`MemoryConfig::validate`].
     pub fn new(config: &MemoryConfig, threads: usize) -> Self {
         MemoryHierarchy {
             il1: Cache::new(&config.il1),

@@ -56,11 +56,9 @@ impl Tlb {
     ///
     /// Panics if `entries` is zero or `page_bytes` is not a power of two.
     pub fn new(entries: usize, page_bytes: u64) -> Self {
-        assert!(entries > 0, "TLB needs at least one entry");
-        assert!(
-            page_bytes.is_power_of_two(),
-            "page size must be a power of two"
-        );
+        if let Err(why) = Self::validate(entries, page_bytes) {
+            panic!("{why}");
+        }
         Tlb {
             map: FxHashMap::default(),
             pages: Vec::with_capacity(entries),
@@ -72,6 +70,18 @@ impl Tlb {
             page_shift: page_bytes.trailing_zeros(),
             stats: TlbStats::default(),
         }
+    }
+
+    /// Checks the geometry [`Tlb::new`] relies on: at least one entry and
+    /// a power-of-two page size.
+    pub(crate) fn validate(entries: usize, page_bytes: u64) -> Result<(), String> {
+        if entries == 0 {
+            return Err("TLB needs at least one entry".into());
+        }
+        if !page_bytes.is_power_of_two() {
+            return Err("page size must be a power of two".into());
+        }
+        Ok(())
     }
 
     /// Unlinks `slot` from the recency list.

@@ -169,7 +169,9 @@ impl SimConfig {
     ///
     /// Returns a message if the thread count is out of range, widths are
     /// zero, queues/windows are zero-sized or too large for the ring
-    /// storage, or resources are too small to make forward progress.
+    /// storage, resources are too small to make forward progress, or the
+    /// memory or predictor geometry fails [`MemoryConfig::validate`] or
+    /// [`PredictorConfig::validate`].
     pub fn validate(&self) -> Result<(), String> {
         if self.threads == 0 {
             return Err("need at least one hardware thread".into());
@@ -211,7 +213,12 @@ impl SimConfig {
                 self.phys_regs
             ));
         }
-        Ok(())
+        self.mem
+            .validate()
+            .map_err(|why| format!("memory: {why}"))?;
+        self.bpred
+            .validate()
+            .map_err(|why| format!("branch predictor: {why}"))
     }
 }
 
