@@ -1,12 +1,28 @@
 //! Deterministic statistical trace generation.
+//!
+//! Every per-instruction random draw works on `m = next_u64() >> 11`, the
+//! 53-bit integer behind the vendored `gen::<f64>()` (which returns
+//! `m·2⁻⁵³`). Each float test on `u = m·2⁻⁵³` has an integer twin that
+//! holds for exactly the same `m`, because scaling by `2⁵³` is exact in
+//! binary floating point:
+//!
+//! * a coin `u < p` (`gen_bool(p)`) and an address cut-off `u < x` are
+//!   `m < ⌈p·2⁵³⌉` ([`below`]);
+//! * a class threshold `t < u` is `⌊t·2⁵³⌋ < m`;
+//! * a dependence distance counts precomputed integer bounds above `m`
+//!   ([`DepTable`]).
+//!
+//! So the stream is the one the float draws define, bit for bit, and it
+//! consumes the same generator outputs in the same order.
 
 use crate::profile::BenchmarkProfile;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use smt_isa::{BranchKind, DecodedInst, InstClass, RegClass};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// Execution phase of the generated program.
+/// Execution phase of the generated program (the discriminant indexes
+/// [`TraceGenerator::addr_cuts`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Compute,
@@ -17,7 +33,18 @@ enum Phase {
 struct BranchSite {
     pc: u64,
     target: u64,
-    taken_prob: f64,
+    /// `below(taken probability)`.
+    taken: u64,
+}
+
+/// The profile's fixed-probability coins, as [`below`] thresholds.
+#[derive(Debug, Clone, Copy)]
+struct Coins {
+    fp_load: u64,
+    pointer_chase: u64,
+    streaming: u64,
+    call: u64,
+    biased: u64,
 }
 
 /// A deterministic, infinite instruction stream expanded from a
@@ -49,6 +76,8 @@ pub struct TraceGenerator {
     seq: u64,
     pc: u64,
     code_base: u64,
+    /// Size of the code footprint the pc cycles through (at least 256).
+    code_bytes: u64,
     data_base: u64,
     phase: Phase,
     phase_left: u64,
@@ -61,76 +90,215 @@ pub struct TraceGenerator {
     /// The split is fixed at construction, so site picking indexes the two
     /// ranges directly instead of rebuilding index vectors per branch.
     biased_count: usize,
-    /// `ln(1 - 1/dep_mean)` — the geometric sampler's denominator for
-    /// dependence distances, precomputed because it is drawn for almost
-    /// every instruction (`ln` twice per sample was a measurable share of
-    /// generation time). `NaN` when `dep_mean <= 1`.
-    dep_ln_one_minus_p: f64,
-    /// The thresholds and guide behind the `ln`-free dependence-distance
-    /// fast path (see [`TraceGenerator::dep_distance`]), shared across
-    /// generators with the same `dep_mean`.
+    /// The dependence-distance sampler for this `dep_mean`, shared across
+    /// generators with the same mean.
     dep_table: Arc<DepTable>,
-    /// Cumulative mix thresholds for sampling instruction classes.
-    mix_cdf: [(f64, InstClass); 8],
+    /// `⌊cdf·2⁵³⌋` of the cumulative instruction mix: a draw `m` picks
+    /// `classes[#{cut < m}]`.
+    class_cuts: [u64; 8],
+    classes: [InstClass; 8],
+    /// That index per bucket `m >> 45` ([`class_guide`]).
+    class_guide: [u8; 256],
+    /// Per phase, the data-address draw's cut-offs `(cold, cold + warm)`
+    /// as [`below`] thresholds: `m` under the first picks the cold region,
+    /// under the second the warm one, otherwise the hot one.
+    addr_cuts: [(u64, u64); 2],
+    coins: Coins,
 }
 
 /// What [`TraceGenerator::next_access`] yields for one instruction: its
 /// fetch pc, and for loads and stores `(data address, is_store)`.
 type Access = (u64, Option<(u64, bool)>);
 
+/// Size of every generated data access (bytes).
+pub(crate) const ACCESS_SIZE: u8 = 8;
+
+/// `2⁵³`: the number of distinct draws `m`.
+const ONE: u64 = 1 << 53;
+
+/// `2⁻⁵³`, exactly as the vendored `gen::<f64>()` scales `m`.
+const UNIT: f64 = 1.0 / ONE as f64;
+
+/// `below(0.5)` and `below(0.25)`.
+const HALF: u64 = ONE / 2;
+const QUARTER: u64 = ONE / 4;
+
+/// The threshold `t` with `m < t` exactly when `m·2⁻⁵³ < x`: `⌈x·2⁵³⌉`.
+/// The product is exact, and the cast saturates (a negative or NaN `x`
+/// gives 0, which no `m` is below; `x > 1` gives more than every `m`).
+fn below(x: f64) -> u64 {
+    (x * ONE as f64).ceil() as u64
+}
+
+/// `m >> CLASS_GUIDE_SHIFT` indexes [`TraceGenerator::class_guide`].
+const CLASS_GUIDE_SHIFT: u32 = 45;
+
+/// A class-guide entry for a bucket that a cut splits.
+const STRADDLES: u8 = u8::MAX;
+
+/// Per bucket of draws, the class index `#{cut < m}` shared by every `m`
+/// in it, or [`STRADDLES`] for the few buckets (at most seven of 256) a
+/// cut splits. The cuts are non-decreasing, so one pass over the buckets
+/// counts them.
+fn class_guide(cuts: &[u64; 8]) -> [u8; 256] {
+    let mut count = 0;
+    std::array::from_fn(|b| {
+        let first = (b as u64) << CLASS_GUIDE_SHIFT;
+        while count < cuts.len() && cuts[count] < first {
+            count += 1;
+        }
+        let last = first + (1 << CLASS_GUIDE_SHIFT) - 1;
+        if count < cuts.len() && cuts[count] < last {
+            STRADDLES
+        } else {
+            count as u8
+        }
+    })
+}
+
 /// Upper clamp of sampled dependence distances (instructions).
 const DEP_CLAMP: u64 = 512;
 
-/// Buckets of [`DepTable::guide`]: a power of two, so `u · DEP_GUIDE`
-/// and the bucket bounds `(b + 1) / DEP_GUIDE` are exact in floating point.
-const DEP_GUIDE: usize = 1024;
+/// `m >> DEP_GUIDE_SHIFT` indexes [`DepTable::guide`]: 1024 buckets.
+const DEP_GUIDE_SHIFT: u32 = 43;
 
-/// The dependence-distance sampler's tables for one `dep_mean`.
+/// The reference dependence distance of draw `m`: the geometric sampler's
+/// `⌈ln(u)/L⌉` clamped to `1..=512`, with `u` computed exactly as
+/// `gen_range(f64::EPSILON..1.0)` derives it from `m`, and
+/// `L = ln(1 - 1/dep_mean)`. [`DepTable`] reproduces it without the `ln`.
+fn dep_reference(m: u64, l: f64) -> u64 {
+    let u = f64::EPSILON + (m as f64 * UNIT) * (1.0 - f64::EPSILON);
+    geometric(u, l).clamp(1, DEP_CLAMP)
+}
+
+/// The dependence-distance sampler for one `dep_mean`.
+///
+/// [`dep_reference`] is non-increasing in `m`: `u(m)`, `ln` and `ceil`
+/// are monotone non-decreasing, and dividing by `L < 0` reverses the
+/// order. So for each `k` the draws with distance at most `k` are a
+/// suffix `[B_k, 2⁵³)`, the bounds `B_k` fall as `k` grows, and the
+/// distance of `m` is `1 + #{k < 512 : B_k > m}` — integer comparisons
+/// only, equal to the reference for every `m`.
 #[derive(Debug)]
 struct DepTable {
-    /// Descending geometric thresholds `exp(k · ln(1-p))` for
-    /// `k = 1..=DEP_CLAMP`.
-    thresholds: Vec<f64>,
-    /// `guide[b]` = number of thresholds `>= (b + 1) / DEP_GUIDE`. Every
-    /// one of them exceeds any `u` in bucket `b`, so counting the
-    /// thresholds above `u` can start there.
+    /// `B_k` for `k = 1..512`, non-increasing.
+    bounds: Vec<u64>,
+    /// `guide[b]` = number of bounds `≥ (b + 1)·2⁴³`. Each exceeds every
+    /// `m` in bucket `b = m >> 43`, so counting can start there.
     guide: Vec<u16>,
 }
 
-/// The per-`dep_mean` tables for the dependence-distance sampler,
-/// built once per distinct mean and shared (generators are rebuilt for
-/// every sweep run; rebuilding 512 `exp` calls each time would eat the
-/// session-reuse savings). Keyed by the bit pattern of `ln(1 - 1/mean)`;
-/// a non-finite key (mean ≤ 1) yields no thresholds, and the tables are
-/// never consulted because the sampler short-circuits first.
-fn dep_threshold_table(ln_one_minus_p: f64) -> Arc<DepTable> {
+impl DepTable {
+    fn new(l: f64) -> Self {
+        let mut bounds = Vec::with_capacity(DEP_CLAMP as usize - 1);
+        let mut prev = ONE;
+        for k in 1..DEP_CLAMP {
+            // Once every draw qualifies, every larger `k` does too.
+            prev = if prev == 0 { 0 } else { lowest_at_most(k, l) };
+            bounds.push(prev);
+        }
+        let guide = (1..=ONE >> DEP_GUIDE_SHIFT)
+            .map(|b| {
+                let floor = b << DEP_GUIDE_SHIFT;
+                let count = bounds.partition_point(|&x| x >= floor);
+                u16::try_from(count).expect("fewer than DEP_CLAMP bounds")
+            })
+            .collect();
+        DepTable { bounds, guide }
+    }
+
+    /// The distance of draw `m`. The guide skips every bound above `m`'s
+    /// bucket, and a bucket holds few more except in the deep tail (`m`
+    /// below `2⁵³/1024`): step over a few, and binary-search the rest only
+    /// when they run out — a data-dependent binary search over 511 bounds
+    /// costs about nine branch mispredictions.
+    #[inline]
+    fn distance(&self, m: u64) -> u32 {
+        const STEPS: usize = 4;
+        let start = usize::from(self.guide[(m >> DEP_GUIDE_SHIFT) as usize]);
+        let rest = &self.bounds[start..];
+        let above = start
+            + match rest.iter().take(STEPS).position(|&b| b <= m) {
+                Some(n) => n,
+                None => rest.partition_point(|&b| b > m),
+            };
+        above as u32 + 1
+    }
+}
+
+/// `B_k`: the smallest `m` whose [`dep_reference`] is at most `k` (`2⁵³`
+/// if none is). It starts from the real-valued estimate `u = exp(k·L)`,
+/// which lands within a few draws of the bound, and settles the exact
+/// value with a galloping search on the reference itself: a handful of
+/// `ln`s where a bisection over 53 bits would take 53.
+fn lowest_at_most(k: u64, l: f64) -> u64 {
+    let ok = |m: u64| m >= ONE || dep_reference(m, l) <= k;
+    let estimate = (((k as f64 * l).exp() - f64::EPSILON) / (1.0 - f64::EPSILON)) * ONE as f64;
+    let start = (estimate.ceil() as u64).min(ONE);
+    // Bracket the bound between a failing and a passing draw.
+    let mut step = 1;
+    let (mut fail, mut pass) = if ok(start) {
+        let mut pass = start;
+        loop {
+            if pass == 0 {
+                return 0;
+            }
+            let probe = pass.saturating_sub(step);
+            if !ok(probe) {
+                break (probe, pass);
+            }
+            pass = probe;
+            step *= 2;
+        }
+    } else {
+        let mut fail = start;
+        loop {
+            let probe = (fail + step).min(ONE);
+            if ok(probe) {
+                break (fail, probe);
+            }
+            fail = probe;
+            step *= 2;
+        }
+    };
+    while pass - fail > 1 {
+        let mid = fail + (pass - fail) / 2;
+        if ok(mid) {
+            pass = mid;
+        } else {
+            fail = mid;
+        }
+    }
+    pass
+}
+
+/// The [`DepTable`] for `L = ln(1 - 1/dep_mean)`, built once per distinct
+/// `L` and shared: generators are rebuilt for every sweep run. The cache
+/// grows by one table (about 6 KiB) per distinct `dep_mean` — scenario
+/// families jitter it, so each family mix can add some — and is never
+/// evicted. Tables are built outside the lock and inserted only if still
+/// absent. Every update is one `push` of a complete entry, so a poisoned
+/// lock still guards a valid list and is recovered, not propagated.
+fn dep_table(l: f64) -> Arc<DepTable> {
     type TableCache = Mutex<Vec<(u64, Arc<DepTable>)>>;
     static CACHE: OnceLock<TableCache> = OnceLock::new();
-    let key = ln_one_minus_p.to_bits();
-    let mut cache = CACHE
-        .get_or_init(|| Mutex::new(Vec::new()))
-        .lock()
-        .expect("dep-table cache poisoned");
-    if let Some((_, table)) = cache.iter().find(|(k, _)| *k == key) {
-        return Arc::clone(table);
-    }
-    let thresholds: Vec<f64> = if ln_one_minus_p.is_finite() {
-        (1..=DEP_CLAMP)
-            .map(|k| (ln_one_minus_p * k as f64).exp())
-            .collect()
-    } else {
-        Vec::new()
+    let key = l.to_bits();
+    let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
+    let lookup = |list: &[(u64, Arc<DepTable>)]| {
+        list.iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, table)| Arc::clone(table))
     };
-    let guide = (1..=DEP_GUIDE)
-        .map(|b| {
-            let bound = b as f64 / DEP_GUIDE as f64;
-            let count = thresholds.partition_point(|&t| t >= bound);
-            u16::try_from(count).expect("at most DEP_CLAMP thresholds")
-        })
-        .collect();
-    let table = Arc::new(DepTable { thresholds, guide });
-    cache.push((key, Arc::clone(&table)));
-    table
+    if let Some(table) = lookup(&cache.lock().unwrap_or_else(PoisonError::into_inner)) {
+        return table;
+    }
+    let built = Arc::new(DepTable::new(l));
+    let mut list = cache.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(table) = lookup(&list) {
+        return table;
+    }
+    list.push((key, Arc::clone(&built)));
+    built
 }
 
 impl TraceGenerator {
@@ -184,7 +352,7 @@ impl TraceGenerator {
                     BranchSite {
                         pc,
                         target,
-                        taken_prob: 0.985,
+                        taken: below(0.985),
                     }
                 } else {
                     let pc = code_base + (i as u64 * 193 % (code_bytes / 4)) * 4;
@@ -199,7 +367,7 @@ impl TraceGenerator {
                     BranchSite {
                         pc,
                         target,
-                        taken_prob: profile.branches.random_taken_rate,
+                        taken: below(profile.branches.random_taken_rate),
                     }
                 }
             })
@@ -219,11 +387,24 @@ impl TraceGenerator {
         let cold_cursor_start = rng.gen_range(0..(profile.mem.cold_bytes / 64).max(1)) * 64;
         let total = m.total();
         let mut acc = 0.0;
-        let mix_cdf = entries.map(|(w, c)| {
+        // `t < u` exactly when `⌊t·2⁵³⌋ < m` (the product is exact).
+        let class_cuts = entries.map(|(w, _)| {
             acc += w / total;
-            (acc, c)
+            (acc * ONE as f64).floor() as u64
         });
 
+        let mem = profile.mem;
+        let addr_cuts = [Phase::Compute, Phase::Memory].map(|phase| {
+            let boost = match phase {
+                Phase::Memory => profile.phases.mem_boost,
+                Phase::Compute => profile.phases.compute_damp,
+            };
+            let warm = (mem.warm_frac * boost).min(0.9);
+            let cold = (mem.cold_frac * boost).min(0.9 - warm.min(0.89));
+            (below(cold), below(cold + warm))
+        });
+
+        let dep_l = ln_one_minus_inv(profile.dep_mean);
         let mut this = TraceGenerator {
             profile: profile.clone(),
             seed,
@@ -232,6 +413,7 @@ impl TraceGenerator {
             seq: 0,
             pc: code_base,
             code_base,
+            code_bytes,
             data_base,
             phase: Phase::Compute,
             phase_left: 1,
@@ -244,9 +426,18 @@ impl TraceGenerator {
             call_depth: 0,
             sites,
             biased_count: biased_sites.min(n_sites),
-            dep_ln_one_minus_p: ln_one_minus_inv(profile.dep_mean),
-            dep_table: dep_threshold_table(ln_one_minus_inv(profile.dep_mean)),
-            mix_cdf,
+            dep_table: dep_table(dep_l),
+            class_cuts,
+            classes: entries.map(|(_, c)| c),
+            class_guide: class_guide(&class_cuts),
+            addr_cuts,
+            coins: Coins {
+                fp_load: below(profile.fp_load_frac),
+                pointer_chase: below(mem.pointer_chase),
+                streaming: below(mem.streaming),
+                call: below(profile.branches.call_frac),
+                biased: below(profile.branches.biased_frac),
+            },
         };
         this.advance_phase();
         this
@@ -291,100 +482,64 @@ impl TraceGenerator {
         self.phase_left = sample_geometric(&mut self.rng, mean).max(1);
     }
 
+    /// The next draw `m`: the 53-bit integer behind `gen::<f64>()`.
+    #[inline(always)]
+    fn draw(&mut self) -> u64 {
+        self.rng.next_u64() >> 11
+    }
+
+    /// `gen_bool(p)` for `threshold = below(p)`.
+    #[inline(always)]
+    fn coin(&mut self, threshold: u64) -> bool {
+        self.draw() < threshold
+    }
+
     fn sample_class(&mut self) -> InstClass {
-        let u: f64 = self.rng.gen();
-        // Branchless equivalent of "first entry with `u <= threshold`":
-        // the index is the number of thresholds strictly below `u`. Eight
-        // predicate sums vectorise; the early-exit scan it replaces was a
-        // data-dependent branch per instruction.
-        let idx = self
-            .mix_cdf
-            .iter()
-            .map(|&(threshold, _)| usize::from(threshold < u))
-            .sum::<usize>();
-        match self.mix_cdf.get(idx) {
-            Some(&(_, class)) => class,
-            None => InstClass::IntAlu,
+        let m = self.draw();
+        self.classes
+            .get(self.class_index(m))
+            .copied()
+            .unwrap_or(InstClass::IntAlu)
+    }
+
+    /// "First entry with `u <= threshold`": the number of cuts strictly
+    /// below `m`, read off the guide except in a straddled bucket.
+    #[inline(always)]
+    fn class_index(&self, m: u64) -> usize {
+        match self.class_guide[(m >> CLASS_GUIDE_SHIFT) as usize] {
+            STRADDLES => self.class_cuts.iter().filter(|&&cut| cut < m).count(),
+            idx => usize::from(idx),
         }
     }
 
-    /// Samples a dependence distance: the clamped geometric draw
-    /// `ceil(ln(u) / ln(1-p)).clamp(1, 512)`, computed through the
-    /// precomputed threshold table instead of a per-sample `ln`.
+    /// Samples a dependence distance: the clamped geometric draw of
+    /// [`dep_reference`], read off the shared [`DepTable`].
     ///
-    /// Bit-identical to the direct expression: the distance is `k` exactly
-    /// when `u` falls in `[exp(k·L), exp((k-1)·L))`, so a binary search
-    /// over the `exp(k·L)` table reproduces the `ln`-based result — except
-    /// possibly within a few ULPs of a threshold, where the two float
-    /// computations could round apart. A relative guard band of `1e-9`
-    /// around each interior threshold (four orders of magnitude wider than
-    /// the actual error bound of either expression, and crossed by ~1e-6
-    /// of draws) falls back to the original expression, which settles
-    /// those draws by definition. The clamp collapses the `k = 512/513`
-    /// boundary, so the table's tail needs no guard.
-    ///
-    /// Without `FULL` it only draws `u`, keeping the stream in step, and
+    /// Without `FULL` it only draws `m`, keeping the stream in step, and
     /// returns 0: the address-only stream never reads the distance.
+    #[inline(always)]
     fn dep_distance<const FULL: bool>(&mut self) -> u32 {
         if self.profile.dep_mean <= 1.0 {
             return 1;
         }
-        let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        if !FULL {
-            return 0;
+        let m = self.draw();
+        if FULL {
+            self.dep_table.distance(m)
+        } else {
+            0
         }
-        let DepTable {
-            thresholds: table,
-            guide,
-        } = &*self.dep_table;
-        // Thresholds are descending; count how many exceed `u`. The guide
-        // skips every threshold at or above `u`'s bucket, and a bucket
-        // holds few more except in the deep tail (`u` well below
-        // `dep_mean / DEP_GUIDE`): step over a few, and only binary-search
-        // the rest when they run out — a data-dependent binary search over
-        // 512 entries costs ~9 branch mispredictions, as slow as the `ln`
-        // it replaces.
-        const STEPS: usize = 4;
-        let start = usize::from(guide[(u * DEP_GUIDE as f64) as usize]);
-        let rest = &table[start..];
-        let above = start
-            + match rest.iter().take(STEPS).position(|&t| t <= u) {
-                Some(n) => n,
-                None => rest.partition_point(|&t| t > u),
-            };
-        if above >= table.len() {
-            return DEP_CLAMP as u32; // k > DEP_CLAMP, clamped
-        }
-        let k = above + 1; // smallest k with u >= exp(k·L)
-        let lower = table[k - 1];
-        let near_lower = u - lower < lower * 1e-9;
-        let near_upper = k >= 2 && {
-            let upper = table[k - 2];
-            upper - u < upper * 1e-9
-        };
-        if near_lower || near_upper {
-            // Guard band: defer to the exact expression (same `u`).
-            let exact = (u.ln() / self.dep_ln_one_minus_p).ceil().max(1.0) as u64;
-            return exact.clamp(1, DEP_CLAMP) as u32;
-        }
-        k as u32
     }
 
     /// Samples a data address from the nested-working-set model. Returns
     /// `(address, is_cold)`.
     fn sample_address(&mut self) -> (u64, bool) {
         let mem = self.profile.mem;
-        let boost = match self.phase {
-            Phase::Memory => self.profile.phases.mem_boost,
-            Phase::Compute => self.profile.phases.compute_damp,
-        };
-        let warm = (mem.warm_frac * boost).min(0.9);
-        let cold = (mem.cold_frac * boost).min(0.9 - warm.min(0.89));
-        let u: f64 = self.rng.gen();
-        if u < cold {
+        let (cold, warm) = self.addr_cuts[self.phase as usize];
+        let m = self.draw();
+        if m < cold {
             let off = self.cold_offset(mem.cold_bytes);
             (self.data_base + 0x4000_0000 + off, true)
-        } else if u < cold + warm {
+        } else if m < warm {
             // The warm region is a *conflict set*: `warm_bytes` worth of
             // lines arranged as 4 tags per L1 set. A 2-way L1 can hold at
             // most half of each set's tags, so every warm access misses
@@ -404,7 +559,7 @@ impl TraceGenerator {
             // co-running threads evicts warm lines gradually instead of
             // ageing the whole region past the LRU cliff at once — the
             // cliff made co-run performance bistable.
-            let j = if self.rng.gen_bool(0.5) {
+            let j = if self.coin(HALF) {
                 self.warm_cursor = self.warm_cursor.wrapping_add(1);
                 self.warm_cursor
             } else {
@@ -426,7 +581,7 @@ impl TraceGenerator {
     /// irregular profiles jump randomly. Either way the access is an L2
     /// miss; `streaming` only shapes the address pattern.
     fn cold_offset(&mut self, region_bytes: u64) -> u64 {
-        if self.rng.gen_bool(self.profile.mem.streaming) {
+        if self.coin(self.coins.streaming) {
             self.cold_cursor = (self.cold_cursor + 64) % region_bytes;
             self.cold_cursor
         } else {
@@ -447,7 +602,7 @@ impl TraceGenerator {
     /// is a store. Advances the generator exactly as [`Self::next_inst`]
     /// does — same random draws, same state afterwards — so the two calls
     /// can be interleaved freely; it skips only the dependence-distance
-    /// search and the record build.
+    /// lookup and the record build.
     pub fn next_access(&mut self) -> (u64, Option<(u64, bool)>) {
         self.generate::<false>().0
     }
@@ -460,8 +615,17 @@ impl TraceGenerator {
     fn generate<const FULL: bool>(&mut self) -> (Access, Option<DecodedInst>) {
         let class = self.sample_class();
         let pc = self.pc;
+        // Every site and branch target lies inside the footprint, so the
+        // offset is below `code_bytes` and one conditional subtract wraps
+        // it (`% code_bytes` without the division).
+        let next = pc - self.code_base + 4;
+        debug_assert!(next - 4 < self.code_bytes, "pc left the code footprint");
         self.pc = self.code_base
-            + ((self.pc - self.code_base + 4) % self.profile.branches.code_bytes.max(256));
+            + if next >= self.code_bytes {
+                next - self.code_bytes
+            } else {
+                next
+            };
 
         let out = match class {
             InstClass::Load => self.gen_load::<FULL>(pc),
@@ -480,19 +644,18 @@ impl TraceGenerator {
 
     fn gen_load<const FULL: bool>(&mut self, pc: u64) -> (Access, Option<DecodedInst>) {
         let (addr, is_cold) = self.sample_address();
-        let dest =
-            if self.profile.fp_load_frac > 0.0 && self.rng.gen_bool(self.profile.fp_load_frac) {
-                RegClass::Fp
-            } else {
-                RegClass::Int
-            };
+        let dest = if self.coins.fp_load > 0 && self.coin(self.coins.fp_load) {
+            RegClass::Fp
+        } else {
+            RegClass::Int
+        };
         // 0 = no dependence (`dep` ignores it).
         let mut dep = 0;
         if is_cold {
             // Pointer chasing: the address of this cold load depends on the
             // data of the previous cold load, serialising the misses.
             if let Some(prev) = self.last_cold_load_seq {
-                if self.rng.gen_bool(self.profile.mem.pointer_chase) {
+                if self.coin(self.coins.pointer_chase) {
                     dep = (self.seq - prev).clamp(1, 512) as u32;
                 }
             }
@@ -503,7 +666,7 @@ impl TraceGenerator {
         let inst = FULL.then(|| {
             DecodedInst::builder(InstClass::Load, pc)
                 .dest(dest)
-                .mem(addr, 8)
+                .mem(addr, ACCESS_SIZE)
                 .dep(dep)
                 .build()
         });
@@ -516,7 +679,7 @@ impl TraceGenerator {
         let d2 = self.dep_distance::<FULL>();
         let inst = FULL.then(|| {
             DecodedInst::builder(InstClass::Store, pc)
-                .mem(addr, 8)
+                .mem(addr, ACCESS_SIZE)
                 .dep(d1)
                 .dep(d2)
                 .build()
@@ -526,7 +689,7 @@ impl TraceGenerator {
 
     fn gen_branch<const FULL: bool>(&mut self, pc: u64) -> (Access, Option<DecodedInst>) {
         // Returns match outstanding calls; calls occur with call_frac.
-        if self.call_depth > 0 && self.rng.gen_bool(0.5) {
+        if self.call_depth > 0 && self.coin(HALF) {
             self.call_depth -= 1;
             let target = self.code_base + self.rng.gen_range(0..64) * 4;
             let inst = FULL.then(|| {
@@ -536,7 +699,7 @@ impl TraceGenerator {
             });
             return ((pc, None), inst);
         }
-        if self.rng.gen_bool(self.profile.branches.call_frac) {
+        if self.coin(self.coins.call) {
             self.call_depth = (self.call_depth + 1).min(64);
             let site = self.pick_site();
             let inst = FULL.then(|| {
@@ -547,7 +710,7 @@ impl TraceGenerator {
             return ((site.pc, None), inst);
         }
         let site = self.pick_site();
-        let taken = self.rng.gen_bool(site.taken_prob);
+        let taken = self.coin(site.taken);
         let d = self.dep_distance::<FULL>();
         if taken {
             self.pc = site.target;
@@ -570,8 +733,7 @@ impl TraceGenerator {
         // heap-allocating) those vectors on every branch.
         let biased_len = self.biased_count;
         let random_len = self.sites.len() - biased_len;
-        let use_biased = biased_len > 0
-            && (random_len == 0 || self.rng.gen_bool(self.profile.branches.biased_frac));
+        let use_biased = biased_len > 0 && (random_len == 0 || self.coin(self.coins.biased));
         let (first, len) = if use_biased {
             (0, biased_len)
         } else {
@@ -593,7 +755,7 @@ impl TraceGenerator {
         };
         let d1 = self.dep_distance::<FULL>();
         // 0 = no second dependence (`dep` ignores it).
-        let d2 = if self.rng.gen_bool(0.25) {
+        let d2 = if self.coin(QUARTER) {
             self.dep_distance::<FULL>()
         } else {
             0
@@ -610,31 +772,32 @@ impl TraceGenerator {
 }
 
 /// `ln(1 - 1/mean)`, the denominator of the geometric sampler (`NaN` for
-/// `mean <= 1`, where the sampler short-circuits before using it).
+/// `mean < 1` and `-inf` for `mean == 1`, where the samplers short-circuit
+/// before using it).
 fn ln_one_minus_inv(mean: f64) -> f64 {
     let p = 1.0 / mean;
     (1.0 - p).ln()
 }
 
-/// Samples a geometric-like positive integer with the given mean.
-fn sample_geometric(rng: &mut SmallRng, mean: f64) -> u64 {
-    sample_geometric_with(rng, mean, ln_one_minus_inv(mean))
+/// `⌈ln(u)/L⌉`, at least 1: the geometric draw for a uniform `u` in
+/// `(0, 1)` and `L = ln(1 - 1/mean)`.
+fn geometric(u: f64, l: f64) -> u64 {
+    (u.ln() / l).ceil().max(1.0) as u64
 }
 
-/// [`sample_geometric`] with the `ln(1 - 1/mean)` denominator precomputed
-/// by the caller — bit-identical to recomputing it (same expression, same
-/// division), minus one `ln` per sample on the per-instruction hot path.
-fn sample_geometric_with(rng: &mut SmallRng, mean: f64, ln_one_minus_p: f64) -> u64 {
+/// Samples a geometric-like positive integer with the given mean (the
+/// phase lengths).
+fn sample_geometric(rng: &mut SmallRng, mean: f64) -> u64 {
     if mean <= 1.0 {
         return 1;
     }
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    (u.ln() / ln_one_minus_p).ceil().max(1.0) as u64
+    geometric(rng.gen_range(f64::EPSILON..1.0), ln_one_minus_inv(mean))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::family::{FamilySpec, PolicyTarget, ScenarioFamily};
     use crate::spec;
     use std::collections::BTreeMap;
 
@@ -648,7 +811,7 @@ mod tests {
         }
     }
 
-    /// The table-driven dependence-distance fast path must agree with the
+    /// The table-driven dependence-distance sampler must agree with the
     /// direct `ceil(ln(u)/ln(1-p))` expression draw for draw — the rng
     /// stream and the sampled values are both pinned.
     #[test]
@@ -657,12 +820,129 @@ mod tests {
             let p = spec::profile(bench).unwrap();
             let mut g = TraceGenerator::new(p, 123, 0);
             let mut reference_rng = g.rng.clone();
-            let l = g.dep_ln_one_minus_p;
             for i in 0..200_000 {
-                let expect =
-                    sample_geometric_with(&mut reference_rng, p.dep_mean, l).clamp(1, 512) as u32;
+                let expect = sample_geometric(&mut reference_rng, p.dep_mean).clamp(1, 512) as u32;
                 let got = g.dep_distance::<true>();
                 assert_eq!(got, expect, "{bench}: draw {i} diverged");
+            }
+        }
+    }
+
+    /// Every registry `dep_mean` and a dozen jittered scenario-family
+    /// ones: the integer sampler equals the `ln` expression for every draw
+    /// within 4096 of each bound `B_k`, where rounding could split them,
+    /// and for a million random draws.
+    #[test]
+    fn integer_sampler_matches_ln_around_every_bound() {
+        let mut means: Vec<f64> = spec::names()
+            .iter()
+            .map(|n| spec::profile(n).unwrap().dep_mean)
+            .collect();
+        let registry = means.len();
+        let family_specs = [
+            FamilySpec::expected(6),
+            FamilySpec::stress(6),
+            FamilySpec::adversarial(PolicyTarget::Dcra, 6),
+        ];
+        for spec in &family_specs {
+            let family = ScenarioFamily::generate(spec, 7).unwrap();
+            for p in family.mixes().iter().flat_map(|m| &m.profiles) {
+                if means.len() < registry + 12 && !means.contains(&p.dep_mean) {
+                    means.push(p.dep_mean);
+                }
+            }
+        }
+        assert_eq!(means.len(), registry + 12, "need a dozen jittered means");
+        means.sort_by(f64::total_cmp);
+        means.dedup();
+        let mut rng = SmallRng::seed_from_u64(0xd15);
+        for mean in means {
+            let l = ln_one_minus_inv(mean);
+            let table = DepTable::new(l);
+            assert_eq!(table.bounds.len(), DEP_CLAMP as usize - 1);
+            assert!(table.bounds.windows(2).all(|w| w[0] >= w[1]));
+            // The windows around every bound, merged where they overlap.
+            let mut windows: Vec<(u64, u64)> = Vec::new();
+            for &b in table.bounds.iter().rev() {
+                let (lo, hi) = (b.saturating_sub(4096), (b + 4096).min(ONE - 1));
+                match windows.last_mut() {
+                    Some(last) if lo <= last.1 + 1 => last.1 = last.1.max(hi),
+                    _ => windows.push((lo, hi)),
+                }
+            }
+            for (lo, hi) in windows {
+                for m in lo..=hi {
+                    let got = u64::from(table.distance(m));
+                    assert_eq!(got, dep_reference(m, l), "dep_mean {mean}: m = {m}");
+                }
+            }
+            for _ in 0..1_000_000 {
+                let m = rng.next_u64() >> 11;
+                let got = u64::from(table.distance(m));
+                assert_eq!(got, dep_reference(m, l), "dep_mean {mean}: m = {m}");
+            }
+        }
+    }
+
+    /// The class, coin and address thresholds: `⌊t·2⁵³⌋ < m` ⟺
+    /// `t < m·2⁻⁵³` and `m < below(x)` ⟺ `m·2⁻⁵³ < x`, checked at the
+    /// draws adjacent to each threshold of every registry profile; the
+    /// class guide at every bucket's ends as well.
+    #[test]
+    fn integer_thresholds_match_float_tests() {
+        let near = |cut: u64| cut.saturating_sub(2)..=(cut + 2).min(ONE - 1);
+        for name in spec::names() {
+            let p = spec::profile(name).unwrap();
+            let g = TraceGenerator::new(p, 1, 0);
+            let total = p.mix.total();
+            let mut acc = 0.0;
+            let weights = [
+                p.mix.load,
+                p.mix.store,
+                p.mix.branch,
+                p.mix.int_alu,
+                p.mix.int_mul,
+                p.mix.fp_alu,
+                p.mix.fp_mul,
+                p.mix.fp_div,
+            ];
+            let mut cdf = [0.0; 8];
+            for (c, w) in cdf.iter_mut().zip(weights) {
+                acc += w / total;
+                *c = acc;
+            }
+            let float_index = |m: u64| cdf.iter().filter(|&&t| t < m as f64 * UNIT).count();
+            let bucket_ends = (0..256u64).flat_map(|b| {
+                let first = b << CLASS_GUIDE_SHIFT;
+                [first, first + (1 << CLASS_GUIDE_SHIFT) - 1]
+            });
+            let draws = g.class_cuts.iter().flat_map(|&cut| near(cut));
+            for m in draws.chain(bucket_ends) {
+                assert_eq!(g.class_index(m), float_index(m), "{name}: class at {m}");
+            }
+            let mut tests: Vec<(u64, f64)> = [
+                p.fp_load_frac,
+                p.mem.pointer_chase,
+                p.mem.streaming,
+                p.branches.call_frac,
+                p.branches.biased_frac,
+                p.branches.random_taken_rate,
+                0.985,
+                0.5,
+                0.25,
+            ]
+            .map(|prob| (below(prob), prob))
+            .into();
+            for (phase, boost) in [(0, p.phases.compute_damp), (1, p.phases.mem_boost)] {
+                let warm = (p.mem.warm_frac * boost).min(0.9);
+                let cold = (p.mem.cold_frac * boost).min(0.9 - warm.min(0.89));
+                let (cold_cut, warm_cut) = g.addr_cuts[phase];
+                tests.extend([(cold_cut, cold), (warm_cut, cold + warm)]);
+            }
+            for (cut, x) in tests {
+                for m in near(cut) {
+                    assert_eq!(m < cut, m as f64 * UNIT < x, "{name}: cut-off {x} at {m}");
+                }
             }
         }
     }

@@ -10,22 +10,31 @@
 //! stream replayable:
 //!
 //! * instructions are pre-generated in **blocks** of [`TRACE_BLOCK`]
-//!   records, packed into 16-byte [`PackedInst`]s with the cold
-//!   [`MemAccess`]/[`BranchInfo`] payloads in per-block sidecar
-//!   struct-of-arrays lanes,
+//!   records, packed into 16-byte [`PackedInst`]s beside one `u64`
+//!   payload lane: the address of a load or store, the target of a
+//!   branch. The rest of the cold [`MemAccess`]/[`BranchInfo`] payloads
+//!   is implied: the kind and direction live in the packed record, and
+//!   every generated access is 8 bytes wide,
 //! * a persistent **prefix** of up to [`MAX_PREFIX_BLOCKS`] blocks is kept
 //!   across [`ThreadTrace::rebind`] calls: when the next run uses the same
 //!   (profile, seed, slot), its blocks are *reused*, not regenerated —
-//!   which is exactly the sweep case (nine policies over one workload),
+//!   which is exactly the sweep case (nine policies over one workload).
+//!   A rebind to a different key keeps the block buffers and refills them
+//!   as the new stream reaches them, so nothing is freed and regrown,
 //! * past the prefix cap the stream continues through a small **ring** of
 //!   tail blocks sized to the caller's maximum lookback, regenerated from
 //!   a generator snapshot frozen at the cap boundary, so memory stays
 //!   bounded on arbitrarily long runs.
 //!
+//! Every block buffer has a fixed size (6 KiB), so a store holds at most
+//! `(MAX_PREFIX_BLOCKS + ring) × 6 KiB` — about 6 MiB per thread — and
+//! its memory never creeps with the payload mix. A recycled store keeps
+//! as many prefix buffers as the longest run it has served.
+//!
 //! The store is bit-exact: replayed records unpack to precisely what
 //! [`TraceGenerator::next_inst`] streams.
 
-use crate::generator::TraceGenerator;
+use crate::generator::{TraceGenerator, ACCESS_SIZE};
 use crate::profile::BenchmarkProfile;
 use smt_isa::{BranchInfo, MemAccess, PackedInst};
 
@@ -48,42 +57,78 @@ const BLOCK_SHIFT: u32 = TRACE_BLOCK.trailing_zeros();
 const BLOCK_MASK: u64 = TRACE_BLOCK as u64 - 1;
 
 /// One pre-generated block of [`TRACE_BLOCK`] consecutive instructions:
-/// the packed hot lane plus sidecar payload lanes indexed by
+/// the packed hot lane plus one payload lane indexed by
 /// [`PackedInst::aux`] (mem and branch payloads are mutually exclusive in
-/// generated streams, so one index serves both lanes).
-#[derive(Debug, Default, Clone)]
+/// generated streams, so one lane serves both). Both lanes are fixed-size
+/// arrays: a refill overwrites them in place.
+#[derive(Debug, Clone)]
 struct TraceBlock {
     /// Sequence number of `insts[0]`.
     base_seq: u64,
-    insts: Vec<PackedInst>,
-    mem: Vec<MemAccess>,
-    branches: Vec<BranchInfo>,
+    insts: Box<[PackedInst; TRACE_BLOCK]>,
+    /// Load/store address or branch target, in record order.
+    payload: Box<[u64; TRACE_BLOCK]>,
 }
 
 impl TraceBlock {
+    fn new() -> Self {
+        TraceBlock {
+            base_seq: u64::MAX,
+            insts: Box::new([PackedInst::placeholder(); TRACE_BLOCK]),
+            payload: Box::new([0; TRACE_BLOCK]),
+        }
+    }
+
     /// (Re)fills this block with the next [`TRACE_BLOCK`] instructions of
-    /// `gen`, reusing the lane allocations.
+    /// `gen`, in place.
     fn fill(&mut self, gen: &mut TraceGenerator, base_seq: u64) {
         self.base_seq = base_seq;
-        self.insts.clear();
-        self.mem.clear();
-        self.branches.clear();
-        for _ in 0..TRACE_BLOCK {
+        let mut used = 0;
+        for slot in self.insts.iter_mut() {
             let d = gen.next_inst();
             debug_assert!(
                 d.mem.is_none() || d.branch.is_none(),
                 "generated record carries both payloads"
             );
-            let aux = if let Some(m) = d.mem {
-                self.mem.push(m);
-                self.mem.len() - 1
-            } else if let Some(b) = d.branch {
-                self.branches.push(b);
-                self.branches.len() - 1
-            } else {
-                0
+            debug_assert!(
+                d.mem.is_none_or(|m| m.size == ACCESS_SIZE),
+                "generated access of another size"
+            );
+            let aux = match d.mem.map(|m| m.addr).or(d.branch.map(|b| b.target)) {
+                Some(value) => {
+                    let aux = used;
+                    self.payload[aux] = value;
+                    used += 1;
+                    aux
+                }
+                None => 0,
             };
-            self.insts.push(PackedInst::pack(&d, aux as u16));
+            *slot = PackedInst::pack(&d, aux as u16);
+        }
+    }
+
+    /// The payload value of `packed`, a record of this block.
+    #[inline]
+    fn payload(&self, packed: PackedInst) -> u64 {
+        self.payload[usize::from(packed.aux())]
+    }
+
+    /// The memory payload of `packed`, a load or store of this block.
+    #[inline]
+    fn mem(&self, packed: PackedInst) -> MemAccess {
+        MemAccess {
+            addr: self.payload(packed),
+            size: ACCESS_SIZE,
+        }
+    }
+
+    /// The branch payload of `packed`, a branch of this block.
+    #[inline]
+    fn branch(&self, packed: PackedInst) -> BranchInfo {
+        BranchInfo {
+            kind: packed.branch_kind().expect("a branch record"),
+            taken: packed.taken(),
+            target: self.payload(packed),
         }
     }
 }
@@ -141,14 +186,21 @@ pub struct ThreadTrace {
     seed: u64,
     slot: u64,
     /// Generator positioned exactly at the prefix frontier
-    /// (`prefix.len() * TRACE_BLOCK` instructions generated). Frozen at
+    /// (`filled * TRACE_BLOCK` instructions generated). Frozen at
     /// the cap once the prefix is full; the tail clones it from there.
     prefix_gen: TraceGenerator,
-    /// Persistently retained blocks `0..prefix.len()`, grown on demand and
-    /// kept across same-key rebinds.
+    /// Retained block buffers. `prefix[..filled]` hold blocks
+    /// `0..filled` of the current stream, kept across same-key rebinds;
+    /// any further buffers are spares from an earlier, longer stream,
+    /// refilled before they are read.
     prefix: Vec<TraceBlock>,
-    /// Ring of tail blocks past the prefix cap, overlaid by block index.
+    filled: usize,
+    /// Ring of tail blocks past the prefix cap, overlaid by block index
+    /// and allocated when a run first reaches each slot.
     ring: Vec<TraceBlock>,
+    /// Ring slots: enough to cover `max_lookback` plus the block being
+    /// generated.
+    ring_len: u64,
     /// Tail generator, cloned from the frozen `prefix_gen` when the
     /// current run first crosses the cap; dropped on rebind.
     tail_gen: Option<TraceGenerator>,
@@ -167,14 +219,15 @@ impl ThreadTrace {
     /// Panics if the profile fails [`BenchmarkProfile::validate`].
     pub fn new(profile: &BenchmarkProfile, seed: u64, slot: u64, max_lookback: u64) -> Self {
         let gen = TraceGenerator::new(profile, seed, slot);
-        let ring_len = (max_lookback >> BLOCK_SHIFT) as usize + 2;
         ThreadTrace {
             profile: profile.clone(),
             seed,
             slot,
             prefix_gen: gen,
             prefix: Vec::new(),
-            ring: vec![TraceBlock::default(); ring_len],
+            filled: 0,
+            ring: Vec::new(),
+            ring_len: (max_lookback >> BLOCK_SHIFT) + 2,
             tail_gen: None,
             tail_next_block: MAX_PREFIX_BLOCKS as u64,
         }
@@ -184,8 +237,9 @@ impl ThreadTrace {
     /// (profile, seed, slot) is unchanged the retained prefix blocks are
     /// *reused* — the sweep case: nine policies replay one workload —
     /// and the call returns `true`. Otherwise the store restarts from a
-    /// fresh generator (retained blocks are discarded) and returns
-    /// `false`. Either way the replay position rewinds to sequence 0.
+    /// fresh generator and returns `false`; its block buffers stay
+    /// allocated and are refilled as the new stream reaches them. Either
+    /// way the replay position rewinds to sequence 0.
     pub fn rebind(&mut self, profile: &BenchmarkProfile, seed: u64, slot: u64) -> bool {
         let reused = self.seed == seed && self.slot == slot && self.profile == *profile;
         if !reused {
@@ -194,7 +248,7 @@ impl ThreadTrace {
             self.seed = seed;
             self.slot = slot;
             self.prefix_gen = gen;
-            self.prefix.clear();
+            self.filled = 0;
         }
         // Tail blocks always regenerate (their ring slots are overwritten
         // before first use: any past-cap read first advances
@@ -234,7 +288,7 @@ impl ThreadTrace {
         let block = self.block(seq >> BLOCK_SHIFT);
         let packed = block.insts[(seq & BLOCK_MASK) as usize];
         let addr = if packed.has_mem() {
-            block.mem[usize::from(packed.aux())].addr
+            block.payload(packed)
         } else {
             0
         };
@@ -248,7 +302,10 @@ impl ThreadTrace {
     /// packed record out of it).
     #[inline]
     pub fn branch_payload(&self, seq: u64, aux: u16) -> BranchInfo {
-        self.block_ref(seq >> BLOCK_SHIFT).branches[usize::from(aux)]
+        let block = self.block_ref(seq >> BLOCK_SHIFT);
+        let packed = block.insts[(seq & BLOCK_MASK) as usize];
+        debug_assert_eq!(packed.aux(), aux, "aux of another record");
+        block.branch(packed)
     }
 
     /// The packed record *and* its sidecar payloads at `seq`, in one block
@@ -258,11 +315,10 @@ impl ThreadTrace {
         let block = self.block(seq >> BLOCK_SHIFT);
         let off = (seq & BLOCK_MASK) as usize;
         let packed = block.insts[off];
-        let aux = usize::from(packed.aux());
         let (mem, branch) = if packed.has_mem() {
-            (Some(block.mem[aux]), None)
+            (Some(block.mem(packed)), None)
         } else if packed.has_branch() {
-            (None, Some(block.branches[aux]))
+            (None, Some(block.branch(packed)))
         } else {
             (None, None)
         };
@@ -277,11 +333,13 @@ impl ThreadTrace {
     #[inline]
     fn block(&mut self, b: u64) -> &TraceBlock {
         if b < MAX_PREFIX_BLOCKS as u64 {
-            while self.prefix.len() as u64 <= b {
-                let base = (self.prefix.len() as u64) << BLOCK_SHIFT;
-                let mut blk = TraceBlock::default();
-                blk.fill(&mut self.prefix_gen, base);
-                self.prefix.push(blk);
+            while self.filled as u64 <= b {
+                if self.filled == self.prefix.len() {
+                    self.prefix.push(TraceBlock::new());
+                }
+                let base = (self.filled as u64) << BLOCK_SHIFT;
+                self.prefix[self.filled].fill(&mut self.prefix_gen, base);
+                self.filled += 1;
             }
             &self.prefix[b as usize]
         } else {
@@ -289,10 +347,13 @@ impl ThreadTrace {
                 // The prefix is necessarily full here (reads are within
                 // `max_lookback` of the monotone frontier, which crossed
                 // the cap), so `prefix_gen` is frozen at the cap.
-                debug_assert_eq!(self.prefix.len(), MAX_PREFIX_BLOCKS);
-                let tail = self.tail_gen.get_or_insert_with(|| self.prefix_gen.clone());
+                debug_assert_eq!(self.filled, MAX_PREFIX_BLOCKS);
                 let idx = self.tail_next_block;
-                let slot = (idx % self.ring.len() as u64) as usize;
+                let slot = self.ring_slot(idx);
+                if slot == self.ring.len() {
+                    self.ring.push(TraceBlock::new());
+                }
+                let tail = self.tail_gen.get_or_insert_with(|| self.prefix_gen.clone());
                 self.ring[slot].fill(tail, idx << BLOCK_SHIFT);
                 self.tail_next_block += 1;
             }
@@ -305,15 +366,24 @@ impl ThreadTrace {
     #[inline]
     fn block_ref(&self, b: u64) -> &TraceBlock {
         if b < MAX_PREFIX_BLOCKS as u64 {
+            debug_assert!(b < self.filled as u64, "block {b} not refilled");
             &self.prefix[b as usize]
         } else {
+            debug_assert!(b < self.tail_next_block, "tail block {b} not refilled");
             self.ring_ref(b)
         }
     }
 
+    /// The ring slot of tail block `b`: slots are taken in order from the
+    /// cap, so the ring grows one slot at a time up to `ring_len`.
+    #[inline]
+    fn ring_slot(&self, b: u64) -> usize {
+        ((b - MAX_PREFIX_BLOCKS as u64) % self.ring_len) as usize
+    }
+
     #[inline]
     fn ring_ref(&self, b: u64) -> &TraceBlock {
-        let blk = &self.ring[(b % self.ring.len() as u64) as usize];
+        let blk = &self.ring[self.ring_slot(b)];
         debug_assert_eq!(
             blk.base_seq,
             b << BLOCK_SHIFT,
@@ -402,6 +472,27 @@ mod tests {
         for (s, inst) in b.iter().enumerate() {
             assert_eq!(*inst, gen.next_inst(), "seq {s}");
         }
+    }
+
+    /// A rebind to another workload refills the retained buffers in
+    /// place: none is freed or added, and the stream is the new key's.
+    #[test]
+    fn different_key_rebind_recycles_block_buffers() {
+        let p = gzip();
+        let mcf = spec::profile("mcf").expect("registry profile");
+        let mut store = ThreadTrace::new(p, 1, 0, 512);
+        for seq in 0..5_000 {
+            store.entry(seq);
+        }
+        let buffers = store.prefix.len();
+        let first = store.prefix[0].insts.as_ptr();
+        assert!(!store.rebind(mcf, 2, 1));
+        let mut gen = TraceGenerator::new(mcf, 2, 1);
+        for seq in 0..1_000 {
+            assert_eq!(store.record(seq).unpack(), gen.next_inst(), "seq {seq}");
+        }
+        assert_eq!(store.prefix.len(), buffers, "buffers freed or added");
+        assert_eq!(store.prefix[0].insts.as_ptr(), first, "buffer reallocated");
     }
 
     #[test]
