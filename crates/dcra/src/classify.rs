@@ -59,7 +59,7 @@ pub struct ActivityTracker {
 impl ActivityTracker {
     /// The paper's initial/reset counter value (Section 3.4, chosen from a
     /// 64–8192 sweep).
-    pub const DEFAULT_INIT: u32 = smt_isa::knobs::DCRA_ACTIVITY_WINDOW;
+    pub const DEFAULT_INIT: u32 = 256;
 
     /// Creates a tracker for `threads` contexts with the given reset value.
     /// All threads start *active* for every resource.

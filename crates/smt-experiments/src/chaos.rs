@@ -141,7 +141,6 @@ impl FaultPlan {
                     )]
                     Some(FaultKind::UnknownBenchmark) => {
                         s.benches[0] = "__chaos_unknown__".to_string();
-                        s.profile_overrides = None;
                     }
                     Some(FaultKind::Livelock) => {
                         // A fresh machine cannot commit by cycle 1, so a

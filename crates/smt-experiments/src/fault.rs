@@ -21,15 +21,13 @@ use smt_sim::watch::BudgetBreach;
 /// carry, deduplicate and assert on failures.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunError {
-    /// A benchmark name resolved to no registry profile (and the spec
-    /// carried no profile overrides).
+    /// A benchmark name resolved to no registry profile.
     UnknownBenchmark {
         /// The unresolvable benchmark name.
         bench: String,
     },
     /// The spec's machine configuration failed
-    /// [`SimConfig::validate`](smt_sim::SimConfig::validate), or its
-    /// profile overrides did not cover every thread.
+    /// [`SimConfig::validate`](smt_sim::SimConfig::validate).
     InvalidSpec {
         /// The validation message.
         message: String,

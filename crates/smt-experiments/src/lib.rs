@@ -40,7 +40,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod partitioning;
 pub mod runner;
-pub mod scenarios;
 pub mod sweep;
 pub mod table1;
 pub mod table3;

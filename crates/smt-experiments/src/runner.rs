@@ -18,7 +18,7 @@ use smt_policies as pol;
 use smt_sim::policy::AnyPolicy;
 use smt_sim::watch::CommitWatchdog;
 use smt_sim::{RunBudget, SimConfig, SimResult, Simulator};
-use smt_workloads::{spec, BenchmarkProfile, ScenarioMix, Workload};
+use smt_workloads::{spec, BenchmarkProfile, Workload};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -134,12 +134,6 @@ pub struct RunSpec {
     pub warmup_cycles: u64,
     /// Measured cycles.
     pub measure_cycles: u64,
-    /// Explicit per-thread profiles, overriding the registry lookup of
-    /// `benches`. Set by [`RunSpec::for_mix`] so generated scenario mixes
-    /// — whose jittered/synthesized profiles exist nowhere in
-    /// [`smt_workloads::spec`] — run through the same machinery; `benches`
-    /// then only carries the display names.
-    pub profile_overrides: Option<Vec<BenchmarkProfile>>,
     /// Per-run budget: a cycle cap and a livelock window, both enforced
     /// by a [`CommitWatchdog`] over warm-up and measurement.
     /// [`RunSpec::new`] sets [`RunBudget::default`].
@@ -163,7 +157,6 @@ impl RunSpec {
             prewarm_insts: 400_000,
             warmup_cycles: 30_000,
             measure_cycles: 250_000,
-            profile_overrides: None,
             budget: RunBudget::default(),
             fault: None,
         }
@@ -175,17 +168,6 @@ impl RunSpec {
         RunSpec::new(&names, policy)
     }
 
-    /// Builds a spec for a generated [`ScenarioMix`]: the mix's profiles
-    /// become the run's threads (bypassing the benchmark registry) and the
-    /// mix's derived seed replaces the default.
-    pub fn for_mix(mix: &ScenarioMix, policy: PolicyKind) -> Self {
-        let names: Vec<&str> = mix.benchmark_names();
-        let mut spec = RunSpec::new(&names, policy);
-        spec.seed = mix.seed;
-        spec.profile_overrides = Some(mix.profiles.clone());
-        spec
-    }
-
     /// Replaces the machine configuration (keeps `threads` consistent).
     pub fn with_config(mut self, mut config: SimConfig) -> Self {
         config.threads = self.benches.len();
@@ -194,27 +176,12 @@ impl RunSpec {
     }
 
     fn profiles(&self) -> Result<Vec<&BenchmarkProfile>, RunError> {
-        match &self.profile_overrides {
-            Some(overrides) => {
-                if overrides.len() != self.benches.len() {
-                    return Err(RunError::InvalidSpec {
-                        message: format!(
-                            "profile overrides cover {} threads, spec has {}",
-                            overrides.len(),
-                            self.benches.len()
-                        ),
-                    });
-                }
-                Ok(overrides.iter().collect())
-            }
-            None => self
-                .benches
-                .iter()
-                .map(|b| {
-                    spec::profile(b).ok_or_else(|| RunError::UnknownBenchmark { bench: b.clone() })
-                })
-                .collect(),
-        }
+        self.benches
+            .iter()
+            .map(|b| {
+                spec::profile(b).ok_or_else(|| RunError::UnknownBenchmark { bench: b.clone() })
+            })
+            .collect()
     }
 }
 
@@ -363,7 +330,7 @@ impl SimSession {
             )),
         };
         match memo {
-            Some(memo) => memo.prewarm(sim, &profiles, spec),
+            Some(memo) => memo.prewarm(sim, spec),
             None => sim.prewarm(spec.prewarm_insts),
         }
         // One watchdog spans warm-up and measurement, so the cycle cap
@@ -395,26 +362,25 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Everything [`Simulator::prewarm`] reads: each thread's profile
-/// (compared by value, so generated and overridden profiles are safe),
-/// the run seed, the memory configuration and the prewarm length. The
-/// policy and the core's sizes are not part of it: a policy sweep, or a
-/// register sweep over one workload, shares one entry.
+/// Everything [`Simulator::prewarm`] reads: each thread's benchmark
+/// (which names one registry profile), the run seed, the memory
+/// configuration and the prewarm length. The policy and the core's sizes
+/// are not part of it: a policy sweep, or a register sweep over one
+/// workload, shares one entry.
 #[derive(Debug)]
 struct PrewarmKey {
     seed: u64,
     insts: u64,
     mem: MemoryConfig,
-    profiles: Vec<BenchmarkProfile>,
+    benches: Vec<String>,
 }
 
 impl PrewarmKey {
-    fn matches(&self, spec: &RunSpec, profiles: &[&BenchmarkProfile]) -> bool {
+    fn matches(&self, spec: &RunSpec) -> bool {
         self.seed == spec.seed
             && self.insts == spec.prewarm_insts
             && self.mem == spec.config.mem
-            && self.profiles.len() == profiles.len()
-            && self.profiles.iter().zip(profiles).all(|(a, b)| a == *b)
+            && self.benches == spec.benches
     }
 }
 
@@ -435,11 +401,11 @@ impl PrewarmMemo {
     /// `sim.prewarm(spec.prewarm_insts)` would: restored from the memo on
     /// a hit, prewarmed and captured on a miss. Two workers that miss the
     /// same key at once both prewarm; the first insert wins.
-    fn prewarm(&self, sim: &mut Simulator, profiles: &[&BenchmarkProfile], spec: &RunSpec) {
+    fn prewarm(&self, sim: &mut Simulator, spec: &RunSpec) {
         let found = self
             .lock()
             .iter()
-            .find(|(k, _)| k.matches(spec, profiles))
+            .find(|(k, _)| k.matches(spec))
             .map(|(_, warm)| Arc::clone(warm));
         if let Some(warm) = found {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -450,12 +416,12 @@ impl PrewarmMemo {
         sim.prewarm(spec.prewarm_insts);
         let warm = Arc::new(sim.warm_state());
         let mut entries = self.lock();
-        if !entries.iter().any(|(k, _)| k.matches(spec, profiles)) {
+        if !entries.iter().any(|(k, _)| k.matches(spec)) {
             let key = PrewarmKey {
                 seed: spec.seed,
                 insts: spec.prewarm_insts,
                 mem: spec.config.mem.clone(),
-                profiles: profiles.iter().map(|&p| p.clone()).collect(),
+                benches: spec.benches.clone(),
             };
             entries.push((key, warm));
         }

@@ -225,77 +225,6 @@ fn simulation_output_matches_pre_rewrite_goldens() {
     );
 }
 
-/// Scenario smoke: the adversarial family must flow through the same golden determinism machinery — two
-/// generations of the family swept back to back through a shared session
-/// pool give identical results, and a regeneration from the same seed is
-/// indistinguishable from the first.
-#[test]
-fn scenario_adversarial_family_is_deterministic_through_the_runner() {
-    use smt_experiments::scenarios::{policy_for_target, sweep_family, ScenarioLengths};
-    use smt_workloads::{FamilySpec, PolicyTarget, ScenarioFamily};
-    let runner = Runner::new();
-    let lengths = ScenarioLengths {
-        prewarm_insts: 40_000,
-        warmup_cycles: 3_000,
-        measure_cycles: 20_000,
-    };
-    for target in [PolicyTarget::Flush, PolicyTarget::Dcra] {
-        let spec = FamilySpec::adversarial(target, 3);
-        let policy = policy_for_target(target);
-        let a = sweep_family(
-            &runner,
-            &ScenarioFamily::generate(&spec, SEED).unwrap(),
-            &policy,
-            lengths,
-        );
-        let b = sweep_family(
-            &runner,
-            &ScenarioFamily::generate(&spec, SEED).unwrap(),
-            &policy,
-            lengths,
-        );
-        assert_eq!(
-            a, b,
-            "{}: adversarial sweep must be reproducible",
-            spec.name
-        );
-        assert!(a.all_finite(), "{}: non-finite metric", spec.name);
-    }
-}
-
-/// Scenario smoke: generated (non-registry) profiles must take the exact
-/// same session-reuse path as built-in benchmarks — a `RunSpec::for_mix`
-/// run through a reused `SimSession` equals a fresh-`Simulator` run.
-#[test]
-fn scenario_mix_session_reuse_matches_fresh_simulator() {
-    use smt_workloads::{FamilySpec, PolicyTarget, ScenarioFamily};
-    let family =
-        ScenarioFamily::generate(&FamilySpec::adversarial(PolicyTarget::Icount, 2), SEED).unwrap();
-    let mut session = SimSession::new();
-    for mix in family.mixes() {
-        let mut spec = RunSpec::for_mix(mix, PolicyKind::Icount);
-        spec.prewarm_insts = 30_000;
-        spec.warmup_cycles = 2_000;
-        spec.measure_cycles = 15_000;
-        let profiles: Vec<_> = mix.profiles.iter().collect();
-        let mut sim = Simulator::new(
-            spec.config.clone(),
-            &profiles,
-            spec.policy.build(),
-            spec.seed,
-        );
-        sim.prewarm(spec.prewarm_insts);
-        sim.run_cycles(spec.warmup_cycles);
-        sim.reset_stats();
-        sim.run_cycles(spec.measure_cycles);
-        let fresh = sim.result();
-        // First run primes the session; second proves reset-reuse clean.
-        session.run(&spec).expect("valid mix");
-        let reused = session.run(&spec).expect("valid mix");
-        assert_eq!(reused.result, fresh, "{}: session reuse drifted", mix.id);
-    }
-}
-
 /// The runner's prewarm memo: two policies swept on one `Runner`, the
 /// second sweep's every prewarm restored from the first's, must give the
 /// class rows that fresh serial sessions (which always prewarm) give,

@@ -21,7 +21,6 @@
 #![warn(missing_docs)]
 
 mod inst;
-pub mod knobs;
 mod packed;
 mod thread;
 

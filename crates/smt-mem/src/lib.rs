@@ -86,10 +86,9 @@ impl AccessOutcome {
 
 /// Baseline unified-L2 hit latency in cycles (Table 2).
 ///
-/// This is [`smt_isa::knobs::L2_DETECT_DELAY`], the cycle at which a policy
-/// *detects* an L2 miss, which the adversarial scenario generator also
-/// times its loads against.
-pub const DEFAULT_L2_LATENCY: u32 = smt_isa::knobs::L2_DETECT_DELAY;
+/// It is also the cycle after issue at which a policy *detects* an L2
+/// miss: the trigger threshold of STALL and FLUSH.
+pub const DEFAULT_L2_LATENCY: u32 = 20;
 
 /// Configuration of the full memory hierarchy.
 ///

@@ -46,7 +46,7 @@ impl FlushPlusPlus {
     /// considered high and FLUSH is preferred over STALL.
     pub const PRESSURE_THRESHOLD: usize = 2;
     /// Re-evaluation period in cycles.
-    pub const WINDOW: u64 = smt_isa::knobs::FLUSHPP_PRESSURE_WINDOW;
+    pub const WINDOW: u64 = 4096;
 
     /// Number of threads currently classified as memory-bounded (cached at
     /// the last window rollover).

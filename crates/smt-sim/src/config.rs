@@ -117,8 +117,7 @@ impl SimConfig {
     /// Cycles after issue at which a load that has missed the L2 is
     /// *detected* and reported to the policy — the L2 hit latency. Loads
     /// that resolve faster (L1 hits, L1-miss/L2-hit warm accesses) never
-    /// reach the STALL/FLUSH trigger; the adversarial scenario generator
-    /// in `smt-workloads` builds workloads around exactly this threshold.
+    /// reach the STALL/FLUSH trigger.
     pub fn l2_detect_delay(&self) -> u32 {
         self.mem.l2.latency
     }
@@ -297,8 +296,8 @@ mod tests {
         assert_eq!(c.phys_regs, 352);
         assert_eq!(c.mem.memory_latency, 300);
         assert_eq!(c.mem.l2.latency, 20);
-        // The STALL/FLUSH adversaries are timed against this knob.
-        assert_eq!(c.l2_detect_delay(), smt_isa::knobs::L2_DETECT_DELAY);
+        // STALL and FLUSH trigger at Table 2's L2 latency.
+        assert_eq!(c.l2_detect_delay(), 20);
         assert_eq!(c.bpred.gshare_entries, 16 * 1024);
         c.validate().unwrap();
     }

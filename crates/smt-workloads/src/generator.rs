@@ -274,9 +274,8 @@ fn lowest_at_most(k: u64, l: f64) -> u64 {
 
 /// The [`DepTable`] for `L = ln(1 - 1/dep_mean)`, built once per distinct
 /// `L` and shared: generators are rebuilt for every sweep run. The cache
-/// grows by one table (about 6 KiB) per distinct `dep_mean` — scenario
-/// families jitter it, so each family mix can add some — and is never
-/// evicted. Tables are built outside the lock and inserted only if still
+/// grows by one table (about 6 KiB) per distinct `dep_mean`, so it holds
+/// one per registry mean, and is never evicted. Tables are built outside the lock and inserted only if still
 /// absent. Every update is one `push` of a complete entry, so a poisoned
 /// lock still guards a valid list and is recovered, not propagated.
 fn dep_table(l: f64) -> Arc<DepTable> {
@@ -797,7 +796,6 @@ fn sample_geometric(rng: &mut SmallRng, mean: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::family::{FamilySpec, PolicyTarget, ScenarioFamily};
     use crate::spec;
     use std::collections::BTreeMap;
 
@@ -828,31 +826,27 @@ mod tests {
         }
     }
 
-    /// Every registry `dep_mean` and a dozen jittered scenario-family
-    /// ones: the integer sampler equals the `ln` expression for every draw
-    /// within 4096 of each bound `B_k`, where rounding could split them,
-    /// and for a million random draws.
+    /// Every registry `dep_mean` and a dozen off-grid ones: the integer
+    /// sampler equals the `ln` expression for every draw within 4096 of
+    /// each bound `B_k`, where rounding could split them, and for a
+    /// million random draws.
     #[test]
     fn integer_sampler_matches_ln_around_every_bound() {
+        const OFF_GRID: [f64; 12] = [
+            1.5371, 2.2914, 3.7306, 4.8632, 6.0737, 7.7392, 9.3275, 11.1366, 13.2812, 17.4309,
+            23.1917, 29.6803,
+        ];
         let mut means: Vec<f64> = spec::names()
             .iter()
             .map(|n| spec::profile(n).unwrap().dep_mean)
             .collect();
         let registry = means.len();
-        let family_specs = [
-            FamilySpec::expected(6),
-            FamilySpec::stress(6),
-            FamilySpec::adversarial(PolicyTarget::Dcra, 6),
-        ];
-        for spec in &family_specs {
-            let family = ScenarioFamily::generate(spec, 7).unwrap();
-            for p in family.mixes().iter().flat_map(|m| &m.profiles) {
-                if means.len() < registry + 12 && !means.contains(&p.dep_mean) {
-                    means.push(p.dep_mean);
-                }
-            }
-        }
-        assert_eq!(means.len(), registry + 12, "need a dozen jittered means");
+        let off_grid: Vec<f64> = OFF_GRID
+            .into_iter()
+            .filter(|m| !means.contains(m))
+            .collect();
+        means.extend(off_grid);
+        assert_eq!(means.len(), registry + 12, "need a dozen off-grid means");
         means.sort_by(f64::total_cmp);
         means.dedup();
         let mut rng = SmallRng::seed_from_u64(0xd15);

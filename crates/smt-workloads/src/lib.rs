@@ -45,19 +45,13 @@
 
 #![warn(missing_docs)]
 
-pub mod family;
 mod generator;
-pub mod manifest;
 mod profile;
 pub mod spec;
 mod store;
 mod workload;
 
-pub use family::{
-    generate_mix, FamilySpec, PolicyTarget, ScenarioFamily, ScenarioMix, ScenarioProfile,
-};
 pub use generator::TraceGenerator;
-pub use manifest::{FamilyManifest, MixManifest};
 pub use profile::{
     BenchmarkProfile, BenchmarkProfileBuilder, BranchBehavior, InstMix, MemBehavior, PhaseBehavior,
     ProfileError, Suite,

@@ -9,8 +9,7 @@
 
 use smt_isa::{BranchKind, DecodedInst, InstClass, RegClass};
 use smt_workloads::{
-    spec, BenchmarkProfile, FamilySpec, ScenarioFamily, ThreadTrace, TraceGenerator,
-    MAX_PREFIX_BLOCKS, TRACE_BLOCK,
+    spec, BenchmarkProfile, ThreadTrace, TraceGenerator, MAX_PREFIX_BLOCKS, TRACE_BLOCK,
 };
 
 /// Instructions digested per (profile, seed, slot).
@@ -79,21 +78,37 @@ impl Fnv {
     }
 }
 
-/// Every registry profile plus two scenario-family profiles whose
-/// `dep_mean` is jittered off the registry grid (each gets its own
-/// dependence table).
+/// Every registry profile plus two registry clones moved off the grid:
+/// their dependence mean, memory mix, branch bias and phase lengths are
+/// jittered, so each gets a dependence table of its own.
 fn profiles() -> Vec<(String, BenchmarkProfile)> {
+    let registry = |name: &str| spec::profile(name).expect("registry").clone();
     let mut out: Vec<_> = spec::names()
         .iter()
-        .map(|&n| (n.to_string(), spec::profile(n).expect("registry").clone()))
+        .map(|&n| (n.to_string(), registry(n)))
         .collect();
-    let family = ScenarioFamily::generate(&FamilySpec::expected(2), 42).expect("valid spec");
-    for (i, mix) in family.mixes().iter().enumerate() {
-        let p = mix.profiles[0].clone();
-        let base = spec::profile(&p.name).expect("jittered registry profile");
-        assert_ne!(p.dep_mean, base.dep_mean, "family profile not jittered");
-        out.push((format!("family{i}-{}", p.name), p));
-    }
+
+    let mut p = registry("wupwise");
+    p.dep_mean = 13.281193905405837;
+    p.mem.warm_frac = 0.07121015916903782;
+    p.mem.cold_frac = 0.0005781668916497232;
+    p.mem.pointer_chase = 0.048740747195047715;
+    p.mem.streaming = 0.8354531774751128;
+    p.branches.biased_frac = 0.9503692292520094;
+    p.phases.compute_len = 2764.1179774429456;
+    p.phases.mem_len = 444.1427781687379;
+    out.push(("jitter0-wupwise".to_string(), p));
+
+    let mut p = registry("gzip");
+    p.dep_mean = 9.231607399197543;
+    p.mem.warm_frac = 0.07162935791568292;
+    p.mem.cold_frac = 0.0001444306976272551;
+    p.mem.pointer_chase = 0.10698814709388527;
+    p.mem.streaming = 0.5821698100576458;
+    p.branches.biased_frac = 0.9523533386177425;
+    p.phases.compute_len = 4782.048570199303;
+    p.phases.mem_len = 179.65442006077095;
+    out.push(("jitter1-gzip".to_string(), p));
     out
 }
 
@@ -136,8 +151,8 @@ const NEXT_INST: [(&str, u64); 22] = [
     ("wupwise", 0x7031bd98924e5766),
     ("mesa", 0x720d4534195ea710),
     ("fma3d", 0xfadf639764be5b07),
-    ("family0-wupwise", 0x87b03397fcc25763),
-    ("family1-gzip", 0x6138a686ef72f943),
+    ("jitter0-wupwise", 0x87b03397fcc25763),
+    ("jitter1-gzip", 0x6138a686ef72f943),
 ];
 
 /// `next_access` digests, one per profile over its three `KEYS`.
@@ -162,8 +177,8 @@ const NEXT_ACCESS: [(&str, u64); 22] = [
     ("wupwise", 0x1416e0ef2af057ba),
     ("mesa", 0xb458008f4ddcf7f8),
     ("fma3d", 0xccd2600aa1c24590),
-    ("family0-wupwise", 0x9e853cc36399b644),
-    ("family1-gzip", 0x2188e83e37b8c244),
+    ("jitter0-wupwise", 0x9e853cc36399b644),
+    ("jitter1-gzip", 0x2188e83e37b8c244),
 ];
 
 #[test]

@@ -240,55 +240,3 @@ fn all_table4_workloads_are_runnable() {
         assert!(out.result.total_committed() > 0, "{w} did not progress");
     }
 }
-
-#[test]
-fn family_manifests_are_invariant_to_worker_count() {
-    // The scenario generator runs under the same parallel work queue as
-    // run_all; per-mix seeds derive from (family seed, tag, index) alone,
-    // so the emitted manifest must be byte-identical for any worker count.
-    use dcra_smt::workloads::{FamilyManifest, FamilySpec, PolicyTarget};
-    for spec in [
-        FamilySpec::expected(12),
-        FamilySpec::stress(12),
-        FamilySpec::adversarial(PolicyTarget::Stall, 12),
-    ] {
-        let reference = FamilyManifest::generate(&spec, 99).unwrap().to_json();
-        for workers in [1usize, 2, 3, 8] {
-            let json = FamilyManifest::generate_with_workers(&spec, 99, workers)
-                .unwrap()
-                .to_json();
-            assert_eq!(
-                json, reference,
-                "{}: manifest differs with {workers} workers",
-                spec.name
-            );
-        }
-    }
-}
-
-#[test]
-fn family_sweeps_are_invariant_to_worker_count() {
-    // Same property one level up: sweeping a family through the runner's
-    // work queue must give identical outcomes for any worker count.
-    use dcra_smt::experiments::scenarios::{specs_for_family, ScenarioLengths};
-    use dcra_smt::workloads::{FamilySpec, ScenarioFamily};
-    let runner = Runner::new();
-    let family = ScenarioFamily::generate(&FamilySpec::expected(4), 21).unwrap();
-    let specs = specs_for_family(&family, &PolicyKind::Icount, ScenarioLengths::smoke());
-    let reference: Vec<_> = runner
-        .run_all_with_workers(&specs, 1)
-        .into_iter()
-        .map(|o| o.into_stats().expect("scenario mixes run clean").result)
-        .collect();
-    for workers in [2usize, 4] {
-        let outcomes: Vec<_> = runner
-            .run_all_with_workers(&specs, workers)
-            .into_iter()
-            .map(|o| o.into_stats().expect("scenario mixes run clean").result)
-            .collect();
-        assert_eq!(
-            outcomes, reference,
-            "outcomes differ with {workers} workers"
-        );
-    }
-}
