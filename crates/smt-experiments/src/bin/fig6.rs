@@ -1,5 +1,6 @@
 //! Regenerates paper Figure 6 (register-file size sensitivity).
 
+use smt_experiments::sweep::sensitivity_report;
 use smt_experiments::{fig6, Runner};
 fn main() {
     let runner = Runner::new();
@@ -8,5 +9,5 @@ fn main() {
         std::process::exit(1);
     });
     println!("Figure 6 — Hmean improvement of DCRA vs register pool size\n");
-    println!("{}", fig6::report(&result));
+    println!("{}", sensitivity_report("regs", &result));
 }

@@ -1,5 +1,6 @@
 //! Regenerates paper Figure 7 (memory latency sensitivity).
 
+use smt_experiments::sweep::sensitivity_report;
 use smt_experiments::{fig7, Runner};
 fn main() {
     let runner = Runner::new();
@@ -8,5 +9,5 @@ fn main() {
         std::process::exit(1);
     });
     println!("Figure 7 — Hmean improvement of DCRA vs memory latency\n");
-    println!("{}", fig7::report(&result));
+    println!("{}", sensitivity_report("latency", &result));
 }

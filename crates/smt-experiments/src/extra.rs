@@ -4,7 +4,7 @@
 
 use crate::fault::RunError;
 use crate::runner::{PolicyKind, Runner};
-use crate::sweep::{sweep_lengths, sweep_policy, PolicySweep};
+use crate::sweep::{sweep_lengths, sweep_policies, PolicySweep, TABLE4_THREADS};
 use crate::tables::{f2, pct, TextTable};
 use smt_metrics::improvement_pct;
 use smt_sim::SimConfig;
@@ -31,20 +31,13 @@ impl ExtraResult {
 
     /// MLP increase of DCRA over FLUSH++ per workload type, in percent
     /// (paper: ILP +22%, MIX +32%, MEM +0.5%; avg +18%).
+    /// A type no surviving class covers compares as 0%, never NaN.
     pub fn mlp_increase_by_type(&self) -> Vec<(WorkloadType, f64)> {
         WorkloadType::ALL
             .iter()
             .map(|&kind| {
-                let avg = |s: &PolicySweep| {
-                    let vals: Vec<f64> = s
-                        .classes
-                        .iter()
-                        .filter(|(_, k, _)| *k == kind)
-                        .map(|(_, _, m)| m.mlp)
-                        .collect();
-                    vals.iter().sum::<f64>() / vals.len() as f64
-                };
-                (kind, improvement_pct(avg(&self.dcra), avg(&self.flushpp)))
+                let mlp = |s: &PolicySweep| s.type_average(kind).mlp;
+                (kind, improvement_pct(mlp(&self.dcra), mlp(&self.flushpp)))
             })
             .collect()
     }
@@ -52,17 +45,14 @@ impl ExtraResult {
 
 /// Runs FLUSH++ and DCRA over the full workload set.
 pub fn run(runner: &Runner) -> Result<ExtraResult, RunError> {
-    let config = SimConfig::baseline(2);
-    let lengths = sweep_lengths();
-    Ok(ExtraResult {
-        flushpp: sweep_policy(runner, &PolicyKind::FlushPlusPlus, &config, &lengths)?,
-        dcra: sweep_policy(
-            runner,
-            &PolicyKind::dcra_for_latency(300),
-            &config,
-            &lengths,
-        )?,
-    })
+    let [flushpp, dcra] = sweep_policies(
+        runner,
+        &[PolicyKind::FlushPlusPlus, PolicyKind::dcra_for_latency(300)],
+        &SimConfig::baseline(2),
+        &sweep_lengths(),
+        &TABLE4_THREADS,
+    )?;
+    Ok(ExtraResult { flushpp, dcra })
 }
 
 /// Formats both in-text measurements.
@@ -75,21 +65,49 @@ pub fn report(result: &ExtraResult) -> TextTable {
         pct(result.extra_frontend_pct()),
     ]);
     for (kind, imp) in result.mlp_increase_by_type() {
-        let avg_mlp = |s: &PolicySweep| {
-            let vals: Vec<f64> = s
-                .classes
-                .iter()
-                .filter(|(_, k, _)| *k == kind)
-                .map(|(_, _, m)| m.mlp)
-                .collect();
-            vals.iter().sum::<f64>() / vals.len() as f64
-        };
         t.row_owned(vec![
             format!("MLP ({kind})"),
-            f2(avg_mlp(&result.flushpp)),
-            f2(avg_mlp(&result.dcra)),
+            f2(result.flushpp.type_average(kind).mlp),
+            f2(result.dcra.type_average(kind).mlp),
             pct(imp),
         ]);
     }
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sweep::ClassMetrics;
+
+    fn partial(policy: &str, mlp: f64) -> PolicySweep {
+        // Only the MEM classes survived: ILP and MIX have no class left.
+        let m = ClassMetrics {
+            throughput: 1.0,
+            hmean: 0.5,
+            fetch_per_commit: 1.2,
+            mlp,
+        };
+        PolicySweep {
+            policy: policy.into(),
+            classes: vec![(2, WorkloadType::Mem, m), (4, WorkloadType::Mem, m)],
+            failures: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn a_type_with_no_surviving_class_is_zero_not_nan() {
+        let result = ExtraResult {
+            flushpp: partial("FLUSH++", 2.0),
+            dcra: partial("DCRA", 3.0),
+        };
+        for (kind, imp) in result.mlp_increase_by_type() {
+            let want = if kind == WorkloadType::Mem { 50.0 } else { 0.0 };
+            assert!((imp - want).abs() < 1e-9, "{kind}: {imp}");
+        }
+        assert_eq!(result.dcra.type_average(WorkloadType::Ilp).mlp, 0.0);
+        assert_eq!(result.dcra.type_average(WorkloadType::Mem).mlp, 3.0);
+        let table = report(&result).to_string();
+        assert!(!table.contains("NaN"), "{table}");
+    }
 }

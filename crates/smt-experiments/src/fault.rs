@@ -27,7 +27,8 @@ pub enum RunError {
         bench: String,
     },
     /// The spec's machine configuration failed
-    /// [`SimConfig::validate`](smt_sim::SimConfig::validate).
+    /// [`SimConfig::validate`](smt_sim::SimConfig::validate), or its
+    /// thread count differs from its number of benchmarks.
     InvalidSpec {
         /// The validation message.
         message: String,

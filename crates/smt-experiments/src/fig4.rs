@@ -3,7 +3,7 @@
 
 use crate::fault::RunError;
 use crate::runner::{PolicyKind, Runner};
-use crate::sweep::{sweep_lengths, sweep_policy, PolicySweep};
+use crate::sweep::{sweep_lengths, sweep_policies, PolicySweep, TABLE4_THREADS};
 use crate::tables::{pct, TextTable};
 use smt_metrics::improvement_pct;
 use smt_sim::SimConfig;
@@ -37,8 +37,12 @@ impl Fig4Result {
     }
 
     /// Average `(throughput %, hmean %)` improvement (paper: ~7%, ~8%).
+    /// An empty DCRA sweep averages to zeros, never to NaN.
     pub fn average_improvement(&self) -> (f64, f64) {
         let rows = self.improvements();
+        if rows.is_empty() {
+            return (0.0, 0.0);
+        }
         let n = rows.len() as f64;
         (
             rows.iter().map(|r| r.2).sum::<f64>() / n,
@@ -49,15 +53,13 @@ impl Fig4Result {
 
 /// Runs DCRA and SRA over the full Table-4 workload set.
 pub fn run(runner: &Runner) -> Result<Fig4Result, RunError> {
-    let config = SimConfig::baseline(2);
-    let lengths = sweep_lengths();
-    let dcra = sweep_policy(
+    let [dcra, sra] = sweep_policies(
         runner,
-        &PolicyKind::dcra_for_latency(300),
-        &config,
-        &lengths,
+        &[PolicyKind::dcra_for_latency(300), PolicyKind::Sra],
+        &SimConfig::baseline(2),
+        &sweep_lengths(),
+        &TABLE4_THREADS,
     )?;
-    let sra = sweep_policy(runner, &PolicyKind::Sra, &config, &lengths)?;
     Ok(Fig4Result { dcra, sra })
 }
 
@@ -84,4 +86,59 @@ pub fn report(result: &Fig4Result) -> TextTable {
         pct(ah),
     ]);
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sweep::ClassMetrics;
+
+    fn sweep(policy: &str, classes: Vec<(usize, WorkloadType, ClassMetrics)>) -> PolicySweep {
+        PolicySweep {
+            policy: policy.into(),
+            classes,
+            failures: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn an_empty_dcra_sweep_averages_to_zero_not_nan() {
+        let m = ClassMetrics {
+            throughput: 2.0,
+            hmean: 0.8,
+            fetch_per_commit: 1.1,
+            mlp: 1.5,
+        };
+        let result = Fig4Result {
+            dcra: sweep("DCRA", Vec::new()),
+            sra: sweep("SRA", vec![(2, WorkloadType::Mem, m)]),
+        };
+        assert!(result.improvements().is_empty());
+        assert_eq!(result.average_improvement(), (0.0, 0.0));
+        let table = report(&result).to_string();
+        assert!(!table.contains("NaN"), "{table}");
+    }
+
+    #[test]
+    fn a_partial_dcra_sweep_averages_its_covered_classes() {
+        let at = |throughput: f64, hmean: f64| ClassMetrics {
+            throughput,
+            hmean,
+            fetch_per_commit: 1.0,
+            mlp: 1.0,
+        };
+        let result = Fig4Result {
+            dcra: sweep("DCRA", vec![(2, WorkloadType::Mem, at(1.1, 0.6))]),
+            sra: sweep(
+                "SRA",
+                vec![
+                    (2, WorkloadType::Mem, at(1.0, 0.5)),
+                    (4, WorkloadType::Ilp, at(3.0, 0.9)),
+                ],
+            ),
+        };
+        let (tput, hm) = result.average_improvement();
+        assert!((tput - 10.0).abs() < 1e-9, "{tput}");
+        assert!((hm - 20.0).abs() < 1e-9, "{hm}");
+    }
 }

@@ -4,7 +4,7 @@
 
 use crate::fault::RunError;
 use crate::runner::{PolicyKind, Runner};
-use crate::sweep::{sweep_lengths, sweep_policy, PolicySweep};
+use crate::sweep::{sweep_lengths, sweep_policies, PolicySweep, TABLE4_THREADS};
 use crate::tables::{f2, pct, TextTable};
 use smt_metrics::improvement_pct;
 use smt_sim::SimConfig;
@@ -46,18 +46,23 @@ impl Fig5Result {
 
 /// Runs the four policies over the full Table-4 workload set.
 pub fn run(runner: &Runner) -> Result<Fig5Result, RunError> {
-    let config = SimConfig::baseline(2);
-    let lengths = sweep_lengths();
+    let [icount, dg, flushpp, dcra] = sweep_policies(
+        runner,
+        &[
+            PolicyKind::Icount,
+            PolicyKind::DataGating,
+            PolicyKind::FlushPlusPlus,
+            PolicyKind::dcra_for_latency(300),
+        ],
+        &SimConfig::baseline(2),
+        &sweep_lengths(),
+        &TABLE4_THREADS,
+    )?;
     Ok(Fig5Result {
-        icount: sweep_policy(runner, &PolicyKind::Icount, &config, &lengths)?,
-        dg: sweep_policy(runner, &PolicyKind::DataGating, &config, &lengths)?,
-        flushpp: sweep_policy(runner, &PolicyKind::FlushPlusPlus, &config, &lengths)?,
-        dcra: sweep_policy(
-            runner,
-            &PolicyKind::dcra_for_latency(300),
-            &config,
-            &lengths,
-        )?,
+        icount,
+        dg,
+        flushpp,
+        dcra,
     })
 }
 

@@ -3,8 +3,12 @@
 //!
 //! Each paper artefact has a module with a `run(...)` entry point returning
 //! a structured result and a formatted text table; the `bin/` targets print
-//! them. The two studies ([`ablation`], [`partitioning`]) are lists of
-//! labelled policies that [`sweep::run_study`] runs.
+//! them. Every policy comparison is one policy grid in [`sweep`] — each
+//! policy on each workload, one engine call — reduced per workload class
+//! ([`sweep::sweep_policies`]: Figs. 4 and 5, §5.2), per machine point
+//! ([`fig6`], [`fig7`]) or per labelled policy
+//! ([`sweep::run_study`]: the two studies, [`ablation`] and
+//! [`partitioning`]).
 //!
 //! | Module | Paper artefact |
 //! |--------|----------------|

@@ -291,8 +291,9 @@ impl SimSession {
     /// Unknown benchmarks, invalid machine configurations
     /// ([`SimConfig::validate`] — a hard check that holds in release
     /// builds, so e.g. a >8-thread config from a deserialized sweep file
-    /// fails loudly here instead of corrupting issue ordering downstream)
-    /// and budget breaches come back as typed [`RunError`]s. Panics from
+    /// fails loudly here instead of corrupting issue ordering downstream),
+    /// a thread count that differs from the number of benchmarks, and
+    /// budget breaches come back as typed [`RunError`]s. Panics from
     /// policy or simulator code propagate — one-shot callers that need
     /// containment go through the [`Runner`] engine instead, which wraps
     /// each run in [`std::panic::catch_unwind`].
@@ -310,6 +311,11 @@ impl SimSession {
         spec.config
             .validate()
             .map_err(|e| RunError::InvalidSpec { message: e })?;
+        let (threads, benches) = (spec.config.threads, spec.benches.len());
+        if threads != benches {
+            let message = format!("{threads} threads for {benches} benchmarks");
+            return Err(RunError::InvalidSpec { message });
+        }
         let profiles = spec.profiles()?;
         let policy = match spec.fault {
             Some(InjectedFault::PanicAtCycle { at_cycle }) => {
@@ -819,6 +825,30 @@ mod tests {
             SimSession::new().run(&spec),
             Err(RunError::InvalidSpec { .. })
         ));
+    }
+
+    #[test]
+    fn thread_count_must_match_the_benchmark_list() {
+        // `config.threads` and `benches` are both public; a mismatch
+        // would otherwise pass `validate` and panic building the
+        // simulator.
+        let mut spec = tiny(&["gzip", "mcf"], PolicyKind::Icount);
+        spec.config.threads = 1;
+        match SimSession::new().run(&spec) {
+            Err(RunError::InvalidSpec { message }) => {
+                assert!(message.contains("1 threads"), "{message}");
+                assert!(message.contains("2 benchmarks"), "{message}");
+            }
+            other => panic!("expected InvalidSpec, got {other:?}"),
+        }
+        let outcomes = Runner::new().run_all_with_workers(&[spec], 1);
+        assert!(
+            matches!(
+                outcomes.as_slice(),
+                [RunOutcome::Failed(RunError::InvalidSpec { .. })]
+            ),
+            "through the engine: {outcomes:?}"
+        );
     }
 
     #[test]

@@ -1,30 +1,36 @@
-//! Shared machinery for the policy-comparison figures: run a policy over
-//! the paper's 36 workloads and aggregate by workload class (the 9
-//! ILP/MIX/MEM × 2/3/4 classes of Section 4). Also the single-table
-//! studies ([`crate::ablation`], [`crate::partitioning`]): a list of
-//! labelled policies, each averaged over [`study_workloads`].
+//! Shared machinery for the policy comparisons. Each one is a policy
+//! grid: every policy run on every workload, the baselines measured once
+//! and every run submitted to one engine call, then a reduction. The
+//! figures reduce per workload class (the 9 ILP/MIX/MEM × 2/3/4 classes of
+//! Section 4) through [`sweep_policies`]; the sensitivity figures (6 and
+//! 7) are one grid per machine point, reduced to DCRA's Hmean gain; the
+//! single-table studies ([`crate::ablation`], [`crate::partitioning`])
+//! average each labelled policy over [`study_workloads`] through
+//! [`run_study`].
 
 use crate::fault::RunError;
-use crate::runner::{default_workers, PolicyKind, RunOutcome, RunSpec, Runner};
-use crate::tables::{f3, TextTable};
-use smt_metrics::hmean;
+use crate::runner::{default_workers, PolicyKind, RunSpec, Runner};
+use crate::tables::{f3, pct, TextTable};
+use smt_metrics::{hmean, improvement_pct};
 use smt_sim::SimConfig;
 use smt_workloads::{table4_workloads, workloads_of, Workload, WorkloadType};
+use std::array::from_ref;
 use std::cmp::Reverse;
 
-/// Aggregated metrics of one policy on one workload class.
+/// Metrics of one policy on one workload, or their mean over a workload
+/// class.
 ///
 /// The all-zero `Default` doubles as the guarded "no data" value: empty
 /// classes and empty sweeps aggregate to zeros, never to NaN.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ClassMetrics {
-    /// Mean IPC throughput over the class's four groups.
+    /// IPC throughput (a class: the mean over its four groups).
     pub throughput: f64,
-    /// Mean Hmean over the four groups.
+    /// Hmean of the per-thread speedups.
     pub hmean: f64,
-    /// Mean fetched-per-committed ratio (front-end activity).
+    /// Fetched-per-committed ratio (front-end activity).
     pub fetch_per_commit: f64,
-    /// Mean workload MLP (average overlapping L2 misses).
+    /// Workload MLP (average overlapping L2 misses).
     pub mlp: f64,
 }
 
@@ -35,10 +41,11 @@ pub struct PolicySweep {
     pub policy: String,
     /// `(threads, type, metrics)` rows for the 9 classes.
     pub classes: Vec<(usize, WorkloadType, ClassMetrics)>,
-    /// Workloads whose run failed, as `(spec_index, error)` pairs in spec
-    /// order. Failed runs are *excluded* from the class averages above —
-    /// a partial result is explicitly partial, never silently averaged in
-    /// as zeros.
+    /// Workloads whose run failed, as `(workload_index, error)` pairs in
+    /// workload order; the index counts the swept Table-4 workloads, so
+    /// for a full sweep it is the Table-4 index. Failed runs are
+    /// *excluded* from the class averages above — a partial result is
+    /// explicitly partial, never silently averaged in as zeros.
     pub failures: Vec<(usize, RunError)>,
 }
 
@@ -64,28 +71,24 @@ impl PolicySweep {
     /// Unweighted average over the covered classes. An empty sweep
     /// averages to the all-zero metrics, never to NaN.
     pub fn average(&self) -> ClassMetrics {
-        if self.classes.is_empty() {
-            return ClassMetrics::default();
-        }
-        let n = self.classes.len() as f64;
-        ClassMetrics {
-            throughput: self
-                .classes
+        mean(self.classes.iter().map(|(_, _, m)| m)).unwrap_or_default()
+    }
+
+    /// Unweighted average over the covered classes of one workload type
+    /// (across thread counts); all zeros, never NaN, when none is covered.
+    pub fn type_average(&self, kind: WorkloadType) -> ClassMetrics {
+        mean(
+            self.classes
                 .iter()
-                .map(|(_, _, m)| m.throughput)
-                .sum::<f64>()
-                / n,
-            hmean: self.classes.iter().map(|(_, _, m)| m.hmean).sum::<f64>() / n,
-            fetch_per_commit: self
-                .classes
-                .iter()
-                .map(|(_, _, m)| m.fetch_per_commit)
-                .sum::<f64>()
-                / n,
-            mlp: self.classes.iter().map(|(_, _, m)| m.mlp).sum::<f64>() / n,
-        }
+                .filter(|(_, k, _)| *k == kind)
+                .map(|(_, _, m)| m),
+        )
+        .unwrap_or_default()
     }
 }
+
+/// Thread counts of Table 4's workloads: a full sweep covers all three.
+pub(crate) const TABLE4_THREADS: [usize; 3] = [2, 3, 4];
 
 /// Runs `policy` over every Table-4 workload on `config` and aggregates per
 /// class. `lengths` provides the prewarm/warmup/measure cycle counts.
@@ -100,120 +103,186 @@ pub fn sweep_policy(
     config: &SimConfig,
     lengths: &RunSpec,
 ) -> Result<PolicySweep, RunError> {
-    sweep_policy_threads(runner, policy, config, lengths, &[2, 3, 4])
+    sweep_policies(runner, from_ref(policy), config, lengths, &TABLE4_THREADS).map(|[s]| s)
 }
 
-/// Like [`sweep_policy`], restricted to the given thread counts. The
-/// sensitivity figures (6 and 7) use the 2-thread subset so the full
-/// register/latency sweeps stay tractable on one core; the class structure
-/// is unchanged.
-pub fn sweep_policy_threads(
+/// [`sweep_policy`] for several policies as one policy grid, over the
+/// Table-4 workloads with the given thread counts. The sweeps come back in
+/// `policies` order, each exactly as a separate [`sweep_policy`] call
+/// would give it.
+pub fn sweep_policies<const N: usize>(
     runner: &Runner,
-    policy: &PolicyKind,
+    policies: &[PolicyKind; N],
     config: &SimConfig,
     lengths: &RunSpec,
     thread_counts: &[usize],
-) -> Result<PolicySweep, RunError> {
+) -> Result<[PolicySweep; N], RunError> {
     let workloads: Vec<Workload> = table4_workloads()
         .into_iter()
         .filter(|w| thread_counts.contains(&w.threads()))
         .collect();
-    // The streaming sink below needs each workload's baselines for its
-    // Hmean, so they are measured first: one pooled batch of every
-    // uncached one, cached in the runner for later sweeps.
-    let singles = runner.baselines(&workloads, config, lengths)?;
+    let cells = run_grid(runner, policies, &workloads, config, lengths)?;
+    let mut sweeps = policies.each_ref().map(|policy| PolicySweep {
+        policy: policy.name().to_string(),
+        classes: Vec::new(),
+        failures: Vec::new(),
+    });
+    for (p, sweep) in sweeps.iter_mut().enumerate() {
+        let column: Vec<&Result<ClassMetrics, RunError>> =
+            cells.iter().skip(p).step_by(N).collect();
+        sweep.failures = column
+            .iter()
+            .enumerate()
+            .filter_map(|(i, cell)| cell.as_ref().err().map(|e| (i, e.clone())))
+            .collect();
+        sweep.classes = thread_counts
+            .iter()
+            .flat_map(|&t| WorkloadType::ALL.iter().map(move |&k| (t, k)))
+            .filter_map(|(threads, kind)| {
+                let group = workloads
+                    .iter()
+                    .zip(&column)
+                    .filter(|(w, _)| w.threads() == threads && w.kind == kind)
+                    .filter_map(|(_, cell)| cell.as_ref().ok());
+                // A class with no surviving workloads — partial sweeps, or
+                // every member failed — is omitted entirely: no all-zero
+                // placeholder silently dragging `average()` down.
+                // `try_class` reports the absence, `class()` renders it as
+                // an empty (zero) bin.
+                mean(group).map(|m| (threads, kind, m))
+            })
+            .collect();
+    }
+    Ok(sweeps)
+}
 
-    // Dispatch longest-first: more threads means a longer run, and a pool
-    // that takes the 4-thread mixes last (Table-4 order) ends every call
-    // with one long run and idle workers. `order[j]` is the Table-4 index
-    // of the `j`-th spec dispatched; outcomes land there, so the schedule
-    // changes no result.
+/// Every policy of a comparison on every workload, on `config` at
+/// `lengths`' prewarm, warm-up and measure lengths: each cell's metrics,
+/// or the error its run failed with. Cells are workload-major: cell
+/// `w * policies.len() + p` is `policies[p]` on `workloads[w]`. The call
+/// itself fails only when the single-thread baselines cannot be measured.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    reason = "order is a permutation of the cell indices, cells is pre-sized to them and singles to the workloads, and the pool yields exactly one outcome per spec; a hole is a bug worth aborting on"
+)]
+fn run_grid(
+    runner: &Runner,
+    policies: &[PolicyKind],
+    workloads: &[Workload],
+    config: &SimConfig,
+    lengths: &RunSpec,
+) -> Result<Vec<Result<ClassMetrics, RunError>>, RunError> {
+    // The sink below needs each workload's baselines for its Hmean, so
+    // they are measured first: one pooled batch of every uncached one,
+    // cached in the runner for later calls.
+    let singles = runner.baselines(workloads, config, lengths)?;
     let mut dispatch: Vec<(usize, RunSpec)> = workloads
         .iter()
-        .enumerate()
-        .map(|(i, w)| {
-            let mut s = RunSpec::for_workload(w, policy.clone()).with_config(config.clone());
-            s.prewarm_insts = lengths.prewarm_insts;
-            s.warmup_cycles = lengths.warmup_cycles;
-            s.measure_cycles = lengths.measure_cycles;
-            (i, s)
+        .flat_map(|w| {
+            policies.iter().map(|policy| {
+                let mut s = RunSpec::for_workload(w, policy.clone()).with_config(config.clone());
+                s.prewarm_insts = lengths.prewarm_insts;
+                s.warmup_cycles = lengths.warmup_cycles;
+                s.measure_cycles = lengths.measure_cycles;
+                s
+            })
         })
+        .enumerate()
         .collect();
+    // Dispatch longest-first, so the pool does not end on a few 4-thread
+    // runs. The sort is stable: within a thread count a workload's
+    // policies stay adjacent, so a worker's next run mostly restores the
+    // prewarm state just memoised. `order[j]` is the cell of the `j`-th
+    // spec dispatched; outcomes land there, so the order changes no
+    // result.
     dispatch.sort_by_key(|(_, s)| Reverse(s.benches.len()));
     let (order, specs): (Vec<usize>, Vec<RunSpec>) = dispatch.into_iter().unzip();
 
-    // Stream outcomes into per-spec scalar metrics: the heavy 36-run
-    // result vector is never materialised and metric extraction overlaps
-    // the remaining simulations, but the class reduction below still sums
-    // in fixed Table-4 order — f64 addition is not associative, and a
-    // completion-order sum would make identical sweeps differ in the last
-    // ulp across runs.
-    #[derive(Clone, Copy)]
-    struct SpecMetrics {
-        tput: f64,
-        hm: f64,
-        fpc: f64,
-        mlp: f64,
-    }
-    let mut per_spec: Vec<Option<SpecMetrics>> = vec![None; specs.len()];
-    let mut failures: Vec<(usize, RunError)> = Vec::new();
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "order is a permutation of 0..workloads.len(), and per_spec and singles are built from the same workload list; the pool's spec index j ranges over the same length"
-    )]
+    // Stream outcomes into per-cell scalars, overlapping the remaining
+    // runs. Reductions sum the cells in workload order, never completion
+    // order: f64 addition is not associative.
+    let mut cells: Vec<Option<Result<ClassMetrics, RunError>>> = vec![None; specs.len()];
     runner.run_isolated(&specs, default_workers(), |j, outcome| {
-        let i = order[j];
-        match outcome.into_stats() {
-            Ok(out) => {
-                per_spec[i] = Some(SpecMetrics {
-                    tput: out.throughput(),
-                    hm: hmean(&out.ipcs(), &singles[i]),
-                    fpc: out.result.total_fetched() as f64
-                        / out.result.total_committed().max(1) as f64,
-                    mlp: smt_metrics::workload_mlp(&out.result),
-                });
-            }
-            Err(error) => failures.push((i, error)),
-        }
+        let cell = order[j];
+        let singles = &singles[cell / policies.len()];
+        cells[cell] = Some(outcome.into_stats().map(|out| ClassMetrics {
+            throughput: out.throughput(),
+            hmean: hmean(&out.ipcs(), singles),
+            fetch_per_commit: out.result.total_fetched() as f64
+                / out.result.total_committed().max(1) as f64,
+            mlp: smt_metrics::workload_mlp(&out.result),
+        }));
     });
-    failures.sort_by_key(|(i, _)| *i);
+    Ok(cells
+        .into_iter()
+        .map(|cell| cell.expect("worker pool covered every spec"))
+        .collect())
+}
 
-    let classes = thread_counts
-        .iter()
-        .flat_map(|&t| WorkloadType::ALL.iter().map(move |&k| (t, k)))
-        .filter_map(|(threads, kind)| {
-            let group: Vec<&SpecMetrics> = workloads
-                .iter()
-                .zip(&per_spec)
-                .filter(|(w, _)| w.threads() == threads && w.kind == kind)
-                .filter_map(|(_, m)| m.as_ref())
-                .collect();
-            // A class with no surviving workloads — partial sweeps, or
-            // every member failed — is omitted entirely: no 0/0 = NaN
-            // row, and no all-zero placeholder silently dragging
-            // `average()` down. `try_class` reports the absence,
-            // `class()` renders it as an empty (zero) bin.
-            if group.is_empty() {
-                return None;
-            }
-            let n = group.len() as f64;
-            Some((
-                threads,
-                kind,
-                ClassMetrics {
-                    throughput: group.iter().map(|m| m.tput).sum::<f64>() / n,
-                    hmean: group.iter().map(|m| m.hm).sum::<f64>() / n,
-                    fetch_per_commit: group.iter().map(|m| m.fpc).sum::<f64>() / n,
-                    mlp: group.iter().map(|m| m.mlp).sum::<f64>() / n,
-                },
+/// Field-wise mean of `metrics`, summed in iteration order; `None` when
+/// there are none (so no 0/0 = NaN).
+fn mean<'a>(metrics: impl IntoIterator<Item = &'a ClassMetrics>) -> Option<ClassMetrics> {
+    let (mut sum, mut n) = (ClassMetrics::default(), 0.0);
+    for m in metrics {
+        sum.throughput += m.throughput;
+        sum.hmean += m.hmean;
+        sum.fetch_per_commit += m.fetch_per_commit;
+        sum.mlp += m.mlp;
+        n += 1.0;
+    }
+    (n > 0.0).then(|| ClassMetrics {
+        throughput: sum.throughput / n,
+        hmean: sum.hmean / n,
+        fetch_per_commit: sum.fetch_per_commit / n,
+        mlp: sum.mlp / n,
+    })
+}
+
+/// A sensitivity figure (6 or 7): for each machine point, the average
+/// Hmean improvement of DCRA over ICOUNT, FLUSH++, DG and SRA (the
+/// paper's column order) on the 2-thread workloads.
+#[derive(Debug, Clone)]
+pub struct SensitivityResult {
+    /// `(machine point, [improvement % over each baseline])`.
+    pub rows: Vec<(u32, [f64; 4])>,
+}
+
+/// Runs a sensitivity figure at [`sensitivity_lengths`]: one policy grid
+/// per `(point, config, dcra)` machine point, DCRA first and then the
+/// four baselines, over the 2-thread Table-4 workloads.
+pub(crate) fn run_sensitivity(
+    runner: &Runner,
+    points: impl IntoIterator<Item = (u32, SimConfig, PolicyKind)>,
+) -> Result<SensitivityResult, RunError> {
+    let lengths = sensitivity_lengths();
+    let rows = points
+        .into_iter()
+        .map(|(point, config, dcra)| {
+            use PolicyKind::{DataGating, FlushPlusPlus, Icount, Sra};
+            let policies = [dcra, Icount, FlushPlusPlus, DataGating, Sra];
+            let [dcra, baselines @ ..] =
+                sweep_policies(runner, &policies, &config, &lengths, &[2])?;
+            let hmean = dcra.average().hmean;
+            Ok((
+                point,
+                baselines.map(|b| improvement_pct(hmean, b.average().hmean)),
             ))
         })
-        .collect();
-    Ok(PolicySweep {
-        policy: policy.name().to_string(),
-        classes,
-        failures,
-    })
+        .collect::<Result<_, RunError>>()?;
+    Ok(SensitivityResult { rows })
+}
+
+/// Formats a sensitivity figure: one row per machine point, under
+/// `header`, and one column per baseline.
+pub fn sensitivity_report(header: &str, result: &SensitivityResult) -> TextTable {
+    let mut t = TextTable::new(&[header, "vs ICOUNT", "vs FLUSH++", "vs DG", "vs SRA"]);
+    for (point, imps) in &result.rows {
+        let mut row = vec![point.to_string()];
+        row.extend(imps.iter().map(|&imp| pct(imp)));
+        t.row_owned(row);
+    }
+    t
 }
 
 /// Hardware contexts of every [`study_workloads`] mix.
@@ -241,56 +310,33 @@ pub struct StudyRow {
 
 /// Runs every labelled policy over `workloads` on the baseline machine at
 /// `lengths`' prewarm, warm-up and measure lengths, and averages each
-/// variant's throughput and Hmean. The baselines are one pooled batch and
-/// the runs one pooled spec list; each row sums in workload order, so the
-/// rows do not depend on the worker count. The first failed run, in spec
-/// order, fails the study.
+/// variant's throughput and Hmean: one policy grid, each row summed in
+/// workload order, so the rows do not depend on the worker count. The
+/// first failed run, in (workload, variant) order, fails the study.
 pub fn run_study(
     runner: &Runner,
     workloads: &[Workload],
     variants: &[(String, PolicyKind)],
     lengths: &RunSpec,
 ) -> Result<Vec<StudyRow>, RunError> {
-    // Baselines run on a one-thread copy of the machine.
-    let singles = runner.baselines(workloads, &SimConfig::baseline(1), lengths)?;
-    // Workload-major, so a worker's consecutive runs mostly replay one
-    // workload's traces.
-    let specs: Vec<RunSpec> = workloads
-        .iter()
-        .flat_map(|w| {
-            variants.iter().map(|(_, policy)| {
-                let mut s = RunSpec::for_workload(w, policy.clone());
-                s.prewarm_insts = lengths.prewarm_insts;
-                s.warmup_cycles = lengths.warmup_cycles;
-                s.measure_cycles = lengths.measure_cycles;
-                s
-            })
-        })
-        .collect();
-    let runs = runner
-        .run_all_with_workers(&specs, default_workers())
+    let policies: Vec<PolicyKind> = variants.iter().map(|(_, p)| p.clone()).collect();
+    let config = SimConfig::baseline(STUDY_THREADS);
+    let cells = run_grid(runner, &policies, workloads, &config, lengths)?
         .into_iter()
-        .map(RunOutcome::into_stats)
         .collect::<Result<Vec<_>, _>>()?;
-    let n = workloads.len() as f64;
     Ok(variants
         .iter()
         .enumerate()
         .map(|(v, (label, _))| {
-            let (mut tput, mut hm) = (0.0, 0.0);
-            for (out, singles) in runs.iter().skip(v).step_by(variants.len()).zip(&singles) {
-                tput += out.throughput();
-                hm += hmean(&out.ipcs(), singles);
-            }
+            let m = mean(cells.iter().skip(v).step_by(variants.len())).unwrap_or_default();
             StudyRow {
                 label: label.clone(),
-                throughput: tput / n,
-                hmean: hm / n,
+                throughput: m.throughput,
+                hmean: m.hmean,
             }
         })
         .collect())
 }
-
 /// Formats a study's rows.
 pub fn study_report(rows: &[StudyRow]) -> TextTable {
     let mut t = TextTable::new(&["variant", "throughput", "hmean"]);
@@ -376,9 +422,9 @@ mod tests {
         lengths.prewarm_insts = 2_000;
         lengths.warmup_cycles = 200;
         lengths.measure_cycles = 1_000;
-        let sweep = sweep_policy_threads(
+        let [sweep] = sweep_policies(
             &runner,
-            &PolicyKind::Icount,
+            &[PolicyKind::Icount],
             &SimConfig::baseline(2),
             &lengths,
             &[2],
@@ -517,6 +563,48 @@ mod tests {
             assert_eq!(row.hmean.to_bits(), (hm / n).to_bits(), "{label}");
         }
         assert_eq!(rows.len(), variants.len());
+    }
+
+    #[test]
+    fn one_grid_matches_separate_sweeps_bit_for_bit() {
+        // One grid runs the three policies workload-major through one
+        // engine call; each sweep must equal a separate `sweep_policy`
+        // call on its own fresh runner, bit for bit, failures included.
+        let mut lengths = sweep_lengths();
+        lengths.prewarm_insts = 2_000;
+        lengths.warmup_cycles = 200;
+        lengths.measure_cycles = 1_000;
+        let config = SimConfig::baseline(2);
+        let policies = [
+            PolicyKind::Icount,
+            PolicyKind::from_name("DCRA").expect("canonical policy"),
+            PolicyKind::Flush,
+        ];
+        let grid = sweep_policies(
+            &Runner::new(),
+            &policies,
+            &config,
+            &lengths,
+            &TABLE4_THREADS,
+        )
+        .expect("baselines must measure");
+        let bits = |s: &PolicySweep| -> Vec<_> {
+            s.classes
+                .iter()
+                .map(|(t, k, m)| {
+                    let m = [m.throughput, m.hmean, m.fetch_per_commit, m.mlp];
+                    (*t, *k, m.map(f64::to_bits))
+                })
+                .collect()
+        };
+        for (policy, got) in policies.iter().zip(&grid) {
+            let alone = sweep_policy(&Runner::new(), policy, &config, &lengths)
+                .expect("baselines must measure");
+            assert_eq!(got.policy, alone.policy);
+            assert_eq!(got.classes.len(), 9, "{}", got.policy);
+            assert_eq!(bits(got), bits(&alone), "{}", got.policy);
+            assert_eq!(got.failures, alone.failures, "{}", got.policy);
+        }
     }
 
     #[test]

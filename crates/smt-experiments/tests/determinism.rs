@@ -231,7 +231,7 @@ fn simulation_output_matches_pre_rewrite_goldens() {
 /// bit for bit; and the memo's counters must show that it served them.
 #[test]
 fn memoised_prewarm_sweeps_match_fresh_serial_sessions() {
-    use smt_experiments::sweep::{sweep_lengths, sweep_policy_threads};
+    use smt_experiments::sweep::{sweep_lengths, sweep_policies};
     use smt_metrics::{hmean, workload_mlp};
     use smt_workloads::{table4_workloads, WorkloadType};
 
@@ -255,8 +255,14 @@ fn memoised_prewarm_sweeps_match_fresh_serial_sessions() {
     let serial = Runner::new();
     for (i, name) in ["ICOUNT", "DCRA"].iter().enumerate() {
         let policy = PolicyKind::from_name(name).expect("canonical policy");
-        let sweep = sweep_policy_threads(&runner, &policy, &config, &lengths, &[2])
-            .expect("baselines must measure");
+        let [sweep] = sweep_policies(
+            &runner,
+            std::array::from_ref(&policy),
+            &config,
+            &lengths,
+            &[2],
+        )
+        .expect("baselines must measure");
         assert!(sweep.failures.is_empty());
         let (hits, misses, bytes) = runner.prewarm_memo_stats();
         let workload_runs = workloads.len() as u64;
