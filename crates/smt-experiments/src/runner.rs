@@ -19,9 +19,9 @@ use smt_sim::policy::AnyPolicy;
 use smt_sim::watch::CommitWatchdog;
 use smt_sim::{RunBudget, SimConfig, SimResult, Simulator};
 use smt_workloads::{spec, BenchmarkProfile, Workload};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Which policy to run. A declarative, `Clone`able stand-in for a built
 /// policy so run specs can be sent across threads.
@@ -297,16 +297,22 @@ impl SimSession {
     /// policy or simulator code propagate — one-shot callers that need
     /// containment go through the [`Runner`] engine instead, which wraps
     /// each run in [`std::panic::catch_unwind`].
+    ///
+    /// The simulator's trace stores retain what the run generates, so a
+    /// later run of the same workload on this session replays it instead
+    /// of regenerating.
     pub fn run(&mut self, spec: &RunSpec) -> Result<RunStats, RunError> {
-        self.run_with(spec, None)
+        self.run_with(spec, None, true)
     }
 
     /// [`SimSession::run`], with the prewarm going through `memo` when
-    /// there is one.
+    /// there is one, and the traces streamed
+    /// ([`Simulator::stream_traces`]) unless `retain`.
     fn run_with(
         &mut self,
         spec: &RunSpec,
         memo: Option<&PrewarmMemo>,
+        retain: bool,
     ) -> Result<RunStats, RunError> {
         spec.config
             .validate()
@@ -335,6 +341,9 @@ impl SimSession {
                 spec.seed,
             )),
         };
+        if !retain {
+            sim.stream_traces();
+        }
         match memo {
             Some(memo) => memo.prewarm(sim, spec),
             None => sim.prewarm(spec.prewarm_insts),
@@ -390,6 +399,11 @@ impl PrewarmKey {
     }
 }
 
+/// One memo entry: the key's [`WarmState`] once its first prewarm has
+/// captured it. Published empty on the first miss, so a run that misses
+/// the same key meanwhile waits for that prewarm instead of repeating it.
+type WarmCell = Arc<OnceLock<WarmState>>;
+
 /// The runner's memo of post-prewarm memory states, one compact
 /// [`WarmState`] per distinct [`PrewarmKey`]. Exact: a restored run is
 /// bit-identical to one that prewarmed (see
@@ -397,7 +411,7 @@ impl PrewarmKey {
 /// It grows by one entry per key and is never evicted.
 #[derive(Debug, Default)]
 struct PrewarmMemo {
-    entries: Mutex<Vec<(PrewarmKey, Arc<WarmState>)>>,
+    entries: Mutex<Vec<(PrewarmKey, WarmCell)>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -405,46 +419,62 @@ struct PrewarmMemo {
 impl PrewarmMemo {
     /// Leaves `sim`, just built or reset onto `spec`, as
     /// `sim.prewarm(spec.prewarm_insts)` would: restored from the memo on
-    /// a hit, prewarmed and captured on a miss. Two workers that miss the
-    /// same key at once both prewarm; the first insert wins.
+    /// a hit, prewarmed and captured on a miss. Single-flight: a run that
+    /// finds its key's prewarm in flight on another worker waits for it
+    /// and restores, a hit. If that prewarm panics, its cell stays empty
+    /// and one waiter prewarms in its place.
     fn prewarm(&self, sim: &mut Simulator, spec: &RunSpec) {
-        let found = self
-            .lock()
-            .iter()
-            .find(|(k, _)| k.matches(spec))
-            .map(|(_, warm)| Arc::clone(warm));
-        if let Some(warm) = found {
+        let cell = self.entry(spec);
+        let mut missed = false;
+        let warm = cell.get_or_init(|| {
+            missed = true;
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            sim.prewarm(spec.prewarm_insts);
+            sim.warm_state()
+        });
+        if !missed {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            sim.restore_warm(&warm);
-            return;
+            sim.restore_warm(warm);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        sim.prewarm(spec.prewarm_insts);
-        let warm = Arc::new(sim.warm_state());
+    }
+
+    /// `spec`'s entry, published empty if it has none yet.
+    fn entry(&self, spec: &RunSpec) -> WarmCell {
         let mut entries = self.lock();
-        if !entries.iter().any(|(k, _)| k.matches(spec)) {
-            let key = PrewarmKey {
-                seed: spec.seed,
-                insts: spec.prewarm_insts,
-                mem: spec.config.mem.clone(),
-                benches: spec.benches.clone(),
-            };
-            entries.push((key, warm));
+        if let Some((_, cell)) = entries.iter().find(|(k, _)| k.matches(spec)) {
+            return Arc::clone(cell);
         }
+        let key = PrewarmKey {
+            seed: spec.seed,
+            insts: spec.prewarm_insts,
+            mem: spec.config.mem.clone(),
+            benches: spec.benches.clone(),
+        };
+        let cell = WarmCell::default();
+        entries.push((key, Arc::clone(&cell)));
+        cell
     }
 
     /// Every update is one `push` of a complete entry, so a poisoned lock
     /// still guards a valid list.
-    fn lock(&self) -> MutexGuard<'_, Vec<(PrewarmKey, Arc<WarmState>)>> {
+    fn lock(&self) -> MutexGuard<'_, Vec<(PrewarmKey, WarmCell)>> {
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 /// Runs `spec` once on `session` under the engine's fault domain: the run
 /// is wrapped in `catch_unwind`, and a caught panic discards the (possibly
-/// corrupt) simulator. The prewarm goes through `memo`.
-fn execute(session: &mut SimSession, spec: &RunSpec, memo: &PrewarmMemo) -> RunOutcome {
-    match catch_unwind(AssertUnwindSafe(|| session.run_with(spec, Some(memo)))) {
+/// corrupt) simulator. The prewarm goes through `memo`; the traces are
+/// retained only if `retain`.
+fn execute(
+    session: &mut SimSession,
+    spec: &RunSpec,
+    memo: &PrewarmMemo,
+    retain: bool,
+) -> RunOutcome {
+    match catch_unwind(AssertUnwindSafe(|| {
+        session.run_with(spec, Some(memo), retain)
+    })) {
         Ok(Ok(stats)) => RunOutcome::Completed(stats),
         Ok(Err(error)) => RunOutcome::Failed(error),
         Err(payload) => {
@@ -506,11 +536,12 @@ impl Runner {
         Runner::default()
     }
 
-    /// Runs one spec to completion in a one-shot session. Spec-level
-    /// failures come back as [`RunError`]; panics propagate (use
-    /// [`Runner::run_isolated`] for panic containment).
+    /// Runs one spec to completion in a one-shot session, which nothing
+    /// replays, so its traces stream. Spec-level failures come back as
+    /// [`RunError`]; panics propagate (use [`Runner::run_isolated`] for
+    /// panic containment).
     pub fn run(&self, spec: &RunSpec) -> Result<RunStats, RunError> {
-        SimSession::new().run(spec)
+        SimSession::new().run_with(spec, None, false)
     }
 
     /// The engine: runs each of `specs` once on a pool of `workers`
@@ -525,7 +556,12 @@ impl Runner {
     /// one per run — the dominant setup cost of the paper-scale sweeps.
     /// Every run's prewarm goes through the runner's prewarm memo, so a
     /// workload is prewarmed once per runner, whichever policy, worker or
-    /// call runs it (see [`Runner::prewarm_memo_stats`]).
+    /// call runs it (see [`Runner::prewarm_memo_stats`]). A run's trace
+    /// stores retain what it generates only if a later spec of `specs`
+    /// has the same benchmarks, seed and machine configuration, the key
+    /// a worker's next run replays retained blocks on; every other run
+    /// streams its traces through the stores' lookback rings
+    /// ([`Simulator::stream_traces`]).
     /// Completed outcomes are identical to sequential fresh-simulator runs
     /// for every `workers >= 1` (only completion order varies), so
     /// consumers that aggregate incrementally (the sweep and figure
@@ -552,10 +588,31 @@ impl Runner {
     where
         F: FnMut(usize, RunOutcome) + Send,
     {
+        self.run_pool(specs, workers, sink).0
+    }
+
+    /// [`Runner::run_isolated`], also returning the trace blocks each
+    /// worker session retains at the end of the call
+    /// ([`Simulator::retained_trace_blocks`]).
+    fn run_pool<F>(&self, specs: &[RunSpec], workers: usize, sink: F) -> (EngineReport, Vec<usize>)
+    where
+        F: FnMut(usize, RunOutcome) + Send,
+    {
         if specs.is_empty() {
-            return EngineReport::default();
+            return (EngineReport::default(), Vec::new());
         }
         assert!(workers > 0, "need at least one worker");
+        // Keep a run's traces only for a later run that can replay them.
+        let retain: Vec<bool> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                specs
+                    .iter()
+                    .skip(i + 1)
+                    .any(|later| same_traces(spec, later))
+            })
+            .collect();
         let sink = Mutex::new(sink);
         let sink_panics: Mutex<Vec<usize>> = Mutex::new(Vec::new());
         let completed = AtomicUsize::new(0);
@@ -582,8 +639,10 @@ impl Runner {
             let mut session = SimSession::new();
             loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = specs.get(i) else { break };
-                let outcome = execute(&mut session, spec, &self.prewarm_memo);
+                let (Some(spec), Some(&retain)) = (specs.get(i), retain.get(i)) else {
+                    break;
+                };
+                let outcome = execute(&mut session, spec, &self.prewarm_memo, retain);
                 let counter = if outcome.is_completed() {
                     &completed
                 } else {
@@ -592,26 +651,35 @@ impl Runner {
                 counter.fetch_add(1, Ordering::Relaxed);
                 deliver(i, outcome);
             }
+            session
+                .sim
+                .as_ref()
+                .map_or(0, Simulator::retained_trace_blocks)
         };
         // The calling thread is the last worker: it would otherwise sit
         // blocked in the join, and simulating on it keeps its heap warm
         // for the caller's own simulations after the call.
-        std::thread::scope(|scope| {
-            for _ in 1..workers.min(specs.len()) {
-                scope.spawn(work);
+        let retained = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..workers.min(specs.len()))
+                .map(|_| scope.spawn(work))
+                .collect();
+            let mut retained = vec![work()];
+            for handle in spawned {
+                retained.push(handle.join().unwrap_or_else(|p| resume_unwind(p)));
             }
-            work();
+            retained
         });
 
         let mut sink_panics = sink_panics
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
         sink_panics.sort_unstable();
-        EngineReport {
+        let report = EngineReport {
             completed: completed.into_inner(),
             failed: failed.into_inner(),
             sink_panics,
-        }
+        };
+        (report, retained)
     }
 
     /// Runs many specs on `workers` threads through
@@ -720,14 +788,18 @@ impl Runner {
 
     /// The prewarm memo's counters: `(hits, misses, bytes)`. Every engine
     /// run that reaches its prewarm counts once, as a hit (the memoised
-    /// state was restored) or a miss (it prewarmed and, unless another
-    /// worker beat it to the same key, inserted the state). `bytes` is the
-    /// sum of the memoised states' [`WarmState::bytes`]. The counts are
-    /// deterministic unless two runs with the same key are in flight at
-    /// once.
+    /// state was restored, after waiting for the key's prewarm if it was
+    /// in flight) or a miss (it prewarmed and captured the state). `bytes`
+    /// is the sum of the memoised states' [`WarmState::bytes`]. Misses
+    /// count the distinct keys run, whatever the worker count, unless a
+    /// prewarm panicked.
     pub fn prewarm_memo_stats(&self) -> (u64, u64, usize) {
         let memo = &self.prewarm_memo;
-        let bytes = memo.lock().iter().map(|(_, warm)| warm.bytes()).sum();
+        let bytes = memo
+            .lock()
+            .iter()
+            .map(|(_, warm)| warm.get().map_or(0, WarmState::bytes))
+            .sum();
         (
             memo.hits.load(Ordering::Relaxed),
             memo.misses.load(Ordering::Relaxed),
@@ -742,6 +814,13 @@ impl Runner {
             .get(key)
             .copied()
     }
+}
+
+/// Whether `a` and `b` bind the same traces: a worker session resets onto
+/// `b` after `a` (same machine configuration) and every thread store
+/// rebinds to its own key (same benchmarks and seed).
+fn same_traces(a: &RunSpec, b: &RunSpec) -> bool {
+    a.seed == b.seed && a.benches == b.benches && a.config == b.config
 }
 
 /// The run that measures `bench`'s single-thread baseline (ICOUNT on a
@@ -1014,6 +1093,99 @@ mod tests {
             assert_eq!(stats.result, clean.result, "spec {i} contaminated");
             assert_eq!(stats.mem, clean.mem);
         }
+    }
+
+    /// Runs `specs` through the engine and checks every outcome against a
+    /// fresh `SimSession::run`, bit for bit; returns the trace blocks each
+    /// worker session retains at the end of the call.
+    fn engine_matches_fresh_sessions(specs: &[RunSpec], workers: usize) -> Vec<usize> {
+        let mut outcomes: Vec<Option<RunOutcome>> = specs.iter().map(|_| None).collect();
+        let (report, retained) = Runner::new().run_pool(specs, workers, |i, outcome| {
+            outcomes[i] = Some(outcome);
+        });
+        assert_eq!(report.completed, specs.len());
+        for (i, (outcome, spec)) in outcomes.iter().zip(specs).enumerate() {
+            let stats = outcome
+                .as_ref()
+                .and_then(RunOutcome::stats)
+                .expect("completed");
+            let fresh = SimSession::new().run(spec).expect("valid spec");
+            assert_eq!(stats.result, fresh.result, "spec {i}");
+            assert_eq!(stats.mem, fresh.mem, "spec {i}");
+        }
+        retained
+    }
+
+    #[test]
+    fn an_engine_call_without_a_repeat_retains_no_trace() {
+        // Each spec differs from every other in its benchmarks, seed or
+        // machine configuration, so no run can replay another's traces.
+        let mut reseeded = tiny(&["gzip", "mcf"], PolicyKind::Icount);
+        reseeded.seed = 7;
+        let mut bigger_rob = tiny(&["gzip", "mcf"], PolicyKind::Icount);
+        bigger_rob.config.rob_entries += 64;
+        let specs = [
+            tiny(&["gzip", "mcf"], PolicyKind::Icount),
+            tiny(&["art", "gcc"], PolicyKind::Flush),
+            reseeded,
+            bigger_rob,
+            tiny(&["twolf"], PolicyKind::Stall),
+        ];
+        for workers in [1, 2] {
+            let retained = engine_matches_fresh_sessions(&specs, workers);
+            assert_eq!(retained, vec![0; workers], "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn a_policy_grid_on_one_worker_still_replays() {
+        // The first cell's traces are kept for the second, which rebinds
+        // onto them; streaming that last cell keeps what it replayed.
+        let specs = [
+            tiny(&["gzip", "mcf"], PolicyKind::Icount),
+            tiny(&["gzip", "mcf"], PolicyKind::Dcra(DcraConfig::default())),
+        ];
+        let retained = engine_matches_fresh_sessions(&specs, 1);
+        assert!(retained[0] > 0, "the grid retained nothing: {retained:?}");
+    }
+
+    #[test]
+    fn a_panicking_prewarm_does_not_wedge_the_run_waiting_on_it() {
+        // One thread holds the key's prewarm in flight and panics inside
+        // it; the run that waited on it prewarms in its place.
+        crate::chaos::silence_chaos_panics();
+        let spec = tiny(&["gzip", "mcf"], PolicyKind::Icount);
+        let memo = PrewarmMemo::default();
+        let in_flight = std::sync::Barrier::new(2);
+        let build = || {
+            let profiles = spec.profiles().expect("registry benchmarks");
+            Simulator::new(
+                spec.config.clone(),
+                &profiles,
+                spec.policy.build(),
+                spec.seed,
+            )
+        };
+        let mut sim = build();
+        std::thread::scope(|scope| {
+            let panicker = scope.spawn(|| {
+                let cell = memo.entry(&spec);
+                cell.get_or_init(|| {
+                    in_flight.wait();
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    panic!("chaos-injected prewarm panic");
+                });
+            });
+            in_flight.wait();
+            memo.prewarm(&mut sim, &spec);
+            assert!(panicker.join().is_err(), "the prewarm panicked");
+        });
+        let mut fresh = build();
+        fresh.prewarm(spec.prewarm_insts);
+        assert_eq!(sim.warm_state(), fresh.warm_state());
+        assert_eq!(memo.entry(&spec).get(), Some(&fresh.warm_state()));
+        assert_eq!(memo.misses.load(Ordering::Relaxed), 1);
+        assert_eq!(memo.hits.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -318,3 +318,54 @@ fn memoised_prewarm_sweeps_match_fresh_serial_sessions() {
         "one-shot runs skip the memo"
     );
 }
+
+/// The Fig. 5 grid (four policies over all 36 Table-4 workloads) on one
+/// `Runner` prewarms each workload and each baseline benchmark exactly
+/// once, even though the pool dispatches a workload's first two cells
+/// together: a run whose key is being prewarmed on another worker waits
+/// for that prewarm and restores it. Its sweeps, memo counters and memo
+/// bytes equal four separate `sweep_policy` calls.
+#[test]
+fn fig5_grid_prewarms_each_key_once() {
+    use smt_experiments::sweep::{sweep_lengths, sweep_policies, sweep_policy};
+
+    let mut lengths = sweep_lengths();
+    lengths.prewarm_insts = 20_000;
+    lengths.warmup_cycles = 500;
+    lengths.measure_cycles = 2_000;
+    let config = SimConfig::baseline(2);
+    let policies = ["ICOUNT", "DG", "FLUSH++", "DCRA"]
+        .map(|name| PolicyKind::from_name(name).expect("canonical policy"));
+    let rows = |s: &smt_experiments::sweep::PolicySweep| {
+        let classes: Vec<_> = s
+            .classes
+            .iter()
+            .map(|&(t, k, m)| {
+                let row = [m.throughput, m.hmean, m.fetch_per_commit, m.mlp];
+                (t, k, row.map(f64::to_bits))
+            })
+            .collect();
+        (s.policy.clone(), classes, s.failures.clone())
+    };
+
+    let grid_runner = Runner::new();
+    let grid = sweep_policies(&grid_runner, &policies, &config, &lengths, &[2, 3, 4])
+        .expect("baselines must measure");
+    let separate_runner = Runner::new();
+    for (policy, from_grid) in policies.iter().zip(&grid) {
+        let alone = sweep_policy(&separate_runner, policy, &config, &lengths).expect("baselines");
+        assert_eq!(rows(from_grid), rows(&alone), "{}", policy.name());
+    }
+    let workloads = smt_workloads::table4_workloads();
+    let benches: std::collections::BTreeSet<&String> =
+        workloads.iter().flat_map(|w| &w.benchmarks).collect();
+    assert_eq!((workloads.len(), benches.len()), (36, 20));
+    let (hits, misses, bytes) = grid_runner.prewarm_memo_stats();
+    assert_eq!(
+        misses,
+        36 + 20,
+        "one prewarm per workload and per benchmark"
+    );
+    assert_eq!(hits, 3 * 36, "every other cell restores");
+    assert_eq!((hits, misses, bytes), separate_runner.prewarm_memo_stats());
+}

@@ -274,6 +274,30 @@ impl Simulator {
         self.idle = IdleTrack::default();
     }
 
+    /// Serves this run's traces without retaining them: no thread keeps
+    /// a trace block it generates from here on, so the run holds only
+    /// what its stores already retained plus their lookback rings (see
+    /// [`ThreadTrace::stream`]). Every record is bit-identical either
+    /// way; the cost is that a later same-workload [`Simulator::reset`]
+    /// regenerates the streamed part. The experiment engine calls it for
+    /// runs that no later run of its list can replay. Call it after
+    /// [`Simulator::new`] or [`Simulator::reset`] and before the first
+    /// cycle; the next `reset` retains again.
+    pub fn stream_traces(&mut self) {
+        for th in &mut self.threads {
+            th.stream_trace();
+        }
+    }
+
+    /// Trace blocks the thread stores hold for a same-workload
+    /// [`Simulator::reset`] to replay.
+    pub fn retained_trace_blocks(&self) -> usize {
+        self.threads
+            .iter()
+            .map(|th| th.trace().retained_blocks())
+            .sum()
+    }
+
     /// Current cycle.
     pub fn now(&self) -> u64 {
         self.now

@@ -348,6 +348,12 @@ impl ThreadState {
     pub fn trace(&self) -> &ThreadTrace {
         &self.trace
     }
+
+    /// Streams this run's trace instead of retaining it (see
+    /// [`ThreadTrace::stream`]).
+    pub fn stream_trace(&mut self) {
+        self.trace.stream();
+    }
 }
 
 #[cfg(test)]

@@ -24,12 +24,19 @@
 //! * past the prefix cap the stream continues through a small **ring** of
 //!   tail blocks sized to the caller's maximum lookback, regenerated from
 //!   a generator snapshot frozen at the cap boundary, so memory stays
-//!   bounded on arbitrarily long runs.
+//!   bounded on arbitrarily long runs,
+//! * the cap is per binding. A binding that no later run will replay
+//!   calls [`ThreadTrace::stream`] before its first read: it generates no
+//!   prefix block (it still reads the blocks a same-key binding already
+//!   retained) and streams everything else through the ring. The
+//!   experiment engine plans this from its run list, so a trace is kept
+//!   only when a later run of the same call can replay it.
 //!
-//! Every block buffer has a fixed size (6 KiB), so a store holds at most
-//! `(MAX_PREFIX_BLOCKS + ring) × 6 KiB` — about 6 MiB per thread — and
-//! its memory never creeps with the payload mix. A recycled store keeps
-//! as many prefix buffers as the longest run it has served.
+//! Every block buffer has a fixed size (6 KiB), so a retaining store
+//! holds at most `(MAX_PREFIX_BLOCKS + ring) × 6 KiB` — about 6 MiB per
+//! thread — and a store that only ever streamed holds `ring` blocks. Its
+//! memory never creeps with the payload mix. A recycled store keeps as
+//! many prefix buffers as the longest retained run it has served.
 //!
 //! The store is bit-exact: replayed records unpack to precisely what
 //! [`TraceGenerator::next_inst`] streams.
@@ -43,8 +50,11 @@ use smt_isa::{BranchInfo, MemAccess, PackedInst};
 pub const TRACE_BLOCK: usize = 256;
 
 /// Upper bound of persistently retained blocks per thread (2¹⁰ blocks =
-/// 262 144 instructions). Blocks are allocated on demand, so short runs
-/// pay only for what they touch. The cap is deliberately *small*: it
+/// 262 144 instructions), the prefix cap of a retaining binding. A
+/// streamed binding ([`ThreadTrace::stream`]) keeps no new prefix block,
+/// and the experiment engine streams every run that no later run of its
+/// list is planned to replay. Blocks are allocated on demand, so short
+/// runs pay only for what they touch. The cap is deliberately *small*: it
 /// covers the fetch frontier of sweep-length runs (the reuse case), while
 /// longer single runs cross into the tail ring and recycle a handful of
 /// cache-hot block buffers instead of growing cold freshly-allocated
@@ -195,16 +205,21 @@ pub struct ThreadTrace {
     /// refilled before they are read.
     prefix: Vec<TraceBlock>,
     filled: usize,
+    /// This binding's prefix cap in blocks: [`MAX_PREFIX_BLOCKS`], or the
+    /// blocks already `filled` once [`ThreadTrace::stream`] is called
+    /// (0 after a key change).
+    prefix_cap: u64,
     /// Ring of tail blocks past the prefix cap, overlaid by block index
     /// and allocated when a run first reaches each slot.
     ring: Vec<TraceBlock>,
-    /// Ring slots: enough to cover `max_lookback` plus the block being
-    /// generated.
-    ring_len: u64,
+    /// Ring slots minus one. The slot count covers `max_lookback` plus
+    /// the block being generated, rounded up to a power of two so a slot
+    /// is a mask, not a division.
+    ring_mask: u64,
     /// Tail generator, cloned from the frozen `prefix_gen` when the
     /// current run first crosses the cap; dropped on rebind.
     tail_gen: Option<TraceGenerator>,
-    /// Next tail block index (≥ [`MAX_PREFIX_BLOCKS`]) to generate.
+    /// Next tail block index (≥ `prefix_cap`) to generate.
     tail_next_block: u64,
 }
 
@@ -226,23 +241,26 @@ impl ThreadTrace {
             prefix_gen: gen,
             prefix: Vec::new(),
             filled: 0,
+            prefix_cap: MAX_PREFIX_BLOCKS as u64,
             ring: Vec::new(),
-            ring_len: (max_lookback >> BLOCK_SHIFT) + 2,
+            ring_mask: ((max_lookback >> BLOCK_SHIFT) + 2).next_power_of_two() - 1,
             tail_gen: None,
             tail_next_block: MAX_PREFIX_BLOCKS as u64,
         }
     }
 
-    /// Rebinds the store for a fresh run. When the workload key
-    /// (profile, seed, slot) is unchanged the retained prefix blocks are
-    /// *reused* — the sweep case: nine policies replay one workload —
-    /// and the call returns `true`. Otherwise the store restarts from a
-    /// fresh generator and returns `false`; its block buffers stay
-    /// allocated and are refilled as the new stream reaches them. Either
-    /// way the replay position rewinds to sequence 0.
+    /// Rebinds the store for a fresh run, which retains its prefix up to
+    /// [`MAX_PREFIX_BLOCKS`] unless [`ThreadTrace::stream`] follows. When
+    /// the workload key (profile, seed, slot) is unchanged the retained
+    /// prefix blocks are *reused* — the sweep case: nine policies replay
+    /// one workload — and the call returns `true` if there is at least
+    /// one. Otherwise it returns `false`, and on a key change the store
+    /// restarts from a fresh generator; its block buffers stay allocated
+    /// and are refilled as the new stream reaches them. Either way the
+    /// replay position rewinds to sequence 0.
     pub fn rebind(&mut self, profile: &BenchmarkProfile, seed: u64, slot: u64) -> bool {
-        let reused = self.seed == seed && self.slot == slot && self.profile == *profile;
-        if !reused {
+        let same_key = self.seed == seed && self.slot == slot && self.profile == *profile;
+        if !same_key {
             let gen = TraceGenerator::new(profile, seed, slot);
             self.profile = profile.clone();
             self.seed = seed;
@@ -253,9 +271,32 @@ impl ThreadTrace {
         // Tail blocks always regenerate (their ring slots are overwritten
         // before first use: any past-cap read first advances
         // `tail_next_block` from the cap).
+        self.prefix_cap = MAX_PREFIX_BLOCKS as u64;
         self.tail_gen = None;
-        self.tail_next_block = MAX_PREFIX_BLOCKS as u64;
-        reused
+        self.tail_next_block = self.prefix_cap;
+        same_key && self.filled > 0
+    }
+
+    /// Streams the current binding: it generates no prefix block, so
+    /// every read past the blocks already retained for this key (none
+    /// after a key change) goes through the lookback ring, and the store
+    /// holds no more than it already did plus the ring. Records are
+    /// bit-identical to a retaining binding's. For a run that no later
+    /// run will replay; the next [`ThreadTrace::rebind`] retains again,
+    /// and a same-key one regenerates what this binding streamed.
+    ///
+    /// Call it after [`ThreadTrace::new`] or [`ThreadTrace::rebind`] and
+    /// before the binding's first read past its retained blocks.
+    pub fn stream(&mut self) {
+        debug_assert!(self.tail_gen.is_none(), "stream() after a past-cap read");
+        self.prefix_cap = self.filled as u64;
+        self.tail_next_block = self.prefix_cap;
+    }
+
+    /// Prefix blocks retained for the current key: what a same-key
+    /// rebind replays.
+    pub fn retained_blocks(&self) -> usize {
+        self.filled
     }
 
     /// The profile driving this trace.
@@ -332,7 +373,7 @@ impl ThreadTrace {
     /// Resident block `b`, generating forward to materialise it if needed.
     #[inline]
     fn block(&mut self, b: u64) -> &TraceBlock {
-        if b < MAX_PREFIX_BLOCKS as u64 {
+        if b < self.prefix_cap {
             while self.filled as u64 <= b {
                 if self.filled == self.prefix.len() {
                     self.prefix.push(TraceBlock::new());
@@ -347,7 +388,7 @@ impl ThreadTrace {
                 // The prefix is necessarily full here (reads are within
                 // `max_lookback` of the monotone frontier, which crossed
                 // the cap), so `prefix_gen` is frozen at the cap.
-                debug_assert_eq!(self.filled, MAX_PREFIX_BLOCKS);
+                debug_assert_eq!(self.filled as u64, self.prefix_cap);
                 let idx = self.tail_next_block;
                 let slot = self.ring_slot(idx);
                 if slot == self.ring.len() {
@@ -365,7 +406,7 @@ impl ThreadTrace {
     /// materialised — used by [`ThreadTrace::branch_payload`]).
     #[inline]
     fn block_ref(&self, b: u64) -> &TraceBlock {
-        if b < MAX_PREFIX_BLOCKS as u64 {
+        if b < self.prefix_cap {
             debug_assert!(b < self.filled as u64, "block {b} not refilled");
             &self.prefix[b as usize]
         } else {
@@ -375,10 +416,10 @@ impl ThreadTrace {
     }
 
     /// The ring slot of tail block `b`: slots are taken in order from the
-    /// cap, so the ring grows one slot at a time up to `ring_len`.
+    /// cap, so the ring grows one slot at a time up to `ring_mask + 1`.
     #[inline]
     fn ring_slot(&self, b: u64) -> usize {
-        ((b - MAX_PREFIX_BLOCKS as u64) % self.ring_len) as usize
+        ((b - self.prefix_cap) & self.ring_mask) as usize
     }
 
     #[inline]
@@ -447,6 +488,77 @@ mod tests {
                 gen2.next_inst(),
                 "replay seq {seq}"
             );
+        }
+    }
+
+    /// A streamed binding serves the generator's stream through the ring
+    /// alone, lookback re-reads up to `max_lookback` included, and keeps
+    /// nothing: a later same-key rebind has no block to reuse and
+    /// regenerates the same records.
+    #[test]
+    fn streamed_binding_serves_the_stream_from_the_ring() {
+        let p = gzip();
+        let lookback = 512;
+        let mut store = ThreadTrace::new(p, 13, 1, lookback);
+        store.stream();
+        let mut gen = TraceGenerator::new(p, 13, 1);
+        let mut served = Vec::new();
+        for seq in 0..20_000u64 {
+            let r = store.record(seq);
+            assert_eq!(r.unpack(), gen.next_inst(), "seq {seq}");
+            served.push(r);
+            if let Some(back) = seq.checked_sub(lookback) {
+                assert_eq!(store.record(back), served[back as usize], "lookback {back}");
+            }
+        }
+        assert!(store.prefix.is_empty(), "a streamed binding built a prefix");
+        assert!(store.ring.len() as u64 <= store.ring_mask + 1);
+        assert_eq!(
+            store.ring.len(),
+            4,
+            "the baseline ring: 512 insts back, 4 slots"
+        );
+        assert_eq!(store.retained_blocks(), 0);
+        assert!(!store.rebind(p, 13, 1), "nothing retained to reuse");
+        for (seq, r) in served.iter().enumerate() {
+            assert_eq!(store.record(seq as u64), *r, "regenerated seq {seq}");
+        }
+        assert_eq!(store.retained_blocks(), 20_000usize.div_ceil(TRACE_BLOCK));
+    }
+
+    /// Streaming a key that a previous binding retained replays the
+    /// retained blocks and streams past them without adding any; the next
+    /// retaining rebind extends the prefix from there.
+    #[test]
+    fn streamed_binding_reads_the_retained_prefix_without_growing_it() {
+        let p = gzip();
+        let mut store = ThreadTrace::new(p, 5, 0, 512);
+        for seq in 0..5_000 {
+            store.entry(seq);
+        }
+        let kept = store.retained_blocks();
+        assert!(store.rebind(p, 5, 0));
+        store.stream();
+        let mut gen = TraceGenerator::new(p, 5, 0);
+        for seq in 0..30_000u64 {
+            assert_eq!(store.record(seq).unpack(), gen.next_inst(), "seq {seq}");
+        }
+        assert_eq!(store.retained_blocks(), kept);
+        assert_eq!(store.prefix.len(), kept, "no prefix buffer added");
+        assert!(store.rebind(p, 5, 0));
+        let mut gen = TraceGenerator::new(p, 5, 0);
+        for seq in 0..30_000u64 {
+            assert_eq!(store.record(seq).unpack(), gen.next_inst(), "replay {seq}");
+        }
+        assert_eq!(store.retained_blocks(), 30_000usize.div_ceil(TRACE_BLOCK));
+    }
+
+    /// The ring slot count rounds up to a power of two.
+    #[test]
+    fn ring_slots_round_up_to_a_power_of_two() {
+        for (lookback, slots) in [(0, 2), (255, 2), (256, 4), (512, 4), (528, 4), (768, 8)] {
+            let store = ThreadTrace::new(gzip(), 1, 0, lookback);
+            assert_eq!(store.ring_mask + 1, slots, "lookback {lookback}");
         }
     }
 

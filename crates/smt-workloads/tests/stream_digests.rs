@@ -219,25 +219,34 @@ fn next_access_stream_digests_are_pinned() {
 
 /// One store rebound A (past the prefix cap) → B (short) → A (past the
 /// cap again, on recycled blocks) → C: every record replays the streamed
-/// generator, and the whole sequence folds to one pinned digest.
+/// generator, and the whole sequence folds to one pinned digest. A fifth,
+/// streamed binding of A then serves every record through the lookback
+/// ring and must fold to the first A run's digest.
 #[test]
 fn store_replay_through_rebinds_is_pinned() {
     let long = (MAX_PREFIX_BLOCKS * TRACE_BLOCK + 3 * TRACE_BLOCK + 17) as u64;
     let gzip = spec::profile("gzip").unwrap();
     let mcf = spec::profile("mcf").unwrap();
     let art = spec::profile("art").unwrap();
-    let runs: [(&BenchmarkProfile, u64, u64, u64); 4] = [
-        (gzip, 42, 0, long),
-        (mcf, 7, 1, 5_000),
-        (gzip, 42, 0, long),
-        (art, 42, 2, 40_000),
+    // (profile, seed, slot, records read, streamed)
+    let runs: [(&BenchmarkProfile, u64, u64, u64, bool); 5] = [
+        (gzip, 42, 0, long, false),
+        (mcf, 7, 1, 5_000, false),
+        (gzip, 42, 0, long, false),
+        (art, 42, 2, 40_000, false),
+        (gzip, 42, 0, long, true),
     ];
     let mut store = ThreadTrace::new(gzip, 42, 0, 512);
     let mut h = Fnv::new();
-    for (i, &(p, seed, slot, len)) in runs.iter().enumerate() {
+    let mut per_run = Vec::new();
+    for (i, &(p, seed, slot, len, streamed)) in runs.iter().enumerate() {
         if i > 0 {
             assert!(!store.rebind(p, seed, slot), "run {i}: key changed");
         }
+        if streamed {
+            store.stream();
+        }
+        let mut run = Fnv::new();
         let mut gen = TraceGenerator::new(p, seed, slot);
         for seq in 0..len {
             let r = store.record(seq);
@@ -246,12 +255,18 @@ fn store_replay_through_rebinds_is_pinned() {
             if d.class == InstClass::Branch {
                 assert_eq!(store.branch_payload(seq, r.packed.aux()), r.branch.unwrap());
             }
-            h.inst(&d);
+            run.inst(&d);
+            if !streamed {
+                h.inst(&d);
+            }
         }
+        per_run.push(run.0);
     }
     assert_eq!(
         h.0, 0x7825_0581_1e99_ea6b,
         "store replay digest moved: {:#018x}",
         h.0
     );
+    assert_eq!(per_run[4], per_run[0], "the streamed binding drifted");
+    assert_eq!(store.retained_blocks(), 0, "the streamed binding retained");
 }

@@ -10,8 +10,12 @@
 # LD_PRELOAD: an ITIMER_PROF timer records the interrupted instruction
 # pointer, and at exit the sampler writes /proc/self/maps and the
 # samples. `addr2line -a -f -i` then attributes each sample to its
-# innermost source line and to a stage bucket (crate and file of the
-# innermost in-repo frame). The kernel tick caps the rate at about 250
+# innermost source line, to a stage bucket (crate and file of the
+# innermost in-repo frame) and, inclusively, to every distinct function
+# of its inline chain (generic arguments dropped), so a helper inlined
+# into many callers, such as a `BinaryHeap` sift, shows as one row
+# rather than scattered over `index.rs` and `ptr` lines. The inclusive
+# shares add up to more than 100%. The kernel tick caps the rate at about 250
 # samples per CPU-second. The fallback needs gcc, addr2line, readelf
 # and python3.
 set -euo pipefail
@@ -140,16 +144,29 @@ root = os.getcwd() + "/"
 def bucket(loc):  # "crate:file" for frames inside this repository
     rel = loc[len(root):].removeprefix("crates/") if loc.startswith(root) else None
     return rel and re.sub(r"/(src|benches)/(.*)\.rs:.*", r":\2", rel)
-lines, buckets = collections.Counter(), collections.Counter()
+def function(name):  # without generic arguments or symbol hash
+    out, depth, prev = [], 0, ""
+    for ch in name:
+        if ch == "<" and (depth or (out and (out[-1].isalnum() or out[-1] == "_"))):
+            depth += 1
+        elif ch == ">" and depth and prev != "-":  # not the arrow of `fn() -> T`
+            depth -= 1
+        elif not depth:
+            out.append(ch)
+        prev = ch
+    return re.sub(r"::h[0-9a-f]{16}$", "", "".join(out))
+lines, buckets, funcs = (collections.Counter() for _ in range(3))
 for a in addrs:
     chain = frames.get(a, []) if a is not None else []
     func, loc = chain[0] if chain else ("", "(outside the binary)")
     lines[f"{loc.rsplit('/', 1)[-1]:28} {func[:70]}"] += 1
     inner = next((b for b in (bucket(l) for _, l in chain) if b), None)
     buckets[inner or "(std, libc, kernel)"] += 1
+    funcs.update({function(f)[:100] for f, _ in chain})
 n = len(pcs) or 1
 print(f"\n== {len(pcs)} samples ==")
-for title, table in (("innermost source lines", lines), ("stage buckets", buckets)):
+for title, table in (("innermost source lines", lines), ("stage buckets", buckets),
+                     ("functions, inclusive of what is inlined into them", funcs)):
     print(f"\n== top {top} {title} ==")
     for key, c in table.most_common(top):
         print(f"{100 * c / n:6.2f}%  {key}")
