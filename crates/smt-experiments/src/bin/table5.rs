@@ -1,8 +1,11 @@
 //! Regenerates paper Table 5 (phase distribution of 2-thread workloads).
 
-use smt_experiments::table5;
+use smt_experiments::sweep::sensitivity_lengths;
+use smt_experiments::{table5, Runner};
 fn main() {
-    let rows = table5::run(150_000).unwrap_or_else(|e| {
+    let runner = Runner::new();
+    let cycles = sensitivity_lengths().measure_cycles;
+    let rows = table5::run(&runner, cycles).unwrap_or_else(|e| {
         eprintln!("table 5 sweep failed: {e}");
         std::process::exit(1);
     });

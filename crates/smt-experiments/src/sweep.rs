@@ -346,14 +346,11 @@ pub fn study_report(rows: &[StudyRow]) -> TextTable {
     t
 }
 
-/// Standard lengths for the figure sweeps (shorter than Table-3
-/// calibration; 36 workloads × several policies must finish in minutes).
+/// Standard lengths for the figure sweeps: [`RunSpec::new`]'s (shorter
+/// than Table-3 calibration; 36 workloads × several policies must finish
+/// in minutes).
 pub fn sweep_lengths() -> RunSpec {
-    let mut s = RunSpec::new(&["gzip"], PolicyKind::Icount);
-    s.prewarm_insts = 400_000;
-    s.warmup_cycles = 30_000;
-    s.measure_cycles = 250_000;
-    s
+    RunSpec::new(&["gzip"], PolicyKind::Icount)
 }
 
 /// Reduced lengths for the multi-point sensitivity sweeps (Figures 6/7

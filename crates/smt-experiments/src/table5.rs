@@ -5,10 +5,10 @@
 //! it has pending L1 data misses (Section 3.1.1).
 
 use crate::fault::RunError;
+use crate::runner::{default_workers, PolicyKind, RunSpec, Runner};
+use crate::sweep::sensitivity_lengths;
 use crate::tables::TextTable;
-use smt_isa::ThreadId;
-use smt_sim::{SimConfig, Simulator};
-use smt_workloads::{spec, workloads_of, WorkloadType};
+use smt_workloads::{workloads_of, WorkloadType};
 
 /// Phase-combination shares for one workload class, in percent.
 #[derive(Debug, Clone, Copy)]
@@ -49,54 +49,62 @@ pub const PAPER: [(WorkloadType, PhaseDistribution); 3] = [
     ),
 ];
 
-/// Samples the phase combination every cycle for all four groups of each
-/// 2-thread workload class.
+/// Measures the phase combination of every cycle of all four groups of
+/// each 2-thread workload class: one engine call of twelve ICOUNT runs,
+/// prewarmed and warmed up as the sensitivity sweeps are, measuring
+/// `cycles_per_workload` cycles each. The simulator counts the phase
+/// combinations itself ([`SimResult::phase_cycles`](smt_sim::SimResult::phase_cycles)).
 ///
 /// # Errors
 ///
-/// [`RunError::UnknownBenchmark`] if a Table-4 workload names a benchmark
-/// missing from the registry — typed like every other driver since PR 7,
-/// instead of panicking mid-sweep.
-pub fn run(cycles_per_workload: u64) -> Result<Vec<(WorkloadType, PhaseDistribution)>, RunError> {
-    let mut rows = Vec::with_capacity(WorkloadType::ALL.len());
-    for &kind in WorkloadType::ALL.iter() {
-        let mut counts = [0u64; 3];
-        for w in workloads_of(kind, 2) {
-            let profiles = w
-                .benchmarks
-                .iter()
-                .map(|b| {
-                    spec::profile(b).ok_or_else(|| RunError::UnknownBenchmark { bench: b.clone() })
-                })
-                .collect::<Result<Vec<_>, RunError>>()?;
-            let mut sim =
-                Simulator::new(SimConfig::baseline(2), &profiles, smt_policies::Icount, 42);
-            sim.prewarm(300_000);
-            sim.run_cycles(20_000);
-            for _ in 0..cycles_per_workload {
-                sim.step();
-                let slow0 = sim.thread_l1d_pending(ThreadId::new(0)) > 0;
-                let slow1 = sim.thread_l1d_pending(ThreadId::new(1)) > 0;
-                let count = match (slow0, slow1) {
-                    (true, true) => &mut counts[0],
-                    (false, false) => &mut counts[2],
-                    _ => &mut counts[1],
-                };
-                *count += 1;
+/// The error of the first failed run, e.g. [`RunError::UnknownBenchmark`]
+/// if a Table-4 workload names a benchmark missing from the registry.
+pub fn run(
+    runner: &Runner,
+    cycles_per_workload: u64,
+) -> Result<Vec<(WorkloadType, PhaseDistribution)>, RunError> {
+    let lengths = sensitivity_lengths();
+    let classes = WorkloadType::ALL.map(|kind| (kind, workloads_of(kind, 2)));
+    let specs: Vec<RunSpec> = classes
+        .iter()
+        .flat_map(|(_, workloads)| workloads)
+        .map(|w| {
+            let mut s = RunSpec::for_workload(w, PolicyKind::Icount);
+            s.prewarm_insts = lengths.prewarm_insts;
+            s.warmup_cycles = lengths.warmup_cycles;
+            s.measure_cycles = cycles_per_workload;
+            s
+        })
+        .collect();
+    let mut outcomes = runner
+        .run_all_with_workers(&specs, default_workers())
+        .into_iter();
+    classes
+        .into_iter()
+        .map(|(kind, workloads)| {
+            let (mut both, mut one, mut neither) = (0u64, 0u64, 0u64);
+            for outcome in outcomes.by_ref().take(workloads.len()) {
+                let stats = outcome.into_stats()?;
+                for (slow, &cycles) in stats.result.phase_cycles.iter().enumerate() {
+                    match slow.count_ones() {
+                        0 => neither += cycles,
+                        1 => one += cycles,
+                        _ => both += cycles,
+                    }
+                }
             }
-        }
-        let total: u64 = counts.iter().sum();
-        let pct = |c: u64| 100.0 * c as f64 / total.max(1) as f64;
-        rows.push((
-            kind,
-            PhaseDistribution {
-                slow_slow: pct(counts[0]),
-                mixed: pct(counts[1]),
-                fast_fast: pct(counts[2]),
-            },
-        ));
-    }
-    Ok(rows)
+            let total = both + one + neither;
+            let pct = |c: u64| 100.0 * c as f64 / total.max(1) as f64;
+            Ok((
+                kind,
+                PhaseDistribution {
+                    slow_slow: pct(both),
+                    mixed: pct(one),
+                    fast_fast: pct(neither),
+                },
+            ))
+        })
+        .collect()
 }
 
 /// The paper's Table-5 distribution for one workload class, if the paper
@@ -139,7 +147,7 @@ mod tests {
     /// MEM workloads spend the most time slow-slow, ILP the least.
     #[test]
     fn phase_ordering_matches_paper() {
-        let rows = run(15_000).expect("registry benchmarks");
+        let rows = run(&Runner::new(), 15_000).expect("registry benchmarks");
         let get = |k: WorkloadType| {
             rows.iter()
                 .find(|(kind, _)| *kind == k)

@@ -325,8 +325,6 @@ impl MemoryHierarchy {
             )
         } else {
             st.l2_misses += 1;
-            #[cfg(feature = "trace-l2")]
-            eprintln!("L2MISS t={} addr={addr:#x} now={now}", t.index());
             (
                 HitLevel::Memory,
                 self.config.dl1.latency + self.config.l2.latency + self.config.memory_latency,

@@ -261,6 +261,7 @@ mod tests {
                     ..ThreadStats::default()
                 })
                 .collect(),
+            phase_cycles: Vec::new(),
         }
     }
 

@@ -4,8 +4,8 @@
 //! some deadline arrives. This module jumps the clock straight to that
 //! deadline instead of grinding through the empty cycles one at a time,
 //! replaying the per-cycle side effects (policy rotation/decay/windows via
-//! [`Policy::on_idle_cycles`], gated/blocked statistics, MLP samples, the
-//! commit round-robin origin) arithmetically.
+//! [`Policy::on_idle_cycles`], gated/blocked statistics, MLP and phase
+//! samples, the commit round-robin origin) arithmetically.
 //!
 //! # Why this is bit-identical
 //!
@@ -95,6 +95,9 @@ impl Simulator {
                 stats.mlp_cycles += skipped;
             }
         }
+        // The phase mask is frozen too: `l1d_pending` moves only at issue,
+        // event delivery and squash, each of which makes a cycle active.
+        self.phase_cycles[usize::from(idle.slow)] += skipped;
         // The commit stage rotates its round-robin origin every cycle,
         // commits or not.
         self.commit_rr = (self.commit_rr + skipped as usize) % self.threads.len();

@@ -101,6 +101,8 @@ pub struct Simulator {
     pub(crate) order_scratch: Vec<ThreadId>,
     /// Reusable per-thread MLP sample buffer.
     pub(crate) mlp_scratch: Vec<u32>,
+    /// Measured cycles per slow-thread mask ([`SimResult::phase_cycles`]).
+    pub(crate) phase_cycles: Vec<u64>,
     /// `config.resource_totals()`, computed once — the configuration is
     /// immutable after construction and the view is refreshed every cycle.
     pub(crate) totals: PerResource<u32>,
@@ -136,6 +138,9 @@ pub(crate) struct IdleTrack {
     pub blocked_regs: u8,
     /// Threads whose `blocked_policy` statistic was charged at dispatch.
     pub blocked_policy: u8,
+    /// Threads that were slow (pending L1 data miss) at the end of the
+    /// cycle: the phase mask the cycle was counted under.
+    pub slow: u8,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -217,6 +222,7 @@ impl Simulator {
             scratch_view: CycleView::default(),
             order_scratch: Vec::new(),
             mlp_scratch: vec![0; n],
+            phase_cycles: vec![0; 1 << n],
             totals,
             idle: IdleTrack::default(),
         }
@@ -267,6 +273,7 @@ impl Simulator {
         for s in &mut self.stats {
             *s = ThreadStats::default();
         }
+        self.phase_cycles.fill(0);
         self.commit_rr = 0;
         for r in &mut self.ready {
             r.clear();
@@ -330,6 +337,7 @@ impl Simulator {
         for s in &mut self.stats {
             *s = ThreadStats::default();
         }
+        self.phase_cycles.fill(0);
         self.mem.reset_stats();
         self.bpred.reset_stats();
     }
@@ -477,6 +485,7 @@ impl Simulator {
             cycles: self.now - self.measure_start,
             policy: self.policy.name().to_string(),
             threads: self.stats.clone(),
+            phase_cycles: self.phase_cycles.clone(),
         }
     }
 
@@ -541,6 +550,7 @@ impl Simulator {
         self.fetch(&order, &view);
         clock.lap(|p| &mut p.fetch);
         self.sample_mlp();
+        self.sample_phase();
         self.now += 1;
         self.cycle_view = view;
         self.order_scratch = order;
@@ -558,17 +568,23 @@ impl Simulator {
         }
     }
 
-    /// Current per-thread occupancy of each controlled resource — the
-    /// hardware usage counters of the paper's Section 3.4. Sampled by
-    /// [`crate::watch::OccupancyRecorder`].
-    pub fn thread_usage(&self, t: ThreadId) -> PerResource<u32> {
-        self.usage[t.index()]
+    /// Counts the cycle under its phase combination: the mask of threads
+    /// with a pending L1 data miss at the end of the cycle.
+    fn sample_phase(&mut self) {
+        let mut slow = 0u8;
+        for (tid, th) in self.threads.iter().enumerate() {
+            if th.l1d_pending > 0 {
+                slow |= 1 << tid;
+            }
+        }
+        self.idle.slow = slow;
+        self.phase_cycles[usize::from(slow)] += 1;
     }
 
-    /// The thread's pending L1-data-miss count (the paper's slow/fast phase
-    /// signal, Section 3.1.1).
-    pub fn thread_l1d_pending(&self, t: ThreadId) -> u32 {
-        self.threads[t.index()].l1d_pending
+    /// Current per-thread occupancy of each controlled resource — the
+    /// hardware usage counters of the paper's Section 3.4.
+    pub fn thread_usage(&self, t: ThreadId) -> PerResource<u32> {
+        self.usage[t.index()]
     }
 }
 

@@ -371,3 +371,46 @@ fn reset_then_restore_matches_a_fresh_prewarm() {
     assert_eq!(reused.warm_state(), warm);
     assert_eq!(run(&mut reused), run(&mut fresh));
 }
+
+#[test]
+fn phase_cycles_match_a_stepped_read_of_the_slow_signal() {
+    // The reference steps one cycle at a time and reads each thread's
+    // pending L1 data misses after the cycle, as a hand-rolled sampling
+    // loop would. The counter must agree entry for entry, both when
+    // stepped and when `run_cycles` fast-forwards the idle spans.
+    let build = || {
+        let mut s = sim(&["mcf", "art"], RoundRobin::default());
+        s.prewarm(50_000);
+        s.run_cycles(5_000);
+        s.reset_stats();
+        s
+    };
+    let mut stepped = build();
+    let mut expected = vec![0u64; 4];
+    for _ in 0..20_000 {
+        stepped.step();
+        let slow = stepped
+            .threads
+            .iter()
+            .enumerate()
+            .fold(0, |m, (t, th)| m | usize::from(th.l1d_pending > 0) << t);
+        expected[slow] += 1;
+    }
+    let r = stepped.result();
+    assert_eq!(r.phase_cycles, expected);
+    assert_eq!(r.phase_cycles.iter().sum::<u64>(), r.cycles);
+    assert!(
+        expected.iter().all(|&c| c > 0),
+        "a MEM pair visits every phase combination: {expected:?}"
+    );
+    let mut forwarded = build();
+    forwarded.run_cycles(20_000);
+    assert_eq!(forwarded.result().phase_cycles, expected);
+
+    forwarded.reset_stats();
+    assert_eq!(forwarded.result().phase_cycles, vec![0; 4]);
+    forwarded.run_cycles(1_000);
+    let profiles = [spec::profile("mcf").unwrap(), spec::profile("art").unwrap()];
+    forwarded.reset(&profiles, RoundRobin::default(), 7);
+    assert_eq!(forwarded.result().phase_cycles, vec![0; 4]);
+}

@@ -18,7 +18,7 @@
 //!   at the repository root for the module map and batching invariants).
 //! * [`policy`] — the policy interface and per-cycle machine view.
 //! * [`SimResult`]/[`ThreadStats`] — per-run statistics (IPC, front-end
-//!   activity, memory-level parallelism, ...).
+//!   activity, memory-level parallelism, the slow/fast phase mix, ...).
 //! * [`StageProfile`] — per-stage wall-clock attribution for perf
 //!   tracking.
 //!

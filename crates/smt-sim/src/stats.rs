@@ -66,6 +66,11 @@ pub struct SimResult {
     pub policy: String,
     /// Per-thread statistics.
     pub threads: Vec<ThreadStats>,
+    /// Cycles per phase combination, `1 << threads` entries indexed by
+    /// the bitmask of the threads that were *slow* at the end of the
+    /// cycle: those with a pending L1 data miss, the paper's phase
+    /// signal (Section 3.1.1). The entries sum to `cycles`.
+    pub phase_cycles: Vec<u64>,
 }
 
 impl SimResult {
@@ -89,6 +94,17 @@ impl SimResult {
     pub fn total_committed(&self) -> u64 {
         self.threads.iter().map(|t| t.committed).sum()
     }
+
+    /// Cycles on which thread `t` was slow: the sum of the
+    /// [`Self::phase_cycles`] entries whose mask contains `t`.
+    pub fn slow_cycles(&self, t: usize) -> u64 {
+        self.phase_cycles
+            .iter()
+            .enumerate()
+            .filter(|&(mask, _)| mask >> t & 1 == 1)
+            .map(|(_, &c)| c)
+            .sum()
+    }
 }
 
 #[cfg(test)]
@@ -110,9 +126,11 @@ mod tests {
                     ..Default::default()
                 },
             ],
+            phase_cycles: vec![400, 300, 200, 100],
         };
         assert!((r.throughput() - 2.0).abs() < 1e-12);
         assert_eq!(r.ipcs(), vec![1.5, 0.5]);
+        assert_eq!((r.slow_cycles(0), r.slow_cycles(1)), (400, 300));
     }
 
     #[test]

@@ -1,10 +1,4 @@
-//! Run observation: occupancy sampling for the paper's monopolization
-//! arguments, and the commit-progress watchdog behind per-run budgets.
-//!
-//! [`OccupancyRecorder`] samples per-thread resource usage over time and
-//! summarises it (mean, peak, share of the total) — e.g. "after an L2 miss
-//! the missing thread ends up holding most of the load/store queue" is
-//! directly visible in an [`OccupancyReport`].
+//! The commit-progress watchdog behind per-run budgets.
 //!
 //! [`CommitWatchdog`] enforces a [`RunBudget`] over a running simulation:
 //! a hard cycle cap plus a commit-progress check that converts a machine
@@ -12,117 +6,6 @@
 //! [`BudgetBreach`] instead of an unbounded spin.
 
 use crate::config::RunBudget;
-use crate::Simulator;
-use smt_isa::{PerResource, ResourceKind, ThreadId};
-
-/// Accumulates per-cycle occupancy samples.
-///
-/// # Examples
-///
-/// ```
-/// use smt_sim::{watch::OccupancyRecorder, SimConfig, Simulator};
-/// use smt_sim::policy::RoundRobin;
-/// use smt_workloads::spec;
-///
-/// let profiles = [spec::profile("gzip").unwrap()];
-/// let mut sim = Simulator::new(SimConfig::baseline(1), &profiles,
-///                              RoundRobin::default(), 1);
-/// let mut rec = OccupancyRecorder::new(1);
-/// for _ in 0..100 {
-///     sim.step();
-///     rec.sample(&sim);
-/// }
-/// let report = rec.report();
-/// assert_eq!(report.cycles, 100);
-/// ```
-#[derive(Debug, Clone)]
-pub struct OccupancyRecorder {
-    cycles: u64,
-    sums: Vec<PerResource<u64>>,
-    peaks: Vec<PerResource<u32>>,
-}
-
-impl OccupancyRecorder {
-    /// Creates a recorder for `threads` hardware contexts.
-    pub fn new(threads: usize) -> Self {
-        OccupancyRecorder {
-            cycles: 0,
-            sums: vec![PerResource::default(); threads],
-            peaks: vec![PerResource::default(); threads],
-        }
-    }
-
-    /// Records the current cycle's usage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulator has more threads than the recorder.
-    pub fn sample(&mut self, sim: &Simulator) {
-        self.cycles += 1;
-        for (tid, (sum, peak)) in self.sums.iter_mut().zip(&mut self.peaks).enumerate() {
-            let usage = sim.thread_usage(ThreadId::new(tid));
-            for kind in ResourceKind::ALL {
-                sum[kind] += u64::from(usage[kind]);
-                peak[kind] = peak[kind].max(usage[kind]);
-            }
-        }
-    }
-
-    /// Produces the summary.
-    pub fn report(&self) -> OccupancyReport {
-        OccupancyReport {
-            cycles: self.cycles,
-            mean: self
-                .sums
-                .iter()
-                .map(|s| {
-                    let mut m = PerResource::<f64>::default();
-                    for kind in ResourceKind::ALL {
-                        m[kind] = if self.cycles == 0 {
-                            0.0
-                        } else {
-                            s[kind] as f64 / self.cycles as f64
-                        };
-                    }
-                    m
-                })
-                .collect(),
-            peak: self.peaks.clone(),
-        }
-    }
-}
-
-/// Summary of an occupancy recording.
-#[derive(Debug, Clone)]
-pub struct OccupancyReport {
-    /// Number of sampled cycles.
-    pub cycles: u64,
-    /// Mean occupancy per thread per resource.
-    pub mean: Vec<PerResource<f64>>,
-    /// Peak occupancy per thread per resource.
-    pub peak: Vec<PerResource<u32>>,
-}
-
-impl OccupancyReport {
-    /// The thread with the highest mean occupancy of `kind` — the
-    /// "monopolist" for that resource, if any.
-    pub fn top_consumer(&self, kind: ResourceKind) -> Option<(ThreadId, f64)> {
-        self.mean
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (ThreadId::new(i), m[kind]))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("occupancies are finite"))
-    }
-
-    /// Mean share (0..1) of `total` entries of `kind` held by thread `t`.
-    pub fn share(&self, t: ThreadId, kind: ResourceKind, total: u32) -> f64 {
-        if total == 0 {
-            0.0
-        } else {
-            self.mean[t.index()][kind] / f64::from(total)
-        }
-    }
-}
 
 /// A budget limit was exceeded mid-run. Carries enough diagnostic state to
 /// report *where* the run died without re-running it.
@@ -290,55 +173,8 @@ impl CommitWatchdog {
 mod tests {
     use super::*;
     use crate::policy::RoundRobin;
-    use crate::SimConfig;
+    use crate::{SimConfig, Simulator};
     use smt_workloads::spec;
-
-    fn recorded(benches: &[&str], cycles: u64) -> OccupancyReport {
-        let profiles: Vec<_> = benches.iter().map(|b| spec::profile(b).unwrap()).collect();
-        let mut sim = Simulator::new(
-            SimConfig::baseline(benches.len()),
-            &profiles,
-            RoundRobin::default(),
-            3,
-        );
-        sim.prewarm(100_000);
-        sim.run_cycles(5_000);
-        let mut rec = OccupancyRecorder::new(benches.len());
-        for _ in 0..cycles {
-            sim.step();
-            rec.sample(&sim);
-        }
-        rec.report()
-    }
-
-    #[test]
-    fn report_counts_cycles() {
-        let r = recorded(&["gzip"], 2_000);
-        assert_eq!(r.cycles, 2_000);
-        assert!(r.mean[0][ResourceKind::IntRegs] > 0.0);
-        assert!(r.peak[0][ResourceKind::IntRegs] > 0);
-    }
-
-    #[test]
-    fn memory_thread_tops_lsq_occupancy() {
-        let r = recorded(&["art", "gzip"], 20_000);
-        let (top, mean) = r.top_consumer(ResourceKind::LsQueue).expect("two threads");
-        assert_eq!(
-            top.index(),
-            0,
-            "art (memory-bound) should hold the most LSQ entries ({mean:.1})"
-        );
-    }
-
-    #[test]
-    fn shares_are_fractions() {
-        let r = recorded(&["gzip", "gcc"], 5_000);
-        for t in 0..2 {
-            let s = r.share(ThreadId::new(t), ResourceKind::IntQueue, 80);
-            assert!((0.0..=1.0).contains(&s));
-        }
-        assert_eq!(r.share(ThreadId::new(0), ResourceKind::IntQueue, 0), 0.0);
-    }
 
     fn sim(benches: &[&str]) -> Simulator {
         let profiles: Vec<_> = benches.iter().map(|b| spec::profile(b).unwrap()).collect();
@@ -458,18 +294,5 @@ mod tests {
             "expected livelock, got {err:?}"
         );
         assert!(s.now() < 10_000, "run must stop early");
-    }
-
-    #[test]
-    fn mean_never_exceeds_peak() {
-        let r = recorded(&["mcf", "gzip"], 10_000);
-        for t in 0..2 {
-            for kind in ResourceKind::ALL {
-                assert!(
-                    r.mean[t][kind] <= f64::from(r.peak[t][kind]) + 1e-9,
-                    "mean above peak for thread {t} {kind}"
-                );
-            }
-        }
     }
 }

@@ -1,9 +1,11 @@
 //! Property-based tests of the simulator core: for arbitrary seeds,
 //! benchmark pairs and run lengths, the incrementally-maintained resource
 //! counters must match a from-scratch recomputation, and basic conservation
-//! laws must hold.
+//! laws must hold. One fixed-input check of the model's behaviour closes
+//! the file.
 
 use proptest::prelude::*;
+use smt_isa::{ResourceKind, ThreadId};
 use smt_sim::policy::RoundRobin;
 use smt_sim::{SimConfig, Simulator};
 use smt_workloads::spec;
@@ -64,4 +66,29 @@ proptest! {
         sim.run_cycles(5_000);
         prop_assert!(sim.result().throughput() <= 8.0);
     }
+}
+
+/// The monopolization the paper argues from (Sections 1–2): with no
+/// resource control, the memory-bound thread ends up holding most of the
+/// load/store queue.
+#[test]
+fn memory_thread_tops_lsq_occupancy() {
+    let profiles = [
+        spec::profile("art").unwrap(),
+        spec::profile("gzip").unwrap(),
+    ];
+    let mut sim = Simulator::new(SimConfig::baseline(2), &profiles, RoundRobin::default(), 3);
+    sim.prewarm(100_000);
+    sim.run_cycles(5_000);
+    let mut lsq = [0u64; 2];
+    for _ in 0..20_000 {
+        sim.step();
+        for (t, sum) in lsq.iter_mut().enumerate() {
+            *sum += u64::from(sim.thread_usage(ThreadId::new(t))[ResourceKind::LsQueue]);
+        }
+    }
+    assert!(
+        lsq[0] > lsq[1],
+        "art (memory-bound) should hold the most LSQ entries: {lsq:?} entry-cycles"
+    );
 }

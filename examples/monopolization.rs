@@ -5,9 +5,8 @@
 //! Run with: `cargo run --release --example monopolization`
 
 use dcra_smt::dcra::Dcra;
-use dcra_smt::isa::{ResourceKind, ThreadId};
+use dcra_smt::isa::{PerResource, ResourceKind, ThreadId};
 use dcra_smt::policies::Icount;
-use dcra_smt::sim::watch::OccupancyRecorder;
 use dcra_smt::sim::{policy::AnyPolicy, SimConfig, Simulator};
 use dcra_smt::workloads::spec;
 
@@ -22,24 +21,35 @@ fn measure(policy: AnyPolicy, label: &str) {
     sim.run_cycles(30_000);
     sim.reset_stats();
 
-    let mut rec = OccupancyRecorder::new(2);
-    for _ in 0..150_000 {
+    // Step the measured cycles, summing each thread's resource occupancy
+    // and keeping its peak.
+    let cycles = 150_000u64;
+    let mut sums = [PerResource::<u64>::default(); 2];
+    let mut peaks = [PerResource::<u32>::default(); 2];
+    for _ in 0..cycles {
         sim.step();
-        rec.sample(&sim);
+        for (t, (sum, peak)) in sums.iter_mut().zip(&mut peaks).enumerate() {
+            let usage = sim.thread_usage(ThreadId::new(t));
+            for kind in ResourceKind::ALL {
+                sum[kind] += u64::from(usage[kind]);
+                peak[kind] = peak[kind].max(usage[kind]);
+            }
+        }
     }
-    let report = rec.report();
+    // Mean share (0..1) of `total` entries of `kind` held by thread `t`.
+    let share =
+        |t: usize, kind, total: u32| sums[t][kind] as f64 / cycles as f64 / f64::from(total);
     let result = sim.result();
 
     println!("== {label}");
     println!("   throughput {:.3} IPC", result.throughput());
     for (i, b) in benches.iter().enumerate() {
-        let t = ThreadId::new(i);
         println!(
             "   {b:5} ipc={:.2}  mean share of LSQ {:>5.1}%  int-regs {:>5.1}%  peak LSQ {:>2}",
             result.threads[i].ipc(result.cycles),
-            report.share(t, ResourceKind::LsQueue, 80) * 100.0,
-            report.share(t, ResourceKind::IntRegs, 288) * 100.0,
-            report.peak[i][ResourceKind::LsQueue],
+            share(i, ResourceKind::LsQueue, 80) * 100.0,
+            share(i, ResourceKind::IntRegs, 288) * 100.0,
+            peaks[i][ResourceKind::LsQueue],
         );
     }
 }

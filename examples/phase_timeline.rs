@@ -8,7 +8,6 @@
 //!
 //! Run with: `cargo run --release --example phase_timeline`
 
-use dcra_smt::isa::ThreadId;
 use dcra_smt::sim::{SimConfig, Simulator};
 use dcra_smt::workloads::spec;
 
@@ -37,21 +36,13 @@ fn main() {
         "cycle", "swim", "gzip", "throughput"
     );
     let interval = 5_000u64;
-    let mut committed_before = 0u64;
+    let mut before = sim.result();
     for step in 1..=20u64 {
-        // Sample the phase once per interval plus count slow cycles inside.
-        let mut slow = [0u64; 2];
-        for _ in 0..interval {
-            sim.step();
-            for (t, s) in slow.iter_mut().enumerate() {
-                if sim.thread_l1d_pending(ThreadId::new(t)) > 0 {
-                    *s += 1;
-                }
-            }
-        }
-        let committed = sim.result().total_committed();
-        let ipc = (committed - committed_before) as f64 / interval as f64;
-        committed_before = committed;
+        sim.run_cycles(interval);
+        let now = sim.result();
+        let slow = [0, 1].map(|t| now.slow_cycles(t) - before.slow_cycles(t));
+        let ipc = (now.total_committed() - before.total_committed()) as f64 / interval as f64;
+        before = now;
         let tag = |c: u64| {
             let frac = c as f64 / interval as f64;
             format!(

@@ -4,7 +4,7 @@
 
 use dcra_smt::dcra::{Dcra, DcraConfig};
 use dcra_smt::experiments::{PolicyKind, RunSpec, Runner};
-use dcra_smt::isa::{PerResource, ThreadId};
+use dcra_smt::isa::PerResource;
 use dcra_smt::metrics::hmean;
 use dcra_smt::sim::{SimConfig, Simulator};
 use dcra_smt::workloads::{spec, table4_workloads};
@@ -213,14 +213,10 @@ fn slow_thread_classification_reaches_the_policy() {
     let mut sim = Simulator::new(SimConfig::baseline(2), &profiles, Dcra::default(), 3);
     sim.prewarm(120_000);
     sim.run_cycles(10_000);
-    let mut slow_cycles = 0;
+    sim.reset_stats();
     let total = 20_000;
-    for _ in 0..total {
-        sim.step();
-        if sim.thread_l1d_pending(ThreadId::new(0)) > 0 {
-            slow_cycles += 1;
-        }
-    }
+    sim.run_cycles(total);
+    let slow_cycles = sim.result().slow_cycles(0);
     assert!(
         slow_cycles > total / 10,
         "mcf slow only {slow_cycles}/{total} cycles"
