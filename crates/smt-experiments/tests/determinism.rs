@@ -94,6 +94,12 @@ const GOLDEN: [&str; 9] = [
     "DCRA committed=15715/3376/7347/8806 fetched=24936/7712/12074/15856 squashed=9131/4264/4607/7031 mispred=828/476/293/688 loads=4172/979/2284/2407 l1d=340/300/574/212 l2=203/239/302/151 gated=5841/10511/5432/3588 mlp=81051/99608/117593/69657:29843/41331/37845/29358 blocked=0/0/0/0:817/412/369/666:45/0/79/7:0/0/0/0 ipc=0.704880",
 ];
 
+/// DCRA with degenerate-case detection on the same run, captured before
+/// the detector was folded into `Dcra`. The detector fires on this run,
+/// so the line differs from DCRA's and pins the detector's gating, not
+/// just the sharing model it shares with DCRA.
+const GOLDEN_DCRA_DC: &str = "DCRA-DC committed=15413/3237/8034/9401 fetched=24152/6976/12932/16755 squashed=8715/3686/4862/7332 mispred=814/443/301/707 loads=4062/928/2493/2587 l1d=332/281/590/220 l2=200/224/309/153 gated=5754/10720/6003/3911 mlp=80892/96853/119392/69657:29785/40695/38493/29564 blocked=0/0/0/0:463/198/102/95:119/21/17/18:0/0/0/0 ipc=0.721700";
+
 /// The same goldens must hold when the nine policies run through the
 /// boxed escape hatch — `AnyPolicy::Boxed` is dynamic dispatch over the
 /// identical policy state, so static vs dynamic dispatch is observable
@@ -223,6 +229,11 @@ fn simulation_output_matches_pre_rewrite_goldens() {
          (BLESS_GOLDENS=1 to regenerate after an intentional model change):\n{}",
         failures.join("\n---\n")
     );
+}
+
+#[test]
+fn dcra_dc_output_matches_golden() {
+    assert_eq!(summary(&PolicyKind::DcraDc), GOLDEN_DCRA_DC);
 }
 
 /// The runner's prewarm memo: two policies swept on one `Runner`, the
