@@ -25,8 +25,9 @@
 //! §3.4 offers two hardware forms of the sharing model, a combinational
 //! circuit and a read-only table. [`Dcra`] computes the circuit's values
 //! ([`slow_share`]); [`allocation_table`] regenerates the table's contents
-//! (the paper's Table 1). [`DcraDc`] adds the paper's future-work
-//! degenerate-case detection.
+//! (the paper's Table 1). [`Dcra::with_degenerate_detection`] adds the
+//! paper's future-work degenerate-case detection as a mask over the same
+//! model.
 //!
 //! # Examples
 //!
@@ -45,11 +46,9 @@
 #![warn(missing_docs)]
 
 mod classify;
-mod degenerate;
 mod policy;
 mod sharing;
 
 pub use classify::{ActivityTracker, ThreadPhase};
-pub use degenerate::{DcraDc, DegenerateConfig};
 pub use policy::{Dcra, DcraConfig};
 pub use sharing::{allocation_table, slow_share, SharingConfig, SharingFactor, TableEntry};

@@ -1,7 +1,9 @@
-//! The DCRA policy: classification + sharing model + enforcement.
+//! The DCRA policy: classification + sharing model + enforcement, with
+//! the paper's future-work degenerate-case detection as an optional mask
+//! over the same model.
 
 use crate::classify::{ActivityTracker, ThreadPhase};
-use crate::sharing::{slow_share, SharingConfig};
+use crate::sharing::{slow_share, SharingConfig, SharingFactor};
 use serde::{Deserialize, Serialize};
 use smt_isa::{PerResource, QueueKind, RegClass, ResourceKind, ThreadId};
 use smt_policy_core::{CycleView, Policy};
@@ -71,6 +73,82 @@ pub struct Dcra {
     /// Bitmask (over thread ids) of slow-active threads per resource, from
     /// the last limits recompute — the enforcement sweep walks only these.
     slow_active: PerResource<u8>,
+    /// Degenerate-case detection, when on
+    /// ([`Dcra::with_degenerate_detection`]).
+    degeneracy: Option<Degeneracy>,
+}
+
+/// Re-evaluation window of the degenerate-case detector, in cycles.
+const DEGENERATE_WINDOW: u64 = 8192;
+/// A thread slow for at least this fraction of a window is a candidate.
+const DEGENERATE_SLOW_FRACTION: f64 = 0.8;
+/// Candidates whose window IPC is below this are degenerate.
+const DEGENERATE_IPC: f64 = 0.1;
+
+/// The degenerate-case detector's state (the paper's future work, §5.2
+/// and §5.3).
+///
+/// The paper observes that mcf-like threads are *degenerate*: giving them
+/// extra entries does raise their number of overlapping misses, "however,
+/// this increase is hardly visible in the overall processor performance
+/// due to the extremely low baseline performance, and comes at the expense
+/// of slightly decreased performance of other threads". Over fixed
+/// windows, a thread that was slow for most of the window *and* committed
+/// almost nothing is marked degenerate for the next window, and is then
+/// held to the even share of the active threads (`C = 0` for it) while
+/// ordinary slow threads keep borrowing.
+#[derive(Debug, Clone, Default)]
+struct Degeneracy {
+    window_start: u64,
+    /// Cycles of the current window each thread spent slow.
+    slow_cycles: Vec<u64>,
+    /// Each thread's committed count at the start of the window.
+    committed_base: Vec<u64>,
+    /// Bitmask (over thread ids) of the threads held to the even share.
+    degenerate: u8,
+    /// Per-resource even share `slow_share(R, FA, SA, C = 0)`, from the
+    /// last limits recompute (meaningful where a limit applies).
+    even: PerResource<u32>,
+}
+
+impl Degeneracy {
+    /// Counts this cycle's slow threads and, at the end of a window,
+    /// re-classifies every thread. The first call only sizes the state.
+    fn roll(&mut self, view: &CycleView) {
+        let n = view.thread_count();
+        let committed = view.committed_counts();
+        if self.slow_cycles.len() != n {
+            self.slow_cycles = vec![0; n];
+            self.committed_base = committed.to_vec();
+            self.degenerate = 0;
+            self.window_start = view.now;
+            return;
+        }
+        for (slow, &l1p) in self.slow_cycles.iter_mut().zip(view.l1d_pendings()) {
+            if l1p > 0 {
+                *slow += 1;
+            }
+        }
+        let elapsed = view.now.saturating_sub(self.window_start);
+        if elapsed < DEGENERATE_WINDOW {
+            return;
+        }
+        self.degenerate = 0;
+        let lanes = self.slow_cycles.iter_mut().zip(&mut self.committed_base);
+        for (i, ((slow, base), &now_committed)) in lanes.zip(committed).enumerate() {
+            let slow_frac = *slow as f64 / elapsed as f64;
+            // Counters can rewind when the simulator resets statistics
+            // between warm-up and measurement.
+            let done = now_committed.saturating_sub(*base);
+            let ipc = done as f64 / elapsed as f64;
+            if slow_frac >= DEGENERATE_SLOW_FRACTION && ipc < DEGENERATE_IPC {
+                self.degenerate |= 1 << i;
+            }
+            *slow = 0;
+            *base = now_committed;
+        }
+        self.window_start = view.now;
+    }
 }
 
 impl Default for Dcra {
@@ -92,6 +170,28 @@ impl Dcra {
             activity_dirty: false,
             last_totals: PerResource::default(),
             slow_active: PerResource::default(),
+            degeneracy: None,
+        }
+    }
+
+    /// DCRA at its default configuration plus degenerate-case detection
+    /// (DCRA-DC, the paper's future-work extension): a slow thread that
+    /// was slow for most of an 8192-cycle window and committed almost
+    /// nothing in it is capped at the even share of the active threads
+    /// for the next window, instead of its borrowed `E_slow`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dcra::Dcra;
+    /// use smt_policy_core::Policy;
+    ///
+    /// assert_eq!(Dcra::with_degenerate_detection().name(), "DCRA-DC");
+    /// ```
+    pub fn with_degenerate_detection() -> Self {
+        Dcra {
+            degeneracy: Some(Degeneracy::default()),
+            ..Dcra::default()
         }
     }
 
@@ -111,6 +211,14 @@ impl Dcra {
         self.gated.get(t.index()).copied().unwrap_or(false)
     }
 
+    /// `true` if thread `t` is currently classified degenerate (always
+    /// `false` without degenerate-case detection).
+    pub fn is_degenerate(&self, t: ThreadId) -> bool {
+        self.degeneracy
+            .as_ref()
+            .is_some_and(|d| t.index() < 8 && d.degenerate & (1 << t.index()) != 0)
+    }
+
     fn activity(&mut self, threads: usize) -> &mut ActivityTracker {
         let init = self.config.activity_init;
         self.activity
@@ -120,11 +228,18 @@ impl Dcra {
 
 impl Policy for Dcra {
     fn name(&self) -> &str {
-        "DCRA"
+        if self.degeneracy.is_some() {
+            "DCRA-DC"
+        } else {
+            "DCRA"
+        }
     }
 
     fn begin_cycle(&mut self, view: &CycleView) {
         let n = view.thread_count();
+        if let Some(d) = self.degeneracy.as_mut() {
+            d.roll(view);
+        }
         self.activity_dirty |= self.activity(n).tick();
 
         // Re-classify phases from the pending-miss lane, noting whether
@@ -181,6 +296,9 @@ impl Policy for Dcra {
                     self.config.sharing.reg_factor
                 };
                 self.limits[kind] = Some(slow_share(view.totals[kind], fa, sa, factor));
+                if let Some(d) = self.degeneracy.as_mut() {
+                    d.even[kind] = slow_share(view.totals[kind], fa, sa, SharingFactor::Zero);
+                }
             }
             self.limits_valid = true;
             self.activity_dirty = false;
@@ -188,7 +306,8 @@ impl Policy for Dcra {
         }
 
         // Enforcement every cycle (usage moves constantly): gate
-        // slow-active threads at/above their share.
+        // slow-active threads at/above their share, degenerate ones at/above
+        // the even share.
         self.gated.clear();
         self.gated.resize(n, false);
         let usages = view.usages();
@@ -196,14 +315,18 @@ impl Policy for Dcra {
             let Some(e_slow) = self.limits[kind] else {
                 continue;
             };
-            let mut mask = self.slow_active[kind];
-            while mask != 0 {
-                let i = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                if usages[i][kind] >= e_slow {
-                    self.gated[i] = true;
-                }
+            let mut slow = self.slow_active[kind];
+            if let Some(d) = &self.degeneracy {
+                gate_at(
+                    &mut self.gated,
+                    usages,
+                    kind,
+                    slow & d.degenerate,
+                    d.even[kind],
+                );
+                slow &= !d.degenerate;
             }
+            gate_at(&mut self.gated, usages, kind, slow, e_slow);
         }
     }
 
@@ -227,7 +350,17 @@ impl Policy for Dcra {
         }
     }
 
+    fn wants_progress_counters(&self) -> bool {
+        // The degeneracy windows read per-thread committed counts.
+        self.degeneracy.is_some()
+    }
+
     fn on_idle_cycles(&mut self, n: u64, _view: &CycleView) -> u64 {
+        if self.degeneracy.is_some() {
+            // The detector counts slow cycles and rolls its window on cycle
+            // boundaries; it is not replayed, so DCRA-DC keeps stepping.
+            return 0;
+        }
         // The only per-cycle state is the activity decay. Phases and usage
         // are frozen on idle cycles, so the gated set — and therefore every
         // fetch_gate answer — can only change when a decaying FP counter
@@ -241,7 +374,24 @@ impl Policy for Dcra {
     }
 
     fn wants_fast_forward(&self) -> bool {
-        true
+        self.degeneracy.is_none()
+    }
+}
+
+/// Gates every thread in `mask` whose `kind` usage meets or exceeds `cap`.
+fn gate_at(
+    gated: &mut [bool],
+    usages: &[PerResource<u32>],
+    kind: ResourceKind,
+    mut mask: u8,
+    cap: u32,
+) {
+    while mask != 0 {
+        let i = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        if usages[i][kind] >= cap {
+            gated[i] = true;
+        }
     }
 }
 
@@ -345,6 +495,97 @@ mod tests {
         d.begin_cycle(&v);
         assert_eq!(d.phase_of(ThreadId::new(0)), Some(ThreadPhase::Slow));
         assert_eq!(d.phase_of(ThreadId::new(1)), Some(ThreadPhase::Fast));
+    }
+
+    /// A view at cycle `now` from per-thread `(l1d_pending, committed)`.
+    fn timed_view(now: u64, specs: &[(u32, u64)]) -> CycleView {
+        let threads: Vec<ThreadView> = specs
+            .iter()
+            .map(|&(l1p, committed)| ThreadView {
+                l1d_pending: l1p,
+                committed,
+                ..ThreadView::default()
+            })
+            .collect();
+        CycleView::new(now, PerResource::filled(32), &threads)
+    }
+
+    #[test]
+    fn detects_chronically_slow_unproductive_thread() {
+        let mut p = Dcra::with_degenerate_detection();
+        let w = DEGENERATE_WINDOW;
+        // Thread 0: always slow, never commits. Thread 1: fast, commits.
+        p.begin_cycle(&timed_view(0, &[(1, 0), (0, 0)]));
+        for now in 1..=w + 1 {
+            p.begin_cycle(&timed_view(now, &[(1, 10), (0, now * 2)]));
+        }
+        assert!(p.is_degenerate(ThreadId::new(0)));
+        assert!(!p.is_degenerate(ThreadId::new(1)));
+    }
+
+    #[test]
+    fn productive_slow_thread_is_not_degenerate() {
+        let mut p = Dcra::with_degenerate_detection();
+        let w = DEGENERATE_WINDOW;
+        // Slow but committing at IPC 0.5.
+        p.begin_cycle(&timed_view(0, &[(1, 0)]));
+        for now in 1..=w + 1 {
+            p.begin_cycle(&timed_view(now, &[(1, now / 2)]));
+        }
+        assert!(!p.is_degenerate(ThreadId::new(0)));
+    }
+
+    #[test]
+    fn degenerate_thread_loses_its_borrowed_share() {
+        let mut p = Dcra::with_degenerate_detection();
+        let w = DEGENERATE_WINDOW;
+        // Make thread 0 degenerate.
+        p.begin_cycle(&timed_view(0, &[(1, 0), (0, 0)]));
+        for now in 1..=w + 1 {
+            p.begin_cycle(&timed_view(now, &[(1, 0), (0, now * 2)]));
+        }
+        assert!(p.is_degenerate(ThreadId::new(0)));
+        // Usage 17 with 1 fast + 1 slow active: even share = 16, borrowed
+        // share (1/(A+4) at 2 active) = 16·(1+1/6) ≈ 19. A degenerate
+        // thread at usage 17 must be gated; an ordinary one must not.
+        let mut v = timed_view(w + 2, &[(1, 0), (0, 0)]);
+        v.set_thread(
+            0,
+            &ThreadView {
+                l1d_pending: 1,
+                usage: PerResource::filled(17),
+                ..ThreadView::default()
+            },
+        );
+        p.begin_cycle(&v);
+        assert!(
+            !p.fetch_gate(ThreadId::new(0), &v),
+            "degenerate thread gated at even share"
+        );
+
+        let mut fresh = Dcra::with_degenerate_detection();
+        fresh.begin_cycle(&v);
+        assert!(
+            fresh.fetch_gate(ThreadId::new(0), &v),
+            "non-degenerate thread keeps its borrowed share"
+        );
+    }
+
+    #[test]
+    fn classification_recovers() {
+        let mut p = Dcra::with_degenerate_detection();
+        let w = DEGENERATE_WINDOW;
+        p.begin_cycle(&timed_view(0, &[(1, 0)]));
+        for now in 1..=w + 1 {
+            p.begin_cycle(&timed_view(now, &[(1, 0)]));
+        }
+        assert!(p.is_degenerate(ThreadId::new(0)));
+        // Next window: the thread commits briskly again.
+        let base = w + 1;
+        for now in base + 1..=base + w + 1 {
+            p.begin_cycle(&timed_view(now, &[(1, now * 2)]));
+        }
+        assert!(!p.is_degenerate(ThreadId::new(0)), "degeneracy must decay");
     }
 
     #[test]

@@ -164,7 +164,7 @@ fn degenerate_detection_reclaims_resources_from_mcf() {
         sim.result()
     };
     let plain = run(Box::<Dcra>::default());
-    let dc = run(Box::<dcra::DcraDc>::default());
+    let dc = run(Box::new(Dcra::with_degenerate_detection()));
     let gzip_plain = plain.threads[1].ipc(plain.cycles);
     let gzip_dc = dc.threads[1].ipc(dc.cycles);
     assert!(

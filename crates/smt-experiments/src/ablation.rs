@@ -4,8 +4,8 @@
 //! * the **activity-counter reset value** (§3.4 footnote: "several values
 //!   for this parameter ranging from 64 to 8192" — 256 wins),
 //! * the **sharing factor** `C` (§3.2/§5.3: `1/A`, `1/(A+4)`, `0`),
-//! * the **degenerate-case detector** of [`dcra::DcraDc`] (the paper's
-//!   future work).
+//! * the **degenerate-case detector** of
+//!   [`dcra::Dcra::with_degenerate_detection`] (the paper's future work).
 //!
 //! Run the list with [`crate::sweep::run_study`].
 

@@ -11,7 +11,7 @@
 
 use crate::chaos::ChaosPolicy;
 use crate::fault::{EngineReport, InjectedFault, RunError};
-use dcra::{Dcra, DcraConfig, DcraDc, SharingConfig};
+use dcra::{Dcra, DcraConfig, SharingConfig};
 use smt_isa::{PerResource, ThreadId};
 use smt_mem::{MemoryConfig, WarmState};
 use smt_policies as pol;
@@ -97,9 +97,8 @@ impl PolicyKind {
         })
     }
 
-    /// Instantiates the policy. All nine canonical policies come back as
-    /// statically-dispatched [`AnyPolicy`] variants; only the experimental
-    /// DCRA-DC rides the boxed escape hatch.
+    /// Instantiates the policy as a statically-dispatched [`AnyPolicy`]
+    /// variant.
     pub fn build(&self) -> AnyPolicy {
         match self {
             PolicyKind::RoundRobin => smt_sim::policy::RoundRobin::default().into(),
@@ -112,7 +111,7 @@ impl PolicyKind {
             PolicyKind::Sra => pol::StaticAllocation::new().into(),
             PolicyKind::SraCapped(caps) => pol::StaticAllocation::with_caps(*caps).into(),
             PolicyKind::Dcra(cfg) => Dcra::new(*cfg).into(),
-            PolicyKind::DcraDc => AnyPolicy::Boxed(Box::<DcraDc>::default()),
+            PolicyKind::DcraDc => Dcra::with_degenerate_detection().into(),
         }
     }
 }
@@ -867,6 +866,11 @@ mod tests {
         ] {
             assert_eq!(k.build().name(), k.name());
         }
+    }
+
+    #[test]
+    fn dcra_dc_is_statically_dispatched() {
+        assert!(matches!(PolicyKind::DcraDc.build(), AnyPolicy::Dcra(_)));
     }
 
     #[test]

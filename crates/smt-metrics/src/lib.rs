@@ -6,12 +6,11 @@
 //! * **Hmean** (Luo, Gummaraju & Franklin, ISPASS'01) — the harmonic mean
 //!   of each thread's speedup relative to running alone, the paper's
 //!   fairness/throughput-balance metric.
-//! * **Weighted speedup** (Tullsen & Brown) — the arithmetic mean of the
-//!   relative IPCs, reported for completeness.
 //! * **MLP** — average overlapping L2 misses while at least one is
 //!   outstanding (Section 5.2's memory-parallelism measurements).
-//! * **Front-end activity** — fetched instructions, including flush-induced
-//!   refetch (the 108%-extra-fetch comparison of Section 5.2).
+//! * **Relative improvement** — [`improvement_pct`], the form every
+//!   comparison is reported in, Section 5.2's front-end number included
+//!   (fetched per committed instruction, FLUSH++ over DCRA).
 //!
 //! # Examples
 //!
@@ -89,45 +88,6 @@ pub fn hmean(multi_ipcs: &[f64], single_ipcs: &[f64]) -> f64 {
     }
 }
 
-/// Weighted speedup: arithmetic mean of per-thread speedups. An empty
-/// slice scores 0 (not NaN).
-pub fn weighted_speedup(multi_ipcs: &[f64], single_ipcs: &[f64]) -> f64 {
-    let sp = speedups(multi_ipcs, single_ipcs);
-    if sp.is_empty() {
-        return 0.0;
-    }
-    sp.iter().sum::<f64>() / sp.len() as f64
-}
-
-/// Non-panicking [`speedups`]: `None` on mismatched lengths or a
-/// non-positive baseline IPC. For aggregating over partially-failed
-/// sweeps, where a missing or corrupt baseline must skip the row rather
-/// than abort the report.
-pub fn try_speedups(multi_ipcs: &[f64], single_ipcs: &[f64]) -> Option<Vec<f64>> {
-    if multi_ipcs.len() != single_ipcs.len() {
-        return None;
-    }
-    multi_ipcs
-        .iter()
-        .zip(single_ipcs)
-        .map(|(&m, &s)| (s > 0.0).then(|| m / s))
-        .collect()
-}
-
-/// Non-panicking [`hmean`]: `None` exactly when [`try_speedups`] fails;
-/// otherwise identical to [`hmean`] (including the guarded zeros).
-pub fn try_hmean(multi_ipcs: &[f64], single_ipcs: &[f64]) -> Option<f64> {
-    try_speedups(multi_ipcs, single_ipcs)?;
-    Some(hmean(multi_ipcs, single_ipcs))
-}
-
-/// Non-panicking [`weighted_speedup`]: `None` exactly when
-/// [`try_speedups`] fails.
-pub fn try_weighted_speedup(multi_ipcs: &[f64], single_ipcs: &[f64]) -> Option<f64> {
-    try_speedups(multi_ipcs, single_ipcs)?;
-    Some(weighted_speedup(multi_ipcs, single_ipcs))
-}
-
 /// Relative improvement of `ours` over `baseline`, in percent.
 pub fn improvement_pct(ours: f64, baseline: f64) -> f64 {
     if baseline == 0.0 {
@@ -151,16 +111,6 @@ pub fn workload_mlp(result: &SimResult) -> f64 {
     } else {
         vals.iter().sum::<f64>() / vals.len() as f64
     }
-}
-
-/// Extra front-end activity of `ours` relative to `baseline`, in percent
-/// (the paper's "FLUSH++ fetches 108% more instructions than DCRA").
-pub fn extra_fetch_pct(ours: &SimResult, baseline: &SimResult) -> f64 {
-    // Normalise per committed instruction so runs of different lengths
-    // compare fairly.
-    let ours_rate = ours.total_fetched() as f64 / ours.total_committed().max(1) as f64;
-    let base_rate = baseline.total_fetched() as f64 / baseline.total_committed().max(1) as f64;
-    improvement_pct(ours_rate, base_rate)
 }
 
 #[cfg(test)]
@@ -188,36 +138,9 @@ mod tests {
     }
 
     #[test]
-    fn weighted_speedup_is_arithmetic_mean() {
-        let ws = weighted_speedup(&[1.0, 1.0], &[2.0, 4.0]);
-        assert!((ws - 0.375).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "must be positive")]
     fn zero_baseline_rejected() {
         let _ = speedups(&[1.0], &[0.0]);
-    }
-
-    #[test]
-    fn try_variants_reject_instead_of_panicking() {
-        assert_eq!(try_speedups(&[1.0], &[0.0]), None, "zero baseline");
-        assert_eq!(try_speedups(&[1.0, 2.0], &[2.0]), None, "length mismatch");
-        assert_eq!(try_hmean(&[1.0], &[0.0]), None);
-        assert_eq!(try_weighted_speedup(&[1.0, 2.0], &[2.0]), None);
-        // On valid input they agree exactly with the panicking originals.
-        let (multi, single) = ([1.2, 0.3], [2.4, 0.6]);
-        assert_eq!(
-            try_speedups(&multi, &single),
-            Some(speedups(&multi, &single))
-        );
-        assert_eq!(try_hmean(&multi, &single), Some(hmean(&multi, &single)));
-        assert_eq!(
-            try_weighted_speedup(&multi, &single),
-            Some(weighted_speedup(&multi, &single))
-        );
-        // Guarded zeros survive: empty input is valid, scores 0.
-        assert_eq!(try_hmean(&[], &[]), Some(0.0));
     }
 
     #[test]
@@ -225,7 +148,6 @@ mod tests {
         // Empty or fully-starved inputs must yield finite, zero scores —
         // a NaN here used to poison whole figure bins in partial sweeps.
         assert_eq!(hmean(&[], &[]), 0.0);
-        assert_eq!(weighted_speedup(&[], &[]), 0.0);
         assert!(hmean(&[], &[]).is_finite());
     }
 
@@ -236,8 +158,6 @@ mod tests {
             let h = hmean(&multi, &single);
             assert_eq!(h, 0.0, "starved thread must zero the Hmean");
             assert!(h.is_finite());
-            let w = weighted_speedup(&multi, &single);
-            assert!(w.is_finite(), "weighted speedup must stay finite");
         }
     }
 
@@ -263,14 +183,6 @@ mod tests {
                 .collect(),
             phase_cycles: Vec::new(),
         }
-    }
-
-    #[test]
-    fn extra_fetch_is_relative_to_useful_work() {
-        let flushy = result_with(&[4000], &[1000]);
-        let lean = result_with(&[2000], &[1000]);
-        let extra = extra_fetch_pct(&flushy, &lean);
-        assert!((extra - 100.0).abs() < 1e-9, "got {extra}");
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl CommitWatchdog {
         w
     }
 
-    /// The budget this watchdog enforces.
-    pub fn budget(&self) -> &RunBudget {
-        &self.budget
-    }
-
     fn update_next_check(&mut self) {
         self.next_check = self
             .budget
