@@ -211,14 +211,6 @@ impl Dcra {
         self.gated.get(t.index()).copied().unwrap_or(false)
     }
 
-    /// `true` if thread `t` is currently classified degenerate (always
-    /// `false` without degenerate-case detection).
-    pub fn is_degenerate(&self, t: ThreadId) -> bool {
-        self.degeneracy
-            .as_ref()
-            .is_some_and(|d| t.index() < 8 && d.degenerate & (1 << t.index()) != 0)
-    }
-
     fn activity(&mut self, threads: usize) -> &mut ActivityTracker {
         let init = self.config.activity_init;
         self.activity
@@ -495,6 +487,15 @@ mod tests {
         d.begin_cycle(&v);
         assert_eq!(d.phase_of(ThreadId::new(0)), Some(ThreadPhase::Slow));
         assert_eq!(d.phase_of(ThreadId::new(1)), Some(ThreadPhase::Fast));
+    }
+
+    impl Dcra {
+        /// `true` if thread `t` is currently classified degenerate.
+        fn is_degenerate(&self, t: ThreadId) -> bool {
+            self.degeneracy
+                .as_ref()
+                .is_some_and(|d| (d.degenerate >> t.index()) & 1 != 0)
+        }
     }
 
     /// A view at cycle `now` from per-thread `(l1d_pending, committed)`.

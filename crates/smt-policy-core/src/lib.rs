@@ -384,8 +384,8 @@ pub trait Policy {
     /// [`CycleView::loads`] or their batch lanes. When `false` (the
     /// default) the simulator skips refreshing those lanes each cycle;
     /// policies that read them without overriding this hint see stale
-    /// values. FLUSH++ (window pressure) and the degenerate-case DCRA
-    /// variants override it.
+    /// values. FLUSH++ (window pressure) and DCRA with degenerate-case
+    /// detection override it.
     fn wants_progress_counters(&self) -> bool {
         false
     }

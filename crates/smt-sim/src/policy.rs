@@ -51,7 +51,7 @@ pub enum AnyPolicy {
     PredictiveDataGating(smt_policies::PredictiveDataGating),
     /// Static even partitioning (SRA), capped or not.
     Sra(smt_policies::StaticAllocation),
-    /// The paper's proposal.
+    /// The paper's proposal, with or without degenerate-case detection.
     Dcra(dcra::Dcra),
     /// Escape hatch: any other [`Policy`] implementation, dynamically
     /// dispatched as before.
