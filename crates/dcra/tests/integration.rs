@@ -155,7 +155,7 @@ fn degenerate_detection_reclaims_resources_from_mcf() {
         spec::profile("mcf").unwrap(),
         spec::profile("gzip").unwrap(),
     ];
-    let run = |policy: Box<dyn smt_sim::policy::Policy>| {
+    let run = |policy: Dcra| {
         let mut sim = Simulator::new(SimConfig::baseline(2), &profiles, policy, 11);
         sim.prewarm(200_000);
         sim.run_cycles(20_000);
@@ -163,8 +163,8 @@ fn degenerate_detection_reclaims_resources_from_mcf() {
         sim.run_cycles(120_000);
         sim.result()
     };
-    let plain = run(Box::<Dcra>::default());
-    let dc = run(Box::new(Dcra::with_degenerate_detection()));
+    let plain = run(Dcra::default());
+    let dc = run(Dcra::with_degenerate_detection());
     let gzip_plain = plain.threads[1].ipc(plain.cycles);
     let gzip_dc = dc.threads[1].ipc(dc.cycles);
     assert!(

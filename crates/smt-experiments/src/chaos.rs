@@ -2,7 +2,7 @@
 //! engine.
 //!
 //! A [`FaultPlan`] takes a clean batch of [`RunSpec`]s and sabotages a
-//! seeded, reproducible subset of them — panicking policy wrappers,
+//! seeded, reproducible subset of them — runs that panic mid-simulation,
 //! invalid machine configurations, unknown benchmarks, budget-exhausting
 //! workloads and sink poisoning — so soak tests can push hundreds of
 //! mixed good/faulty runs through
@@ -17,7 +17,6 @@
 
 use crate::fault::InjectedFault;
 use crate::runner::RunSpec;
-use smt_sim::policy::{AnyPolicy, CycleView, MissResponse, Policy};
 use smt_sim::RunBudget;
 use std::sync::Once;
 
@@ -30,7 +29,8 @@ pub const CHAOS_MARKER: &str = "chaos-injected";
 /// The kinds of sabotage a [`FaultPlan`] can assign to a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// The policy panics mid-run → the run fails
+    /// The run panics mid-simulation
+    /// ([`InjectedFault::PanicAtCycle`]) → the run fails
     /// [`RunError::Panicked`](crate::fault::RunError::Panicked).
     Panic,
     /// The spec's machine configuration is invalidated (zero-sized fetch
@@ -40,11 +40,12 @@ pub enum FaultKind {
     /// → [`RunError::UnknownBenchmark`](crate::fault::RunError::UnknownBenchmark).
     UnknownBenchmark,
     /// A one-cycle livelock window is attached → trips before the machine
-    /// can possibly commit →
-    /// [`RunError::Livelock`](crate::fault::RunError::Livelock).
+    /// can possibly commit → [`RunError::Budget`](crate::fault::RunError::Budget)
+    /// with a [`BudgetBreach::Livelock`](smt_sim::watch::BudgetBreach::Livelock).
     Livelock,
     /// A cycle cap far below the spec's warmup length is attached →
-    /// [`RunError::CycleBudget`](crate::fault::RunError::CycleBudget).
+    /// [`RunError::Budget`](crate::fault::RunError::Budget) with a
+    /// [`BudgetBreach::CycleCap`](smt_sim::watch::BudgetBreach::CycleCap).
     CycleCap,
     /// The spec itself is untouched; the *sink callback* is expected to
     /// panic for this index (the harness's caller arranges it via
@@ -163,124 +164,6 @@ impl FaultPlan {
     }
 }
 
-/// A [`Policy`] wrapper that behaves exactly like its inner policy until
-/// the simulation clock reaches `at_cycle`, then panics with a
-/// [`CHAOS_MARKER`]-tagged message. Used by the engine to realise
-/// [`InjectedFault::PanicAtCycle`].
-#[derive(Debug)]
-pub struct ChaosPolicy {
-    inner: AnyPolicy,
-    at_cycle: u64,
-}
-
-impl ChaosPolicy {
-    /// Wrap `inner` to panic at (or after — fast-forward may skip the
-    /// exact cycle) `at_cycle`.
-    pub fn new(inner: AnyPolicy, at_cycle: u64) -> Self {
-        ChaosPolicy { inner, at_cycle }
-    }
-}
-
-impl Policy for ChaosPolicy {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    #[expect(
-        clippy::panic,
-        reason = "deliberate fault injection: the panic is the chaos payload, contained by the runner's catch_unwind fault domain"
-    )]
-    fn begin_cycle(&mut self, view: &CycleView) {
-        if view.now >= self.at_cycle {
-            panic!(
-                "{CHAOS_MARKER}: policy {} detonated at cycle {}",
-                self.inner.name(),
-                view.now
-            );
-        }
-        self.inner.begin_cycle(view);
-    }
-
-    fn fetch_order(&mut self, view: &CycleView, order: &mut Vec<smt_isa::ThreadId>) {
-        self.inner.fetch_order(view, order);
-    }
-
-    fn fetch_gate(&mut self, t: smt_isa::ThreadId, view: &CycleView) -> bool {
-        self.inner.fetch_gate(t, view)
-    }
-
-    fn may_dispatch(
-        &self,
-        t: smt_isa::ThreadId,
-        queue: smt_isa::QueueKind,
-        dest: Option<smt_isa::RegClass>,
-        view: &CycleView,
-    ) -> bool {
-        self.inner.may_dispatch(t, queue, dest, view)
-    }
-
-    fn on_fetch_inst(&mut self, t: smt_isa::ThreadId, inst: &smt_isa::PackedInst) {
-        self.inner.on_fetch_inst(t, inst);
-    }
-
-    fn on_dispatch(
-        &mut self,
-        t: smt_isa::ThreadId,
-        queue: smt_isa::QueueKind,
-        dest: Option<smt_isa::RegClass>,
-    ) {
-        self.inner.on_dispatch(t, queue, dest);
-    }
-
-    fn on_l1d_miss(&mut self, t: smt_isa::ThreadId, pc: u64) {
-        self.inner.on_l1d_miss(t, pc);
-    }
-
-    fn on_l2_miss_detected(&mut self, t: smt_isa::ThreadId, view: &CycleView) -> MissResponse {
-        self.inner.on_l2_miss_detected(t, view)
-    }
-
-    fn on_miss_resolved(&mut self, t: smt_isa::ThreadId, pc: u64, level: smt_mem::HitLevel) {
-        self.inner.on_miss_resolved(t, pc, level);
-    }
-
-    fn on_load_complete(&mut self, t: smt_isa::ThreadId, pc: u64, l1_missed: bool) {
-        self.inner.on_load_complete(t, pc, l1_missed);
-    }
-
-    fn on_squash_inst(&mut self, t: smt_isa::ThreadId, inst: &smt_isa::PackedInst) {
-        self.inner.on_squash_inst(t, inst);
-    }
-
-    fn on_idle_cycles(&mut self, n: u64, view: &CycleView) -> u64 {
-        // Never fast-forward past the detonation cycle, or the panic
-        // could land at a run-dependent later cycle.
-        let skip = self.inner.on_idle_cycles(n, view);
-        let remaining = self.at_cycle.saturating_sub(view.now);
-        skip.min(remaining)
-    }
-
-    fn wants_fast_forward(&self) -> bool {
-        self.inner.wants_fast_forward()
-    }
-
-    fn wants_squash_inst(&self) -> bool {
-        self.inner.wants_squash_inst()
-    }
-
-    fn wants_dispatch_view(&self) -> bool {
-        self.inner.wants_dispatch_view()
-    }
-
-    fn wants_dispatch_gate(&self) -> bool {
-        self.inner.wants_dispatch_gate()
-    }
-
-    fn wants_progress_counters(&self) -> bool {
-        self.inner.wants_progress_counters()
-    }
-}
-
 /// Install a process-global panic hook that suppresses the default
 /// backtrace/location print for [`CHAOS_MARKER`]-tagged panics while
 /// forwarding every other panic to the previously installed hook.
@@ -310,7 +193,6 @@ pub fn silence_chaos_panics() {
 mod tests {
     use super::*;
     use crate::runner::{PolicyKind, RunSpec};
-    use smt_sim::policy::ThreadView;
 
     #[test]
     fn plans_are_deterministic_and_cover_all_kinds() {
@@ -386,31 +268,5 @@ mod tests {
             .unwrap();
         assert_eq!(specs[sink], clean[sink], "sink poisoning leaves the spec");
         assert!(plan.poisons_sink(sink));
-    }
-
-    #[test]
-    fn chaos_policy_delegates_until_detonation() {
-        let view = |now: u64| {
-            CycleView::new(
-                now,
-                smt_isa::PerResource::filled(80),
-                &vec![ThreadView::default(); 2],
-            )
-        };
-        let mut p = ChaosPolicy::new(AnyPolicy::from(smt_policies::Icount), 100);
-        assert_eq!(p.name(), "ICOUNT");
-        p.begin_cycle(&view(99)); // one cycle short: no panic
-        let mut order = Vec::new();
-        p.fetch_order(&view(99), &mut order);
-        assert_eq!(order.len(), 2);
-        // Fast-forward is clamped so the detonation cycle is never
-        // skipped: from cycle 99 it may advance at most to cycle 100.
-        assert!(p.on_idle_cycles(1_000, &view(99)) <= 1);
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            p.begin_cycle(&view(100));
-        }));
-        let payload = panicked.expect_err("must detonate at 100");
-        let msg = payload.downcast_ref::<String>().expect("string payload");
-        assert!(msg.contains(CHAOS_MARKER));
     }
 }

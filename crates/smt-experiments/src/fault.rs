@@ -40,47 +40,15 @@ pub enum RunError {
         /// The panic payload, if it was a string.
         message: String,
     },
-    /// The run advanced a full livelock window without committing a
-    /// single instruction (see
-    /// [`RunBudget::livelock_window`](smt_sim::RunBudget::livelock_window)).
-    Livelock {
-        /// The configured window.
-        window: u64,
-        /// Cycle at which the breach was observed.
-        at_cycle: u64,
-        /// Last checkpoint with visible commit progress.
-        last_progress_cycle: u64,
-        /// Committed instructions at the breach.
-        committed: u64,
-    },
-    /// The run hit its hard cycle cap (see
-    /// [`RunBudget::max_cycles`](smt_sim::RunBudget::max_cycles)).
-    CycleBudget {
-        /// The configured cap.
-        limit: u64,
-        /// Committed instructions when the cap was hit.
-        committed: u64,
-    },
+    /// The run breached its [`RunBudget`](smt_sim::RunBudget): it hit its
+    /// hard cycle cap, or advanced a full livelock window without
+    /// committing a single instruction.
+    Budget(BudgetBreach),
 }
 
-impl RunError {
-    pub(crate) fn from_breach(breach: BudgetBreach) -> Self {
-        match breach {
-            BudgetBreach::CycleCap {
-                limit, committed, ..
-            } => RunError::CycleBudget { limit, committed },
-            BudgetBreach::Livelock {
-                window,
-                at_cycle,
-                last_progress_cycle,
-                committed,
-            } => RunError::Livelock {
-                window,
-                at_cycle,
-                last_progress_cycle,
-                committed,
-            },
-        }
+impl From<BudgetBreach> for RunError {
+    fn from(breach: BudgetBreach) -> Self {
+        RunError::Budget(breach)
     }
 }
 
@@ -92,21 +60,7 @@ impl std::fmt::Display for RunError {
                 write!(f, "invalid run spec configuration: {message}")
             }
             RunError::Panicked { message } => write!(f, "run panicked: {message}"),
-            RunError::Livelock {
-                window,
-                at_cycle,
-                last_progress_cycle,
-                committed,
-            } => write!(
-                f,
-                "livelock: no commit progress for {window} cycles (at cycle \
-                 {at_cycle}, last progress checkpoint {last_progress_cycle}, \
-                 {committed} committed)"
-            ),
-            RunError::CycleBudget { limit, committed } => write!(
-                f,
-                "cycle budget exhausted: limit {limit}, {committed} committed"
-            ),
+            RunError::Budget(breach) => breach.fmt(f),
         }
     }
 }
@@ -134,10 +88,12 @@ pub struct EngineReport {
 /// everywhere outside fault-injection tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectedFault {
-    /// Wrap the run's policy so it panics once the simulation reaches
-    /// `at_cycle`.
+    /// The run panics when its clock reaches `at_cycle`, after the prewarm
+    /// and before any pipeline stage of that cycle. A budget breach before
+    /// `at_cycle` wins, and a fuse at or past the end of the measurement
+    /// never fires.
     PanicAtCycle {
-        /// Cycle at (or after) which the wrapped policy panics.
+        /// Cycle at which the run panics.
         at_cycle: u64,
     },
 }
@@ -156,16 +112,17 @@ mod tests {
             RunError::Panicked {
                 message: "boom".into(),
             },
-            RunError::Livelock {
+            RunError::Budget(BudgetBreach::Livelock {
                 window: 8,
                 at_cycle: 8,
                 last_progress_cycle: 0,
                 committed: 0,
-            },
-            RunError::CycleBudget {
+            }),
+            RunError::Budget(BudgetBreach::CycleCap {
                 limit: 100,
+                at_cycle: 100,
                 committed: 5,
-            },
+            }),
         ] {
             assert!(!format!("{err}").is_empty(), "{err:?}");
         }

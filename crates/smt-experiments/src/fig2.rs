@@ -7,7 +7,7 @@
 //! ~90% of full speed with only ~37.5% of the resources.
 
 use crate::fault::RunError;
-use crate::runner::{default_workers, PolicyKind, RunOutcome, RunSpec, Runner};
+use crate::runner::{default_workers, PolicyKind, RunSpec, Runner};
 use crate::tables::TextTable;
 use smt_isa::{PerResource, ResourceKind};
 use smt_sim::SimConfig;
@@ -53,23 +53,27 @@ fn benches_for(resource: ResourceKind) -> Vec<&'static str> {
     }
 }
 
-/// Runs the sweep for every resource class. `measure_cycles` trades
-/// precision for time (the paper's full sweep is hundreds of runs).
-/// Fails on the first run error (the specs are built from the trusted
-/// registry, so only a broken machine configuration can do that).
+/// Runs the sweep for every resource class, all of it in one engine call.
+/// `measure_cycles` trades precision for time (the paper's full sweep is
+/// hundreds of runs). Fails on the first run error (the specs are built
+/// from the trusted registry, so only a broken machine configuration can
+/// do that).
 pub fn run(runner: &Runner, measure_cycles: u64) -> Result<Vec<Fig2Result>, RunError> {
     let config = fig2_config();
-    let mut results = Vec::new();
-    for resource in ResourceKind::ALL {
-        let benches = benches_for(resource);
-        // Full-speed baselines per benchmark.
-        let mut specs: Vec<RunSpec> = Vec::new();
+    let groups: Vec<(ResourceKind, Vec<&str>)> = ResourceKind::ALL
+        .into_iter()
+        .map(|resource| (resource, benches_for(resource)))
+        .collect();
+    // Per resource: one run per fraction and benchmark, fraction-major,
+    // so the last fraction (100%) holds the full-speed baselines.
+    let mut specs: Vec<RunSpec> = Vec::new();
+    for (resource, benches) in &groups {
+        let total = config.resource_totals()[*resource];
         for frac in FRACTIONS {
-            for b in &benches {
-                let total = config.resource_totals()[resource];
+            for b in benches {
                 let cap = ((f64::from(total) * frac).round() as u32).max(1);
                 let mut caps = PerResource::<Option<u32>>::default();
-                caps[resource] = Some(cap);
+                caps[*resource] = Some(cap);
                 let mut s =
                     RunSpec::new(&[b], PolicyKind::SraCapped(caps)).with_config(config.clone());
                 s.measure_cycles = measure_cycles;
@@ -78,46 +82,36 @@ pub fn run(runner: &Runner, measure_cycles: u64) -> Result<Vec<Fig2Result>, RunE
                 specs.push(s);
             }
         }
-        let outs = runner
-            .run_all_with_workers(&specs, default_workers())
-            .into_iter()
-            .map(RunOutcome::into_stats)
-            .collect::<Result<Vec<_>, _>>()?;
-        let per_frac = benches.len();
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "outs has fractions.len() * per_frac entries by construction; every slice bound derives from those two lengths"
-        )]
-        let full_speed: Vec<f64> = outs[outs.len() - per_frac..]
-            .iter()
-            .map(|o| o.throughput())
-            .collect();
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "outs has fractions.len() * per_frac entries by construction; every slice bound derives from those two lengths"
-        )]
-        let series = FRACTIONS
-            .iter()
-            .enumerate()
-            .map(|(fi, &frac)| {
-                let rel: f64 = outs[fi * per_frac..(fi + 1) * per_frac]
-                    .iter()
-                    .zip(&full_speed)
-                    .map(|(o, &full)| {
-                        if full > 0.0 {
-                            o.throughput() / full
-                        } else {
-                            0.0
-                        }
-                    })
-                    .sum::<f64>()
-                    / per_frac as f64;
-                (frac, rel)
-            })
-            .collect();
-        results.push(Fig2Result { resource, series });
     }
-    Ok(results)
+    let ipcs = runner
+        .run_all_with_workers(&specs, default_workers())
+        .into_iter()
+        .map(|o| o.into_stats().map(|stats| stats.throughput()))
+        .collect::<Result<Vec<f64>, _>>()?;
+    let mut rest = ipcs.as_slice();
+    Ok(groups
+        .into_iter()
+        .map(|(resource, benches)| {
+            let per_frac = benches.len();
+            let (group, tail) = rest.split_at(FRACTIONS.len() * per_frac);
+            rest = tail;
+            let (_, full_speed) = group.split_at(group.len() - per_frac);
+            let series = FRACTIONS
+                .iter()
+                .zip(group.chunks(per_frac))
+                .map(|(&frac, row)| {
+                    let rel: f64 = row
+                        .iter()
+                        .zip(full_speed)
+                        .map(|(&ipc, &full)| if full > 0.0 { ipc / full } else { 0.0 })
+                        .sum::<f64>()
+                        / per_frac as f64;
+                    (frac, rel)
+                })
+                .collect();
+            Fig2Result { resource, series }
+        })
+        .collect())
 }
 
 /// Formats the sweep like the paper's figure (rows = % resources, columns =

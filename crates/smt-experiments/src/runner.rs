@@ -9,7 +9,7 @@
 //! inside [`RunOutcome::Failed`] rather than tearing the sweep down. See
 //! `ARCHITECTURE.md`, "Fault domains & error taxonomy".
 
-use crate::chaos::ChaosPolicy;
+use crate::chaos::CHAOS_MARKER;
 use crate::fault::{EngineReport, InjectedFault, RunError};
 use dcra::{Dcra, DcraConfig, SharingConfig};
 use smt_isa::{PerResource, ThreadId};
@@ -289,8 +289,8 @@ impl SimSession {
     ///
     /// Unknown benchmarks, invalid machine configurations
     /// ([`SimConfig::validate`] — a hard check that holds in release
-    /// builds, so e.g. a >8-thread config from a deserialized sweep file
-    /// fails loudly here instead of corrupting issue ordering downstream),
+    /// builds, so e.g. a >8-thread config fails loudly here instead of
+    /// corrupting issue ordering downstream),
     /// a thread count that differs from the number of benchmarks, and
     /// budget breaches come back as typed [`RunError`]s. Panics from
     /// policy or simulator code propagate — one-shot callers that need
@@ -322,12 +322,7 @@ impl SimSession {
             return Err(RunError::InvalidSpec { message });
         }
         let profiles = spec.profiles()?;
-        let policy = match spec.fault {
-            Some(InjectedFault::PanicAtCycle { at_cycle }) => {
-                AnyPolicy::Boxed(Box::new(ChaosPolicy::new(spec.policy.build(), at_cycle)))
-            }
-            None => spec.policy.build(),
-        };
+        let policy = spec.policy.build();
         let sim = match &mut self.sim {
             Some(sim) if sim.config() == &spec.config => {
                 sim.reset(&profiles, policy, spec.seed);
@@ -353,11 +348,17 @@ impl SimSession {
         // allocations are fine, and the next run's `reset` restores a
         // clean machine.
         let mut watch = CommitWatchdog::new(spec.budget);
-        sim.run_cycles_budgeted(spec.warmup_cycles, &mut watch)
-            .map_err(RunError::from_breach)?;
+        if let Some(InjectedFault::PanicAtCycle { at_cycle }) = spec.fault {
+            if at_cycle < spec.warmup_cycles.saturating_add(spec.measure_cycles) {
+                // The loop's end clamps fast-forward, so the clock stops
+                // at exactly `at_cycle`, between two cycles.
+                sim.run_cycles_budgeted(at_cycle, &mut watch)?;
+                detonate(spec.policy.name(), sim.now());
+            }
+        }
+        sim.run_cycles_budgeted(spec.warmup_cycles, &mut watch)?;
         sim.reset_stats();
-        sim.run_cycles_budgeted(spec.measure_cycles, &mut watch)
-            .map_err(RunError::from_breach)?;
+        sim.run_cycles_budgeted(spec.measure_cycles, &mut watch)?;
         let mem = (0..spec.benches.len())
             .map(|i| sim.memory().thread_stats(ThreadId::new(i)))
             .collect();
@@ -366,6 +367,15 @@ impl SimSession {
             mem,
         })
     }
+}
+
+/// Raises the panic of [`InjectedFault::PanicAtCycle`].
+#[expect(
+    clippy::panic,
+    reason = "deliberate fault injection: the panic is the chaos payload, contained by the runner's catch_unwind fault domain"
+)]
+fn detonate(policy: &str, now: u64) -> ! {
+    panic!("{CHAOS_MARKER}: policy {policy} detonated at cycle {now}")
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -573,8 +583,7 @@ impl Runner {
     ///   simulator is discarded and the queue keeps draining. The panic
     ///   surfaces as [`RunError::Panicked`].
     /// * **Budgets** — every run is bounded by its spec's
-    ///   [`RunSpec::budget`]; breaches surface as
-    ///   [`RunError::CycleBudget`] / [`RunError::Livelock`].
+    ///   [`RunSpec::budget`]; breaches surface as [`RunError::Budget`].
     /// * **Sink isolation** — a panicking sink callback is caught too; the
     ///   shared sink lock is explicitly poison-recovered, sibling
     ///   deliveries proceed, and the affected indices are reported in
@@ -841,6 +850,7 @@ fn baseline_spec(bench: &str, config: &SimConfig, lengths: &RunSpec) -> (Baselin
 mod tests {
     use super::*;
     use smt_sim::policy::Policy as _;
+    use smt_sim::watch::BudgetBreach;
 
     fn tiny(benches: &[&str], policy: PolicyKind) -> RunSpec {
         let mut s = RunSpec::new(benches, policy);
@@ -1099,6 +1109,47 @@ mod tests {
         }
     }
 
+    #[test]
+    fn injected_panics_land_on_their_cycle_and_yield_to_budgets() {
+        // The fuse is never skipped by fast-forward, a budget breach
+        // before it wins, and a fuse past the end of the run never fires.
+        crate::chaos::silence_chaos_panics();
+        let clean = tiny(&["gzip", "mcf"], PolicyKind::Icount);
+        let fused = |at_cycle| RunSpec {
+            fault: Some(InjectedFault::PanicAtCycle { at_cycle }),
+            ..clean.clone()
+        };
+        let mut capped = fused(64);
+        capped.budget = RunBudget {
+            max_cycles: Some(50),
+            ..RunBudget::default()
+        };
+        let past_end = fused(clean.warmup_cycles + clean.measure_cycles);
+        let specs = [fused(64), capped, past_end];
+        let outcomes = Runner::new().run_all_with_workers(&specs, 1);
+        match &outcomes[0] {
+            RunOutcome::Failed(RunError::Panicked { message }) => {
+                assert!(message.contains(CHAOS_MARKER), "{message}");
+                assert!(message.contains("at cycle 64"), "{message}");
+            }
+            other => panic!("expected a panic at cycle 64, got {other:?}"),
+        }
+        assert!(
+            matches!(
+                &outcomes[1],
+                RunOutcome::Failed(RunError::Budget(BudgetBreach::CycleCap { limit: 50, .. }))
+            ),
+            "expected the cycle cap to win, got {:?}",
+            outcomes[1]
+        );
+        let fresh = SimSession::new().run(&clean).expect("valid spec");
+        let stats = outcomes[2]
+            .stats()
+            .expect("a fuse past the run never fires");
+        assert_eq!(stats.result, fresh.result);
+        assert_eq!(stats.mem, fresh.mem);
+    }
+
     /// Runs `specs` through the engine and checks every outcome against a
     /// fresh `SimSession::run`, bit for bit; returns the trace blocks each
     /// worker session retains at the end of the call.
@@ -1222,15 +1273,15 @@ mod tests {
             livelock_window: None,
         };
         match SimSession::new().run(&spec) {
-            Err(RunError::CycleBudget { limit: 50, .. }) => {}
-            other => panic!("expected CycleBudget, got {other:?}"),
+            Err(RunError::Budget(BudgetBreach::CycleCap { limit: 50, .. })) => {}
+            other => panic!("expected CycleCap, got {other:?}"),
         }
         spec.budget = RunBudget {
             max_cycles: None,
             livelock_window: Some(1),
         };
         match SimSession::new().run(&spec) {
-            Err(RunError::Livelock { window: 1, .. }) => {}
+            Err(RunError::Budget(BudgetBreach::Livelock { window: 1, .. })) => {}
             other => panic!("expected Livelock, got {other:?}"),
         }
     }

@@ -9,7 +9,7 @@
 //! counters, MLP accounting, per-thread blocking counters and the derived
 //! IPC for all nine policies, so any semantic drift in the core fails
 //! loudly. `PolicyKind::build` now yields statically-dispatched
-//! [`AnyPolicy`] values, so passing these goldens is also the proof that
+//! `AnyPolicy` values, so passing these goldens is also the proof that
 //! devirtualisation left every policy bit-identical; the session tests
 //! below pin the same property for the reset-reuse path.
 //!
@@ -18,7 +18,6 @@
 //! and paste the printed table over `GOLDEN`.
 
 use smt_experiments::{PolicyKind, RunSpec, Runner, SimSession};
-use smt_sim::policy::AnyPolicy;
 use smt_sim::{SimConfig, Simulator};
 use smt_workloads::spec;
 
@@ -99,36 +98,6 @@ const GOLDEN: [&str; 9] = [
 /// so the line differs from DCRA's and pins the detector's gating, not
 /// just the sharing model it shares with DCRA.
 const GOLDEN_DCRA_DC: &str = "DCRA-DC committed=15413/3237/8034/9401 fetched=24152/6976/12932/16755 squashed=8715/3686/4862/7332 mispred=814/443/301/707 loads=4062/928/2493/2587 l1d=332/281/590/220 l2=200/224/309/153 gated=5754/10720/6003/3911 mlp=80892/96853/119392/69657:29785/40695/38493/29564 blocked=0/0/0/0:463/198/102/95:119/21/17/18:0/0/0/0 ipc=0.721700";
-
-/// The same goldens must hold when the nine policies run through the
-/// boxed escape hatch — `AnyPolicy::Boxed` is dynamic dispatch over the
-/// identical policy state, so static vs dynamic dispatch is observable
-/// only in speed.
-#[test]
-fn boxed_escape_hatch_matches_goldens_for_spot_checks() {
-    for (name, golden) in [("ICOUNT", GOLDEN[1]), ("DCRA", GOLDEN[8])] {
-        let kind = PolicyKind::from_name(name).expect("canonical policy");
-        let profiles: Vec<_> = BENCHES
-            .iter()
-            .map(|b| spec::profile(b).expect("known benchmark"))
-            .collect();
-        let boxed = AnyPolicy::Boxed(Box::new(kind.build()));
-        let mut sim = Simulator::new(SimConfig::baseline(BENCHES.len()), &profiles, boxed, SEED);
-        sim.run_cycles(CYCLES);
-        let r = sim.result();
-        let golden_ipc: f64 = golden
-            .rsplit("ipc=")
-            .next()
-            .expect("golden has ipc")
-            .parse()
-            .expect("golden ipc parses");
-        assert!(
-            (r.throughput() - golden_ipc).abs() < 5e-7,
-            "{name} through the boxed escape hatch drifted: {} vs {golden_ipc}",
-            r.throughput()
-        );
-    }
-}
 
 /// Session reuse (one `SimSession`, and the engine's per-worker sessions
 /// through `run_isolated` and `run_all_with_workers`) must equal

@@ -371,14 +371,9 @@ impl MemoryHierarchy {
     }
 
     /// Number of L2 misses currently in flight for each thread at `now`,
-    /// the quantity behind the paper's memory-parallelism measurements.
-    pub fn outstanding_l2_misses(&mut self, now: u64) -> Vec<u32> {
-        self.mshr.outstanding_per_thread(now, self.stats.len())
-    }
-
-    /// Allocation-free variant of [`Self::outstanding_l2_misses`]: fills
-    /// `counts` (one slot per thread) in place. The simulator calls this
-    /// every cycle, so it must not allocate.
+    /// the quantity behind the paper's memory-parallelism measurements:
+    /// fills `counts` (one slot per thread) in place. The simulator calls
+    /// this every cycle, so it must not allocate.
     pub fn outstanding_l2_misses_into(&mut self, now: u64, counts: &mut [u32]) {
         self.mshr.outstanding_into(now, counts);
     }
@@ -607,11 +602,12 @@ mod tests {
         mem.access_data(t0, 0x100_0000, false, 0);
         mem.access_data(t0, 0x200_0000, false, 0);
         mem.access_data(t1, 0x300_0000, false, 0);
-        let out = mem.outstanding_l2_misses(5);
-        assert_eq!(out, vec![2, 1]);
+        let mut out = [0; 2];
+        mem.outstanding_l2_misses_into(5, &mut out);
+        assert_eq!(out, [2, 1]);
         // Long after the fills, nothing is outstanding.
-        let out = mem.outstanding_l2_misses(10_000);
-        assert_eq!(out, vec![0, 0]);
+        mem.outstanding_l2_misses_into(10_000, &mut out);
+        assert_eq!(out, [0, 0]);
     }
 
     /// A restored hierarchy is indistinguishable from the one captured.
@@ -660,7 +656,7 @@ mod tests {
             access(&mut original, r, now);
             now += r % 3 / 2;
             if i.is_multiple_of(97) {
-                original.outstanding_l2_misses(now);
+                original.outstanding_l2_misses_into(now, &mut [0; 2]);
             }
         }
         for round in 0..40 {
@@ -678,11 +674,10 @@ mod tests {
                 );
                 assert_eq!(original.next_fill_ready_at(), restored.next_fill_ready_at());
                 if i.is_multiple_of(13) {
-                    assert_eq!(
-                        original.outstanding_l2_misses(now),
-                        restored.outstanding_l2_misses(now),
-                        "round {round}: outstanding at cycle {now}"
-                    );
+                    let (mut a, mut b) = ([0; 2], [0; 2]);
+                    original.outstanding_l2_misses_into(now, &mut a);
+                    restored.outstanding_l2_misses_into(now, &mut b);
+                    assert_eq!(a, b, "round {round}: outstanding at cycle {now}");
                 }
                 if i.is_multiple_of(101) {
                     original.collect_expired_fills(now);

@@ -45,7 +45,7 @@ impl FillGroup {
 /// 1. *Coalescing*: "is this line already being fetched, and how long until
 ///    it arrives?" ([`MshrFile::remaining`]).
 /// 2. *MLP accounting*: "how many L2 misses does each thread have in flight
-///    right now?" ([`MshrFile::outstanding_per_thread`]), the statistic
+///    right now?" ([`MshrFile::outstanding_into`]), the statistic
 ///    behind the paper's Section 5.2 memory-parallelism comparison.
 ///
 /// Lookups happen on every data access, so the map uses the vendored
@@ -160,18 +160,11 @@ impl MshrFile {
     }
 
     /// Number of *memory-level* (L2-miss) fills in flight per thread at
-    /// `now`. Expired entries are purged as a side effect.
-    pub fn outstanding_per_thread(&mut self, now: u64, threads: usize) -> Vec<u32> {
-        let mut counts = vec![0u32; threads];
-        self.outstanding_into(now, &mut counts);
-        counts
-    }
-
-    /// Allocation-free variant of [`MshrFile::outstanding_per_thread`]:
-    /// writes the per-thread counts into `counts` (zeroed first), sized by
-    /// the caller. Used by the simulator's per-cycle MLP sampling — after
-    /// the expired fills are purged this is a copy of the incrementally
-    /// maintained counters, not a walk over the MSHR map.
+    /// `now`, written into `counts` (zeroed first), sized by the caller.
+    /// Expired entries are purged as a side effect. Used by the
+    /// simulator's per-cycle MLP sampling — after the purge this is a copy
+    /// of the incrementally maintained counters, not a walk over the MSHR
+    /// map.
     pub fn outstanding_into(&mut self, now: u64, counts: &mut [u32]) {
         self.purge_expired(now);
         counts.fill(0);
@@ -296,7 +289,9 @@ mod tests {
         m.allocate(1, ThreadId::new(0), HitLevel::Memory, 400);
         m.allocate(2, ThreadId::new(0), HitLevel::L2, 400);
         m.allocate(3, ThreadId::new(1), HitLevel::Memory, 400);
-        assert_eq!(m.outstanding_per_thread(0, 2), vec![1, 1]);
+        let mut out = [0; 2];
+        m.outstanding_into(0, &mut out);
+        assert_eq!(out, [1, 1]);
     }
 
     #[test]
@@ -348,15 +343,18 @@ mod tests {
         // dead entry still occupies the slot and swallows the new fill.
         let mut blocked = m.clone();
         blocked.allocate(5, ThreadId::new(0), HitLevel::Memory, 450);
+        let mut out = [0; 1];
+        blocked.outstanding_into(150, &mut out);
         assert_eq!(
-            blocked.outstanding_per_thread(150, 1),
-            vec![0],
+            out,
+            [0],
             "dead entry must swallow the re-allocation (documented hazard)"
         );
         // With the purge replayed first, the re-allocation lands.
         m.purge_expired(149);
         m.allocate(5, ThreadId::new(0), HitLevel::Memory, 450);
-        assert_eq!(m.outstanding_per_thread(150, 1), vec![1]);
+        m.outstanding_into(150, &mut out);
+        assert_eq!(out, [1]);
         assert_eq!(m.next_ready_at(), Some(450));
     }
 
@@ -365,7 +363,9 @@ mod tests {
         let mut m = MshrFile::new();
         m.allocate(1, ThreadId::new(0), HitLevel::Memory, 10);
         m.allocate(2, ThreadId::new(0), HitLevel::Memory, 500);
-        assert_eq!(m.outstanding_per_thread(100, 1), vec![1]);
+        let mut out = [0; 1];
+        m.outstanding_into(100, &mut out);
+        assert_eq!(out, [1]);
         assert_eq!(m.len(), 1);
     }
 }

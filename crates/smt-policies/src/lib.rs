@@ -45,38 +45,3 @@ pub use icount::{icount_order, icount_order_into, Icount};
 pub use pdg::PredictiveDataGating;
 pub use sra::StaticAllocation;
 pub use stall::Stall;
-
-use smt_policy_core::Policy;
-
-/// Builds a boxed policy by its paper name (`"RR"`, `"ICOUNT"`, `"STALL"`,
-/// `"FLUSH"`, `"FLUSH++"`, `"DG"`, `"PDG"`, `"SRA"`). Returns `None` for
-/// unknown names ("DCRA" is constructed from the `dcra` crate).
-pub fn by_name(name: &str) -> Option<Box<dyn Policy>> {
-    Some(match name {
-        "RR" => Box::new(smt_policy_core::RoundRobin::default()),
-        "ICOUNT" => Box::new(Icount),
-        "STALL" => Box::new(Stall),
-        "FLUSH" => Box::new(Flush),
-        "FLUSH++" => Box::new(FlushPlusPlus::default()),
-        "DG" => Box::new(DataGating),
-        "PDG" => Box::new(PredictiveDataGating::default()),
-        "SRA" => Box::new(StaticAllocation::default()),
-        _ => return None,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn by_name_builds_each_policy() {
-        for n in [
-            "RR", "ICOUNT", "STALL", "FLUSH", "FLUSH++", "DG", "PDG", "SRA",
-        ] {
-            let p = by_name(n).unwrap_or_else(|| panic!("missing {n}"));
-            assert_eq!(p.name(), n);
-        }
-        assert!(by_name("NOPE").is_none());
-    }
-}

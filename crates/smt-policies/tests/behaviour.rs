@@ -1,7 +1,7 @@
 //! Behavioural integration tests: each policy's *response action* must be
 //! observable on a real simulation.
 
-use smt_policies::{by_name, DataGating, Flush, Stall};
+use smt_policies::{DataGating, Flush, Icount, Stall, StaticAllocation};
 use smt_sim::policy::AnyPolicy;
 use smt_sim::{SimConfig, SimResult, Simulator};
 use smt_workloads::spec;
@@ -28,7 +28,7 @@ fn stall_gates_the_memory_thread() {
         stall.threads[0].gated_cycles > 0,
         "art should be stalled on detected L2 misses"
     );
-    let icount = run(&["art", "gzip"], by_name("ICOUNT").unwrap(), 60_000);
+    let icount = run(&["art", "gzip"], Icount, 60_000);
     assert_eq!(icount.threads[0].gated_cycles, 0);
 }
 
@@ -67,7 +67,7 @@ fn sra_limits_thread_resource_usage() {
     let mut sim = Simulator::new(
         SimConfig::baseline(2),
         &profiles,
-        by_name("SRA").unwrap(),
+        StaticAllocation::default(),
         7,
     );
     sim.prewarm(100_000);
@@ -108,7 +108,7 @@ fn flush_increases_frontend_activity_on_mem_workloads() {
 fn policies_disagree_on_fetch_distribution() {
     // Sanity: different policies must actually steer the machine
     // differently on a MIX workload.
-    let a = run(&["art", "gzip"], by_name("ICOUNT").unwrap(), 40_000);
-    let b = run(&["art", "gzip"], by_name("DG").unwrap(), 40_000);
+    let a = run(&["art", "gzip"], Icount, 40_000);
+    let b = run(&["art", "gzip"], DataGating, 40_000);
     assert_ne!(a.threads[0].committed, b.threads[0].committed);
 }

@@ -325,8 +325,11 @@ fn prewarm_fills_drain_within_one_memory_latency() {
         let horizon =
             u64::from(m.dl1.latency) + u64::from(m.l2.latency) + u64::from(m.memory_latency);
         assert_eq!(horizon, 321, "baseline Table 2 latencies");
-        let at =
-            |mem: &mut MemoryHierarchy, now| mem.outstanding_l2_misses(now).iter().sum::<u32>();
+        let at = |mem: &mut MemoryHierarchy, now| {
+            let mut out = vec![0; benches.len()];
+            mem.outstanding_l2_misses_into(now, &mut out);
+            out.iter().sum::<u32>()
+        };
         for source in [&s, &restored] {
             let mut mem = source.memory().clone();
             let fills = at(&mut mem, 0);

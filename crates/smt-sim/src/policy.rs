@@ -6,9 +6,8 @@
 //! remains the canonical import path. The simulator itself stores an
 //! [`AnyPolicy`]: an enum over the nine concrete policies of the paper's
 //! evaluation, so the ~20 policy callbacks per cycle are direct (inlineable)
-//! calls instead of virtual dispatch through a `Box<dyn Policy>`. Policies
-//! outside the canonical nine still plug in through the
-//! [`AnyPolicy::Boxed`] escape hatch.
+//! calls instead of virtual dispatch. The enum is closed: a new policy is a
+//! new variant.
 
 pub use smt_policy_core::{CycleView, MissResponse, Policy, RoundRobin, ThreadView};
 
@@ -16,8 +15,7 @@ use smt_isa::{PackedInst, QueueKind, RegClass, ThreadId};
 use smt_mem::HitLevel;
 
 /// The nine canonical policies of the paper's evaluation, dispatched
-/// statically, plus a boxed escape hatch for external [`Policy`]
-/// implementations.
+/// statically.
 ///
 /// Every [`Policy`] callback fans out through a single `match`, so in the
 /// release build the concrete policy code inlines straight into the
@@ -30,9 +28,6 @@ use smt_mem::HitLevel;
 ///
 /// let p = AnyPolicy::from(smt_policies::Icount);
 /// assert_eq!(p.name(), "ICOUNT");
-/// // External policies use the boxed escape hatch.
-/// let boxed: Box<dyn Policy> = Box::new(smt_sim::policy::RoundRobin::default());
-/// assert_eq!(AnyPolicy::from(boxed).name(), "RR");
 /// ```
 pub enum AnyPolicy {
     /// ROUND-ROBIN fetch.
@@ -53,13 +48,10 @@ pub enum AnyPolicy {
     Sra(smt_policies::StaticAllocation),
     /// The paper's proposal, with or without degenerate-case detection.
     Dcra(dcra::Dcra),
-    /// Escape hatch: any other [`Policy`] implementation, dynamically
-    /// dispatched as before.
-    Boxed(Box<dyn Policy>),
 }
 
-/// Fans a callback out to the concrete policy. The `Boxed` arm auto-derefs,
-/// so the same expression serves all ten variants.
+/// Fans a callback out to the concrete policy: the same expression serves
+/// all nine variants.
 macro_rules! fan_out {
     ($self:ident, $p:ident => $call:expr) => {
         match $self {
@@ -72,7 +64,6 @@ macro_rules! fan_out {
             AnyPolicy::PredictiveDataGating($p) => $call,
             AnyPolicy::Sra($p) => $call,
             AnyPolicy::Dcra($p) => $call,
-            AnyPolicy::Boxed($p) => $call,
         }
     };
 }
@@ -146,9 +137,6 @@ impl Policy for AnyPolicy {
 
     #[inline]
     fn on_idle_cycles(&mut self, n: u64, view: &CycleView) -> u64 {
-        // Forwarded verbatim, including for `Boxed`: an external policy
-        // that has not overridden the hook inherits the safe default (0 —
-        // never fast-forward), so unknown per-cycle state is never skipped.
         fan_out!(self, p => p.on_idle_cycles(n, view))
     }
 
@@ -159,42 +147,22 @@ impl Policy for AnyPolicy {
 
     #[inline]
     fn wants_squash_inst(&self) -> bool {
-        match self {
-            // External policies may consume the notification without
-            // having overridden the hint; always deliver for them.
-            AnyPolicy::Boxed(_) => true,
-            _ => fan_out!(self, p => p.wants_squash_inst()),
-        }
+        fan_out!(self, p => p.wants_squash_inst())
     }
 
     #[inline]
     fn wants_dispatch_view(&self) -> bool {
-        match self {
-            // External policies may read the view without having
-            // overridden the hint; always refresh for them.
-            AnyPolicy::Boxed(_) => true,
-            _ => fan_out!(self, p => p.wants_dispatch_view()),
-        }
+        fan_out!(self, p => p.wants_dispatch_view())
     }
 
     #[inline]
     fn wants_dispatch_gate(&self) -> bool {
-        match self {
-            // External policies may gate dispatch without having
-            // overridden the hint; always consult them.
-            AnyPolicy::Boxed(_) => true,
-            _ => fan_out!(self, p => p.wants_dispatch_gate()),
-        }
+        fan_out!(self, p => p.wants_dispatch_gate())
     }
 
     #[inline]
     fn wants_progress_counters(&self) -> bool {
-        match self {
-            // External policies may read the progress lanes without having
-            // overridden the hint; always refresh for them.
-            AnyPolicy::Boxed(_) => true,
-            _ => fan_out!(self, p => p.wants_progress_counters()),
-        }
+        fan_out!(self, p => p.wants_progress_counters())
     }
 }
 
@@ -258,20 +226,9 @@ impl From<dcra::Dcra> for AnyPolicy {
     }
 }
 
-impl From<Box<dyn Policy>> for AnyPolicy {
-    fn from(p: Box<dyn Policy>) -> Self {
-        AnyPolicy::Boxed(p)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smt_isa::PerResource;
-
-    fn view(n: usize) -> CycleView {
-        CycleView::new(0, PerResource::filled(80), &vec![ThreadView::default(); n])
-    }
 
     #[test]
     fn variants_report_their_policy_name() {
@@ -289,37 +246,5 @@ mod tests {
         for (p, name) in cases {
             assert_eq!(p.name(), name);
         }
-    }
-
-    #[test]
-    fn enum_dispatch_matches_boxed_dispatch() {
-        // The same policy driven through the static and the boxed paths
-        // must order threads identically.
-        let v = view(3);
-        let mut fast: AnyPolicy = smt_policies::Icount.into();
-        let mut slow: AnyPolicy = AnyPolicy::Boxed(Box::new(smt_policies::Icount));
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        fast.fetch_order(&v, &mut a);
-        slow.fetch_order(&v, &mut b);
-        assert_eq!(a, b);
-        assert_eq!(fast.name(), slow.name());
-    }
-
-    #[test]
-    fn boxed_escape_hatch_runs_external_policies() {
-        struct Greedy;
-        impl Policy for Greedy {
-            fn name(&self) -> &str {
-                "GREEDY"
-            }
-            fn fetch_order(&mut self, view: &CycleView, order: &mut Vec<ThreadId>) {
-                order.extend((0..view.thread_count()).map(ThreadId::new));
-            }
-        }
-        let mut p = AnyPolicy::from(Box::new(Greedy) as Box<dyn Policy>);
-        assert_eq!(p.name(), "GREEDY");
-        let mut order = Vec::new();
-        p.fetch_order(&view(2), &mut order);
-        assert_eq!(order.len(), 2);
     }
 }

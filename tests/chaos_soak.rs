@@ -6,6 +6,7 @@
 
 use dcra_smt::experiments::chaos::{silence_chaos_panics, FaultKind, FaultPlan, CHAOS_MARKER};
 use dcra_smt::experiments::{PolicyKind, RunError, RunOutcome, RunSpec, Runner};
+use dcra_smt::sim::watch::BudgetBreach;
 use std::sync::Mutex;
 
 const SOAK_SEED: u64 = 0xC4A0_57AC;
@@ -132,7 +133,10 @@ fn chaos_soak_contains_every_fault_and_preserves_good_runs() {
                 Some(FaultKind::Livelock) => {
                     expected_failed += 1;
                     assert!(
-                        matches!(outcome.error(), Some(RunError::Livelock { window: 1, .. })),
+                        matches!(
+                            outcome.error(),
+                            Some(RunError::Budget(BudgetBreach::Livelock { window: 1, .. }))
+                        ),
                         "run {i}: expected Livelock, got {:?}",
                         outcome.error()
                     );
@@ -142,9 +146,9 @@ fn chaos_soak_contains_every_fault_and_preserves_good_runs() {
                     assert!(
                         matches!(
                             outcome.error(),
-                            Some(RunError::CycleBudget { limit: 50, .. })
+                            Some(RunError::Budget(BudgetBreach::CycleCap { limit: 50, .. }))
                         ),
-                        "run {i}: expected CycleBudget, got {:?}",
+                        "run {i}: expected CycleCap, got {:?}",
                         outcome.error()
                     );
                 }

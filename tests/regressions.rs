@@ -2,8 +2,8 @@
 //! pins the behaviour that fixed a real failure mode, so refactors cannot
 //! silently reintroduce it.
 
+use dcra_smt::experiments::PolicyKind;
 use dcra_smt::isa::ThreadId;
-use dcra_smt::policies::by_name;
 use dcra_smt::sim::{SimConfig, Simulator};
 use dcra_smt::workloads::{spec, TraceGenerator};
 
@@ -15,7 +15,9 @@ fn sim(benches: &[&str], policy: &str, seed: u64) -> Simulator {
     Simulator::new(
         SimConfig::baseline(benches.len()),
         &profiles,
-        by_name(policy).expect("known policy name"),
+        PolicyKind::from_name(policy)
+            .expect("known policy name")
+            .build(),
         seed,
     )
 }
