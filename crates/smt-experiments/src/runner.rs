@@ -711,87 +711,102 @@ impl Runner {
 
     /// Single-thread baseline IPC of `bench` on `config` (ICOUNT, full
     /// machine), cached per (bench, complete one-thread machine config).
-    /// An uncached baseline runs in a one-shot session on the calling
-    /// thread; [`Runner::baselines`] measures many through the pool.
+    /// An uncached baseline is measured through the engine on the calling
+    /// thread, as [`Runner::baselines`] measures many.
     pub fn single_ipc(
         &self,
         bench: &str,
         config: &SimConfig,
         lengths: &RunSpec,
     ) -> Result<f64, RunError> {
-        let (key, spec) = baseline_spec(bench, config, lengths);
-        if let Some(v) = self.cached(&key) {
-            return Ok(v);
-        }
-        let ipc = self.run(&spec)?.throughput();
-        self.baselines
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, ipc);
-        Ok(ipc)
+        // One benchmark, so one value.
+        Ok(self
+            .baseline_ipcs([bench], config, lengths, 1)?
+            .into_iter()
+            .sum())
     }
 
-    /// Single-thread baselines for every benchmark of a workload.
+    /// Single-thread baselines for every benchmark of a workload, the
+    /// uncached ones measured through the engine on the calling thread.
     pub fn single_ipcs(
         &self,
         workload: &Workload,
         config: &SimConfig,
         lengths: &RunSpec,
     ) -> Result<Vec<f64>, RunError> {
-        workload
-            .benchmarks
-            .iter()
-            .map(|b| self.single_ipc(b, config, lengths))
-            .collect()
+        self.baseline_ipcs(&workload.benchmarks, config, lengths, 1)
     }
 
     /// [`Runner::single_ipcs`] for each of `workloads`, with every
-    /// uncached baseline measured in one batch on the worker pool (each
-    /// distinct benchmark once) instead of one after another on the
-    /// calling thread. The values, and the cache they land in, are the
-    /// ones `single_ipc` would give. A baseline that fails, panics
-    /// included, comes back as its typed [`RunError`]: the first in
-    /// workload order.
+    /// uncached baseline measured in one batch on the worker pool.
     pub fn baselines(
         &self,
         workloads: &[Workload],
         config: &SimConfig,
         lengths: &RunSpec,
     ) -> Result<Vec<Vec<f64>>, RunError> {
-        let (mut keys, mut specs) = (Vec::new(), Vec::new());
-        for bench in workloads.iter().flat_map(|w| &w.benchmarks) {
-            let (key, spec) = baseline_spec(bench, config, lengths);
-            if !keys.contains(&key) && self.cached(&key).is_none() {
-                keys.push(key);
+        let benches = workloads.iter().flat_map(|w| &w.benchmarks);
+        let mut ipcs = self
+            .baseline_ipcs(benches, config, lengths, default_workers())?
+            .into_iter();
+        Ok(workloads
+            .iter()
+            .map(|w| ipcs.by_ref().take(w.benchmarks.len()).collect())
+            .collect())
+    }
+
+    /// The one baseline path: the baseline IPC of each of `benches`, in
+    /// order. Every uncached one is measured in one engine call on
+    /// `workers` threads (each distinct benchmark once, its prewarm
+    /// through the memo, panics contained) and lands in the cache. A
+    /// baseline that fails comes back as its typed [`RunError`]: the first
+    /// in `benches` order. The per-workload lookups pass one worker, so
+    /// they hold one simulator at a time: pooling a batch of a workload's
+    /// few baselines gains little, and it raised the kernel host
+    /// benchmarks' peak RSS by 12%.
+    #[expect(
+        clippy::expect_used,
+        reason = "every key was cached before the batch or measured by it, and a failed measurement returned early; a hole is a bug worth aborting on"
+    )]
+    fn baseline_ipcs(
+        &self,
+        benches: impl IntoIterator<Item = impl AsRef<str>>,
+        config: &SimConfig,
+        lengths: &RunSpec,
+        workers: usize,
+    ) -> Result<Vec<f64>, RunError> {
+        let (mut keys, mut uncached, mut specs) = (Vec::new(), Vec::new(), Vec::new());
+        for bench in benches {
+            let (key, spec) = baseline_spec(bench.as_ref(), config, lengths);
+            if !uncached.contains(&key) && self.cached(&key).is_none() {
+                uncached.push(key.clone());
                 specs.push(spec);
             }
+            keys.push(key);
         }
         let mut first_error: Option<(usize, RunError)> = None;
-        self.run_isolated(&specs, default_workers(), |i, outcome| {
-            match outcome.into_stats() {
-                Ok(stats) => {
-                    if let Some(key) = keys.get(i) {
-                        self.baselines
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .insert(key.clone(), stats.throughput());
-                    }
+        self.run_isolated(&specs, workers, |i, outcome| match outcome.into_stats() {
+            Ok(stats) => {
+                if let Some(key) = uncached.get(i) {
+                    self.baselines
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .insert(key.clone(), stats.throughput());
                 }
-                Err(error) => {
-                    if first_error.as_ref().is_none_or(|(j, _)| i < *j) {
-                        first_error = Some((i, error));
-                    }
+            }
+            Err(error) => {
+                if first_error.as_ref().is_none_or(|(j, _)| i < *j) {
+                    first_error = Some((i, error));
                 }
             }
         });
         if let Some((_, error)) = first_error {
             return Err(error);
         }
-        // Every baseline is cached now: these are lookups.
-        workloads
+        Ok(keys
             .iter()
-            .map(|w| self.single_ipcs(w, config, lengths))
-            .collect()
+            .map(|key| self.cached(key).expect("measured or cached"))
+            .collect())
     }
 
     /// The prewarm memo's counters: `(hits, misses, bytes)`. Every engine
@@ -1319,6 +1334,9 @@ mod tests {
         ));
     }
 
+    /// Pooled `baselines`, `single_ipcs` and `single_ipc` all go through
+    /// the one engine path, and each value is bit for bit what
+    /// `Runner::run` gives for the baseline spec.
     #[test]
     fn pooled_baselines_match_single_ipc_and_fill_the_cache() {
         let lengths = tiny(&["gzip"], PolicyKind::Icount);
@@ -1332,20 +1350,60 @@ mod tests {
         let got = pooled
             .baselines(&workloads, &cfg, &lengths)
             .expect("registry benchmarks");
-        let serial = Runner::new();
+        let reference = Runner::new();
+        let one_by_one = Runner::new();
         for (w, ipcs) in workloads.iter().zip(&got) {
-            assert_eq!(
-                ipcs,
-                &serial
-                    .single_ipcs(w, &cfg, &lengths)
-                    .expect("known benches"),
-                "{w}"
-            );
+            let expected: Vec<u64> = w
+                .benchmarks
+                .iter()
+                .map(|b| {
+                    let (_, spec) = baseline_spec(b, &cfg, &lengths);
+                    let stats = reference.run(&spec).expect("registry benchmark");
+                    stats.throughput().to_bits()
+                })
+                .collect();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(ipcs), expected, "{w}");
+            let singles = one_by_one
+                .single_ipcs(w, &cfg, &lengths)
+                .expect("known benches");
+            assert_eq!(bits(&singles), expected, "{w}: single_ipcs");
+            let first = pooled
+                .single_ipc(&w.benchmarks[0], &cfg, &lengths)
+                .expect("cached");
+            assert_eq!(first.to_bits(), expected[0], "{w}: single_ipc");
         }
         let cache = pooled.baselines.lock().expect("not poisoned");
         let distinct: std::collections::BTreeSet<&String> =
             workloads.iter().flat_map(|w| &w.benchmarks).collect();
         assert_eq!(cache.len(), distinct.len(), "one cached run per benchmark");
+    }
+
+    /// An uncached `single_ipc` is one engine run: its prewarm goes
+    /// through the memo (one miss, and a cached repeat runs nothing), and
+    /// an invalid machine comes back typed.
+    #[test]
+    fn an_uncached_single_ipc_runs_once_through_the_engine() {
+        let r = Runner::new();
+        let lengths = tiny(&["gzip"], PolicyKind::Icount);
+        let cfg = SimConfig::baseline(1);
+        r.single_ipc("gzip", &cfg, &lengths).expect("known bench");
+        assert_eq!(r.prewarm_memo_stats().0, 0, "no hit");
+        assert_eq!(r.prewarm_memo_stats().1, 1, "one miss");
+        r.single_ipc("gzip", &cfg, &lengths).expect("known bench");
+        assert_eq!(
+            r.prewarm_memo_stats().1,
+            1,
+            "a cached baseline runs nothing"
+        );
+        let mut narrow = cfg;
+        narrow.fetch_width = 0;
+        match r.single_ipc("gzip", &narrow, &lengths) {
+            Err(RunError::InvalidSpec { message }) => {
+                assert!(message.contains("widths must be non-zero"), "{message}");
+            }
+            other => panic!("expected InvalidSpec, got {other:?}"),
+        }
     }
 
     #[test]

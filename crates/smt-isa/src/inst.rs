@@ -1,6 +1,6 @@
-//! Decoded-instruction records produced by the trace generators.
+//! Instruction classes and the cold payloads of a trace record.
 
-use crate::{QueueKind, RegClass};
+use crate::QueueKind;
 use serde::{Deserialize, Serialize};
 
 /// Functional class of an instruction.
@@ -114,7 +114,7 @@ pub enum BranchKind {
     Return,
 }
 
-/// Control-flow information attached to a [`DecodedInst`] of class
+/// Control-flow payload of an instruction of class
 /// [`InstClass::Branch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BranchInfo {
@@ -126,165 +126,14 @@ pub struct BranchInfo {
     pub target: u64,
 }
 
-/// Memory access information attached to a [`DecodedInst`] of class
-/// [`InstClass::Load`] or [`InstClass::Store`].
+/// Memory payload of an instruction of class [`InstClass::Load`] or
+/// [`InstClass::Store`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemAccess {
     /// Effective virtual address.
     pub addr: u64,
     /// Access size in bytes (informational; the caches operate on lines).
     pub size: u8,
-}
-
-/// One dynamic instruction as produced by a trace generator.
-///
-/// Dependences are encoded as *distances*: `dep(d)` means "this instruction
-/// reads the value produced by the instruction `d` positions earlier in the
-/// same thread's dynamic stream". Distances express the ILP structure of the
-/// workload — short distances mean long dependence chains (low ILP), long
-/// distances mean independent work (high ILP).
-///
-/// # Examples
-///
-/// ```
-/// use smt_isa::{DecodedInst, InstClass, RegClass};
-///
-/// let inst = DecodedInst::builder(InstClass::IntAlu, 0x1000)
-///     .dest(RegClass::Int)
-///     .dep(1)
-///     .build();
-/// assert_eq!(inst.class, InstClass::IntAlu);
-/// assert_eq!(inst.deps(), [Some(1), None]);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DecodedInst {
-    /// Program counter of the instruction.
-    pub pc: u64,
-    /// Functional class.
-    pub class: InstClass,
-    /// Register class written by this instruction, if any. Loads may write
-    /// either file (integer loads vs FP loads).
-    pub dest: Option<RegClass>,
-    /// Dependence distances to up to two producer instructions (0 = none).
-    dep_dist: [u32; 2],
-    /// Memory access, for loads and stores.
-    pub mem: Option<MemAccess>,
-    /// Control-flow information, for branches.
-    pub branch: Option<BranchInfo>,
-}
-
-impl DecodedInst {
-    /// An inert filler for unoccupied replay-ring slots — never observable
-    /// through the bounds-guarded ring interface.
-    pub fn placeholder() -> Self {
-        DecodedInst {
-            pc: 0,
-            class: InstClass::IntAlu,
-            dest: None,
-            dep_dist: [0; 2],
-            mem: None,
-            branch: None,
-        }
-    }
-
-    /// Starts building a decoded instruction of the given class at `pc`.
-    pub fn builder(class: InstClass, pc: u64) -> DecodedInstBuilder {
-        DecodedInstBuilder {
-            inst: DecodedInst {
-                pc,
-                class,
-                dest: None,
-                dep_dist: [0; 2],
-                mem: None,
-                branch: None,
-            },
-        }
-    }
-
-    /// Dependence distances as options (`None` = no dependence in that slot).
-    #[inline]
-    pub fn deps(&self) -> [Option<u32>; 2] {
-        [
-            (self.dep_dist[0] != 0).then_some(self.dep_dist[0]),
-            (self.dep_dist[1] != 0).then_some(self.dep_dist[1]),
-        ]
-    }
-
-    /// `true` if the instruction is a conditional branch.
-    #[inline]
-    pub fn is_cond_branch(&self) -> bool {
-        matches!(
-            self.branch,
-            Some(BranchInfo {
-                kind: BranchKind::Conditional,
-                ..
-            })
-        )
-    }
-}
-
-/// Builder for [`DecodedInst`] (see [`DecodedInst::builder`]).
-#[derive(Debug, Clone)]
-pub struct DecodedInstBuilder {
-    inst: DecodedInst,
-}
-
-impl DecodedInstBuilder {
-    /// Sets the destination register class.
-    pub fn dest(mut self, class: RegClass) -> Self {
-        self.inst.dest = Some(class);
-        self
-    }
-
-    /// Adds a dependence on the instruction `distance` positions earlier.
-    ///
-    /// At most two dependences are kept; additional calls overwrite the
-    /// second slot. A distance of zero is ignored.
-    pub fn dep(mut self, distance: u32) -> Self {
-        if distance == 0 {
-            return self;
-        }
-        if self.inst.dep_dist[0] == 0 {
-            self.inst.dep_dist[0] = distance;
-        } else {
-            self.inst.dep_dist[1] = distance;
-        }
-        self
-    }
-
-    /// Attaches a memory access (loads and stores).
-    pub fn mem(mut self, addr: u64, size: u8) -> Self {
-        self.inst.mem = Some(MemAccess { addr, size });
-        self
-    }
-
-    /// Attaches control-flow information (branches).
-    pub fn branch(mut self, kind: BranchKind, taken: bool, target: u64) -> Self {
-        self.inst.branch = Some(BranchInfo {
-            kind,
-            taken,
-            target,
-        });
-        self
-    }
-
-    /// Finishes the instruction.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if a memory class lacks a memory access or a
-    /// branch class lacks branch info, which would indicate a generator bug.
-    pub fn build(self) -> DecodedInst {
-        debug_assert!(
-            !self.inst.class.is_mem() || self.inst.mem.is_some(),
-            "memory instruction without address"
-        );
-        debug_assert!(
-            self.inst.class != InstClass::Branch || self.inst.branch.is_some(),
-            "branch instruction without branch info"
-        );
-        self.inst
-    }
 }
 
 #[cfg(test)]
@@ -317,44 +166,5 @@ mod tests {
         assert!(InstClass::Load.is_mem());
         assert!(InstClass::Store.is_mem());
         assert!(!InstClass::Branch.is_mem());
-    }
-
-    #[test]
-    fn builder_collects_two_deps() {
-        let i = DecodedInst::builder(InstClass::IntAlu, 0x40)
-            .dest(RegClass::Int)
-            .dep(3)
-            .dep(7)
-            .build();
-        assert_eq!(i.deps(), [Some(3), Some(7)]);
-    }
-
-    #[test]
-    fn builder_ignores_zero_dep() {
-        let i = DecodedInst::builder(InstClass::IntAlu, 0x40).dep(0).build();
-        assert_eq!(i.deps(), [None, None]);
-    }
-
-    #[test]
-    fn builder_attaches_mem_and_branch() {
-        let ld = DecodedInst::builder(InstClass::Load, 0x10)
-            .dest(RegClass::Fp)
-            .mem(0xdead_bee0, 8)
-            .build();
-        assert_eq!(ld.mem.unwrap().addr, 0xdead_bee0);
-        assert_eq!(ld.dest, Some(RegClass::Fp));
-
-        let br = DecodedInst::builder(InstClass::Branch, 0x20)
-            .branch(BranchKind::Conditional, true, 0x80)
-            .build();
-        assert!(br.is_cond_branch());
-        assert!(br.branch.unwrap().taken);
-    }
-
-    #[test]
-    #[should_panic(expected = "memory instruction without address")]
-    #[cfg(debug_assertions)]
-    fn builder_rejects_addressless_load() {
-        let _ = DecodedInst::builder(InstClass::Load, 0).build();
     }
 }

@@ -5,9 +5,9 @@
 //! identifiers ([`ThreadId`]), instruction classes ([`InstClass`]), the
 //! issue-queue each class occupies ([`QueueKind`]), the register classes
 //! ([`RegClass`]), the five shared resources controlled by allocation
-//! policies ([`ResourceKind`]) and the decoded-instruction record produced by
-//! the trace generators ([`DecodedInst`]), together with its 16-byte packed
-//! hot-path form ([`PackedInst`]).
+//! policies ([`ResourceKind`]) and the 16-byte instruction record the trace
+//! generators write and the fetch stage reads ([`PackedInst`]), with the
+//! cold payloads it points at ([`MemAccess`], [`BranchInfo`]).
 //!
 //! # Examples
 //!
@@ -24,7 +24,7 @@ mod inst;
 mod packed;
 mod thread;
 
-pub use inst::{BranchInfo, BranchKind, DecodedInst, DecodedInstBuilder, InstClass, MemAccess};
+pub use inst::{BranchInfo, BranchKind, InstClass, MemAccess};
 pub use packed::PackedInst;
 pub use thread::ThreadId;
 

@@ -1,15 +1,13 @@
-//! Compact packed instruction records for the hot fetch/replay path.
+//! The 16-byte instruction record the trace store keeps and fetch reads.
 //!
-//! A [`DecodedInst`] is ~64 bytes: two `Option` payloads ([`MemAccess`],
-//! [`BranchInfo`]) dominate it, yet they are cold — the pipeline reads
-//! them at most once per instruction (address generation, branch
-//! prediction) while the 16-byte hot core (pc, dependences, class/flags)
-//! is touched by fetch, dispatch and every policy's fetch notification.
-//! [`PackedInst`] keeps exactly that hot core; the cold payloads move to
-//! sidecar struct-of-arrays lanes owned by the trace store, linked through
-//! the [`PackedInst::aux`] index.
+//! A trace record's hot core (pc, dependences, class/flags) is touched by
+//! fetch, dispatch and every policy's fetch notification, while its cold
+//! payload (a load/store address or a branch target) is read at most once
+//! per instruction. [`PackedInst`] is that hot core; the payload lives in
+//! a sidecar lane owned by the trace store, linked through the
+//! [`PackedInst::aux`] index.
 
-use crate::inst::{BranchInfo, BranchKind, DecodedInst, InstClass, MemAccess};
+use crate::inst::{BranchKind, InstClass};
 use crate::RegClass;
 
 // Bit layout of `PackedInst::meta` (10 bits used).
@@ -69,32 +67,33 @@ fn kind_from_code(code: u16) -> BranchKind {
     }
 }
 
-/// The 16-byte hot core of a [`DecodedInst`].
+/// One instruction of a generated trace: the 16-byte record the trace
+/// store keeps and the fetch stage reads.
 ///
-/// Dependence distances are stored as `u16` deltas (`0` = no dependence —
-/// the same sentinel [`DecodedInst`] uses internally, and unreachable as a
-/// real distance because the builder drops zero distances). The `meta`
-/// word bit-packs the class, destination-register presence/class, the
-/// mem/branch payload presence flags and — for branches — the kind and
+/// Dependences are *distances*: `d` in a slot means "this instruction
+/// reads the value produced by the instruction `d` positions earlier in
+/// the same thread's stream", and `0` means no dependence in that slot
+/// (the first slot is filled first). Short distances mean long dependence
+/// chains (low ILP), long ones independent work (high ILP). The `meta`
+/// word bit-packs the class, the destination register class, the
+/// mem/branch payload presence flags and, for branches, the kind and
 /// actual direction, so the hot path answers "is this a taken call?"
-/// without touching the sidecar. `aux` is the record's index into its
-/// block's sidecar lane (mem *or* branch payload; an instruction never
-/// carries both in generated streams).
+/// without touching the payload. `aux` is the record's index into its
+/// block's sidecar payload lane (a load/store address *or* a branch
+/// target; no instruction carries both).
 ///
 /// # Examples
 ///
 /// ```
-/// use smt_isa::{DecodedInst, InstClass, PackedInst, RegClass};
+/// use smt_isa::{BranchKind, InstClass, PackedInst, RegClass};
 ///
-/// let d = DecodedInst::builder(InstClass::IntAlu, 0x40)
-///     .dest(RegClass::Int)
-///     .dep(3)
-///     .build();
-/// let p = PackedInst::pack(&d, 0);
-/// assert_eq!(p.pc, 0x40);
+/// let p = PackedInst::new(0x40, InstClass::IntAlu, Some(RegClass::Int), [3, 0], None);
 /// assert_eq!(p.class(), InstClass::IntAlu);
 /// assert_eq!(p.dep_dists(), [3, 0]);
-/// assert_eq!(p.unpack(None, None), d);
+/// assert!(!p.has_mem() && !p.has_branch());
+///
+/// let call = PackedInst::new(0x80, InstClass::Branch, None, [0; 2], Some((BranchKind::Call, true)));
+/// assert!(call.touches_ras() && call.taken());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackedInst {
@@ -127,76 +126,62 @@ impl PackedInst {
         }
     }
 
-    /// Packs the hot core of `decoded`, tagging it with the caller's
-    /// sidecar index `aux`. The cold payloads (`decoded.mem`,
-    /// `decoded.branch`) are *not* stored — the caller owns them in its
-    /// sidecar lanes; only their presence is recorded.
+    /// The record of one instruction at `pc`: its class, the register
+    /// class it writes, its two dependence distances and, for a branch,
+    /// its kind and actual direction. Loads and stores are flagged as
+    /// carrying a memory payload and branches a branch payload; the
+    /// payload itself goes in the trace store's sidecar lane, at the index
+    /// [`PackedInst::with_aux`] sets (0 here).
     ///
     /// # Panics
     ///
-    /// Panics (debug builds) if a dependence distance exceeds `u16::MAX`.
-    /// The trace generators clamp distances at 512, far below the limit.
+    /// Panics (debug builds) if `branch` is given for a non-branch class or
+    /// missing for a branch, or if the second dependence slot is set while
+    /// the first is empty.
     #[inline]
-    pub fn pack(decoded: &DecodedInst, aux: u16) -> Self {
-        let deps = decoded.deps();
-        let dep = deps.map(|d| {
-            let d = d.unwrap_or(0);
-            debug_assert!(d <= u32::from(u16::MAX), "dependence distance {d} > u16");
-            d as u16
-        });
-        let mut meta = u16::from(decoded.class.code());
-        meta |= match decoded.dest {
+    pub fn new(
+        pc: u64,
+        class: InstClass,
+        dest: Option<RegClass>,
+        dep: [u16; 2],
+        branch: Option<(BranchKind, bool)>,
+    ) -> Self {
+        debug_assert_eq!(
+            branch.is_some(),
+            class == InstClass::Branch,
+            "branch bits on a {class} record"
+        );
+        debug_assert!(
+            dep[0] != 0 || dep[1] == 0,
+            "second dependence without a first"
+        );
+        let mut meta = u16::from(class.code());
+        meta |= match dest {
             None => 0,
             Some(RegClass::Int) => 1 << DEST_SHIFT,
             Some(RegClass::Fp) => 2 << DEST_SHIFT,
         };
-        if decoded.mem.is_some() {
+        if class.is_mem() {
             meta |= HAS_MEM;
         }
-        if let Some(b) = decoded.branch {
-            meta |= HAS_BRANCH | (kind_code(b.kind) << KIND_SHIFT);
-            if b.taken {
+        if let Some((kind, taken)) = branch {
+            meta |= HAS_BRANCH | (kind_code(kind) << KIND_SHIFT);
+            if taken {
                 meta |= TAKEN;
             }
         }
         PackedInst {
-            pc: decoded.pc,
+            pc,
             dep,
             meta,
-            aux,
+            aux: 0,
         }
     }
 
-    /// Reconstructs the full [`DecodedInst`], re-attaching the cold
-    /// payloads the caller fetched from its sidecar lanes. Exact inverse
-    /// of [`PackedInst::pack`] for every builder-constructible record.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if the supplied payloads disagree with the
-    /// packed presence flags.
+    /// This record, pointing at entry `aux` of its block's sidecar lane.
     #[inline]
-    pub fn unpack(&self, mem: Option<MemAccess>, branch: Option<BranchInfo>) -> DecodedInst {
-        debug_assert_eq!(self.has_mem(), mem.is_some(), "mem payload mismatch");
-        debug_assert_eq!(
-            self.has_branch(),
-            branch.is_some(),
-            "branch payload mismatch"
-        );
-        let mut b = DecodedInst::builder(self.class(), self.pc);
-        if let Some(dest) = self.dest() {
-            b = b.dest(dest);
-        }
-        for d in self.dep {
-            b = b.dep(u32::from(d));
-        }
-        if let Some(m) = mem {
-            b = b.mem(m.addr, m.size);
-        }
-        if let Some(br) = branch {
-            b = b.branch(br.kind, br.taken, br.target);
-        }
-        b.build()
+    pub fn with_aux(self, aux: u16) -> Self {
+        PackedInst { aux, ..self }
     }
 
     /// Functional class.
@@ -221,14 +206,14 @@ impl PackedInst {
         self.dep
     }
 
-    /// `true` if the record carries a [`MemAccess`] payload in its
-    /// sidecar lane.
+    /// `true` if the record carries a memory payload (a load or store
+    /// address) in its sidecar lane.
     #[inline]
     pub fn has_mem(&self) -> bool {
         self.meta & HAS_MEM != 0
     }
 
-    /// `true` if the record carries a [`BranchInfo`] payload in its
+    /// `true` if the record carries a branch payload (its target) in its
     /// sidecar lane.
     #[inline]
     pub fn has_branch(&self) -> bool {
@@ -246,12 +231,6 @@ impl PackedInst {
     #[inline]
     pub fn taken(&self) -> bool {
         self.meta & TAKEN != 0
-    }
-
-    /// `true` if the instruction is a conditional branch.
-    #[inline]
-    pub fn is_cond_branch(&self) -> bool {
-        self.branch_kind() == Some(BranchKind::Conditional)
     }
 
     /// `true` if the instruction pushes or pops the return-address stack
@@ -285,31 +264,29 @@ mod tests {
 
     #[test]
     fn packs_and_unpacks_an_alu_op() {
-        let d = DecodedInst::builder(InstClass::IntMul, 0x1234)
-            .dest(RegClass::Int)
-            .dep(7)
-            .dep(512)
-            .build();
-        let p = PackedInst::pack(&d, 9);
+        let p = PackedInst::new(
+            0x1234,
+            InstClass::IntMul,
+            Some(RegClass::Int),
+            [7, 512],
+            None,
+        )
+        .with_aux(9);
+        assert_eq!(p.pc, 0x1234);
         assert_eq!(p.class(), InstClass::IntMul);
         assert_eq!(p.dest(), Some(RegClass::Int));
         assert_eq!(p.dep_dists(), [7, 512]);
         assert_eq!(p.aux(), 9);
         assert!(!p.has_mem() && !p.has_branch() && !p.taken());
-        assert_eq!(p.unpack(None, None), d);
     }
 
     #[test]
     fn packs_and_unpacks_a_load() {
-        let d = DecodedInst::builder(InstClass::Load, 0x40)
-            .dest(RegClass::Fp)
-            .mem(0xdead_bee0, 8)
-            .dep(3)
-            .build();
-        let p = PackedInst::pack(&d, 2);
+        let p = PackedInst::new(0x40, InstClass::Load, Some(RegClass::Fp), [3, 0], None);
         assert!(p.has_mem() && !p.has_branch());
         assert_eq!(p.dest(), Some(RegClass::Fp));
-        assert_eq!(p.unpack(d.mem, None), d);
+        assert_eq!(p.dep_dists(), [3, 0]);
+        assert_eq!(p.aux(), 0);
     }
 
     #[test]
@@ -321,23 +298,14 @@ mod tests {
             (BranchKind::Call, true),
             (BranchKind::Return, true),
         ] {
-            let d = DecodedInst::builder(InstClass::Branch, 0x80)
-                .branch(kind, taken, 0x100)
-                .dep(1)
-                .build();
-            let p = PackedInst::pack(&d, 0);
+            let p = PackedInst::new(0x80, InstClass::Branch, None, [1, 0], Some((kind, taken)));
+            assert!(p.has_branch() && !p.has_mem());
             assert_eq!(p.branch_kind(), Some(kind));
             assert_eq!(p.taken(), taken);
             assert_eq!(
                 p.touches_ras(),
                 matches!(kind, BranchKind::Call | BranchKind::Return)
             );
-            assert_eq!(
-                p.is_cond_branch(),
-                kind == BranchKind::Conditional,
-                "{kind:?}"
-            );
-            assert_eq!(p.unpack(None, d.branch), d);
         }
     }
 

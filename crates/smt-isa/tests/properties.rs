@@ -2,59 +2,51 @@
 
 use proptest::prelude::*;
 use smt_isa::{
-    BranchKind, DecodedInst, InstClass, PackedInst, PerResource, QueueKind, RegClass, ResourceKind,
-    ThreadId,
+    BranchKind, InstClass, PackedInst, PerResource, QueueKind, RegClass, ResourceKind, ThreadId,
 };
 
 fn any_class() -> impl Strategy<Value = InstClass> {
     (0..InstClass::ALL.len()).prop_map(|i| InstClass::ALL[i])
 }
 
-fn any_kind() -> impl Strategy<Value = BranchKind> {
-    (0..4u8).prop_map(|i| {
-        [
-            BranchKind::Conditional,
-            BranchKind::Jump,
-            BranchKind::Call,
-            BranchKind::Return,
-        ][usize::from(i)]
-    })
+/// Every branch kind.
+const KINDS: [BranchKind; 4] = [
+    BranchKind::Conditional,
+    BranchKind::Jump,
+    BranchKind::Call,
+    BranchKind::Return,
+];
+
+/// `PackedInst::meta` as its layout documents it, built from literal bit
+/// positions: the class code in bits 0–2, the destination (0 none, 1 int,
+/// 2 fp) in bits 3–4, the memory and branch payload flags in bits 5 and
+/// 6, the branch kind code in bits 7–8 and the direction in bit 9.
+fn documented_meta(
+    class: InstClass,
+    dest: Option<RegClass>,
+    branch: Option<(BranchKind, bool)>,
+) -> u16 {
+    let dest = match dest {
+        None => 0,
+        Some(RegClass::Int) => 1,
+        Some(RegClass::Fp) => 2,
+    };
+    let mut meta = u16::from(class.code()) | dest << 3 | u16::from(class.is_mem()) << 5;
+    if let Some((kind, taken)) = branch {
+        let code = match kind {
+            BranchKind::Conditional => 0,
+            BranchKind::Jump => 1,
+            BranchKind::Call => 2,
+            BranchKind::Return => 3,
+        };
+        meta |= 1 << 6 | code << 7 | u16::from(taken) << 9;
+    }
+    meta
 }
 
-/// Any builder-constructible decoded record: payloads are attached exactly
-/// where the builder's class invariants require them (mem on loads/stores,
-/// branch info on branches).
-fn any_decoded() -> impl Strategy<Value = DecodedInst> {
-    (
-        (
-            any_class(),
-            1u64..u64::MAX / 2,
-            0usize..3,
-            proptest::collection::vec(1u32..512, 0..3),
-        ),
-        (
-            (0u64..u64::MAX / 2, 1u8..9),
-            (any_kind(), any::<bool>(), 0u64..u64::MAX / 2),
-        ),
-    )
-        .prop_map(
-            |((class, pc, dest, deps), ((addr, size), (kind, taken, target)))| {
-                let mut b = DecodedInst::builder(class, pc);
-                if dest > 0 {
-                    b = b.dest(RegClass::ALL[dest - 1]);
-                }
-                for d in deps {
-                    b = b.dep(d);
-                }
-                if class.is_mem() {
-                    b = b.mem(addr, size);
-                }
-                if class == InstClass::Branch {
-                    b = b.branch(kind, taken, target);
-                }
-                b.build()
-            },
-        )
+/// The `Debug` form of a packed record with these private fields.
+fn debug_fields(pc: u64, dep: [u16; 2], meta: u16, aux: u16) -> String {
+    format!("PackedInst {{ pc: {pc}, dep: {dep:?}, meta: {meta}, aux: {aux} }}")
 }
 
 proptest! {
@@ -72,20 +64,6 @@ proptest! {
         if class.is_mem() {
             prop_assert_eq!(q, QueueKind::LoadStore);
         }
-    }
-
-    /// Builder round trip: deps come back in insertion order, extra deps
-    /// overwrite the second slot only.
-    #[test]
-    fn builder_dep_semantics(d1 in 1u32..512, d2 in 1u32..512, d3 in 1u32..512) {
-        let i = DecodedInst::builder(InstClass::IntAlu, 0)
-            .dest(RegClass::Int)
-            .dep(d1)
-            .dep(d2)
-            .dep(d3)
-            .build();
-        prop_assert_eq!(i.deps()[0], Some(d1));
-        prop_assert_eq!(i.deps()[1], Some(d3), "third dep overwrites slot 2");
     }
 
     /// PerResource is a faithful dense map over ResourceKind.
@@ -108,40 +86,49 @@ proptest! {
         prop_assert_eq!(ThreadId::new(i).index(), i);
     }
 
-    /// Packed records are a lossless re-encoding of every
-    /// builder-constructible decoded record: `pack` then `unpack` (with
-    /// the sidecar payloads handed back) reproduces the input exactly,
-    /// and every packed accessor agrees with the decoded field it mirrors.
+    /// The packed constructor and its accessors agree for every class,
+    /// every destination, dependence pairs with and without a second slot
+    /// (and none), every branch kind and both directions: each accessor
+    /// returns what was packed, and the `meta` word holds the documented
+    /// bit layout, which one fixed record pins by value.
     #[test]
-    fn packed_round_trips_builder_records(d in any_decoded(), aux in 0u16..u16::MAX) {
-        let p = PackedInst::pack(&d, aux);
-        prop_assert_eq!(p.unpack(d.mem, d.branch), d.clone());
-        prop_assert_eq!(p.pc, d.pc);
-        prop_assert_eq!(p.class(), d.class);
-        prop_assert_eq!(p.dest(), d.dest);
-        prop_assert_eq!(p.aux(), aux);
-        prop_assert_eq!(p.has_mem(), d.mem.is_some());
-        prop_assert_eq!(p.has_branch(), d.branch.is_some());
-        prop_assert_eq!(p.branch_kind(), d.branch.map(|b| b.kind));
-        prop_assert_eq!(p.is_cond_branch(), d.is_cond_branch());
-        if let Some(b) = d.branch {
-            prop_assert_eq!(p.taken(), b.taken);
+    fn packed_constructor_round_trips_through_accessors(
+        pc in 0u64..u64::MAX,
+        d1 in 1u16..u16::MAX,
+        d2 in 1u16..u16::MAX,
+        aux: u16
+    ) {
+        // 7 (branch) | 1 << 6 (branch payload) | 3 << 7 (return) | 1 << 9 (taken)
+        let ret = Some((BranchKind::Return, true));
+        let fixed = PackedInst::new(0x1000, InstClass::Branch, None, [5, 0], ret).with_aux(3);
+        prop_assert_eq!(format!("{fixed:?}"), debug_fields(0x1000, [5, 0], 967, 3));
+        let dests = [None, Some(RegClass::Int), Some(RegClass::Fp)];
+        for class in InstClass::ALL {
+            let branches: Vec<Option<(BranchKind, bool)>> = if class == InstClass::Branch {
+                KINDS.iter().flat_map(|&k| [Some((k, false)), Some((k, true))]).collect()
+            } else {
+                vec![None]
+            };
+            for (dest, branch) in dests.iter().flat_map(|&d| branches.iter().map(move |&b| (d, b))) {
+                for dep in [[d1, d2], [d1, 0], [0, 0]] {
+                    let p = PackedInst::new(pc, class, dest, dep, branch).with_aux(aux);
+                    prop_assert_eq!(p.pc, pc);
+                    prop_assert_eq!(p.class(), class);
+                    prop_assert_eq!(p.dest(), dest);
+                    prop_assert_eq!(p.dep_dists(), dep);
+                    prop_assert_eq!(p.aux(), aux);
+                    prop_assert_eq!(p.has_mem(), class.is_mem());
+                    prop_assert_eq!(p.has_branch(), branch.is_some());
+                    prop_assert_eq!(p.branch_kind(), branch.map(|(k, _)| k));
+                    prop_assert_eq!(p.taken(), branch.is_some_and(|(_, t)| t));
+                    prop_assert_eq!(
+                        p.touches_ras(),
+                        matches!(branch, Some((BranchKind::Call | BranchKind::Return, _)))
+                    );
+                    let meta = documented_meta(class, dest, branch);
+                    prop_assert_eq!(format!("{p:?}"), debug_fields(pc, dep, meta, aux));
+                }
+            }
         }
-        let dists = p.dep_dists();
-        for (slot, dep) in d.deps().iter().enumerate() {
-            prop_assert_eq!(u32::from(dists[slot]), dep.unwrap_or(0));
-        }
-    }
-
-    /// Branch info round trips through the builder.
-    #[test]
-    fn branch_info_round_trip(taken: bool, target in 0u64..u64::MAX / 2) {
-        let i = DecodedInst::builder(InstClass::Branch, 0x40)
-            .branch(BranchKind::Conditional, taken, target)
-            .build();
-        let b = i.branch.expect("builder attached branch info");
-        prop_assert_eq!(b.taken, taken);
-        prop_assert_eq!(b.target, target);
-        prop_assert_eq!(i.is_cond_branch(), true);
     }
 }

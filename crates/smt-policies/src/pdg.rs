@@ -141,11 +141,7 @@ mod tests {
     use smt_policy_core::ThreadView;
 
     fn load(pc: u64) -> PackedInst {
-        let decoded = smt_isa::DecodedInst::builder(InstClass::Load, pc)
-            .dest(RegClass::Int)
-            .mem(0x1000, 8)
-            .build();
-        PackedInst::pack(&decoded, 0)
+        PackedInst::new(pc, InstClass::Load, Some(RegClass::Int), [0; 2], None)
     }
 
     fn view(n: usize) -> CycleView {

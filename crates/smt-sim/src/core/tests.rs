@@ -128,7 +128,7 @@ fn oversized_thread_count_is_rejected_at_construction() {
     let _ = Simulator::new(cfg, &profiles, RoundRobin::default(), 1);
 }
 
-/// Fills `tid`'s fetch queue to its configured capacity with real decoded
+/// Fills `tid`'s fetch queue to its configured capacity with real trace
 /// instructions (mirroring what the fetch stage would do), so the
 /// full-queue fetch path can be exercised directly.
 fn fill_fetch_queue(s: &mut Simulator, tid: usize) {

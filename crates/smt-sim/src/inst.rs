@@ -51,8 +51,8 @@ pub(crate) fn resolve_deps(packed: &PackedInst, seq: u64) -> [u64; 2] {
 /// One in-flight instruction.
 ///
 /// Deliberately compact (48 bytes, so three fit in two cache lines): the
-/// window ring holds these, so the full [`DecodedInst`] is *not* embedded —
-/// only the fields the pipeline reads per stage, and of those, the hottest
+/// window ring holds these, so the trace record is *not* embedded — only
+/// the fields the pipeline reads per stage, and of those, the hottest
 /// (`stage`, `deps`) live in separate struct-of-arrays lanes of the ring
 /// instead. The per-thread sequence number is not stored either — it *is*
 /// the ring key — and the five status booleans share one flags byte. The
@@ -208,35 +208,23 @@ impl DynInst {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smt_isa::DecodedInst;
 
-    /// Packs a decoded record the way the fetch stage sees it: the 16-byte
-    /// core plus the pre-read effective address.
-    fn packed(d: &DecodedInst) -> (PackedInst, u64) {
-        (PackedInst::pack(d, 0), d.mem.map_or(0, |m| m.addr))
+    fn alu(dep: [u16; 2]) -> PackedInst {
+        PackedInst::new(0, InstClass::IntAlu, Some(RegClass::Int), dep, None)
     }
 
     #[test]
     fn deps_resolve_to_absolute_seqs() {
-        let d = DecodedInst::builder(InstClass::IntAlu, 0)
-            .dest(RegClass::Int)
-            .dep(3)
-            .dep(10)
-            .build();
-        let (p, addr) = packed(&d);
+        let p = alu([3, 10]);
         assert_eq!(resolve_deps(&p, 20), [17, 10]);
-        let i = DynInst::fetched(1, &p, addr, 5, 4);
+        let i = DynInst::fetched(1, &p, 0, 5, 4);
         assert_eq!(i.dispatch_eligible_at, 9);
     }
 
     #[test]
     fn flags_pack_independently() {
-        let d = DecodedInst::builder(InstClass::Load, 0)
-            .dest(RegClass::Int)
-            .mem(0x40, 8)
-            .build();
-        let (p, addr) = packed(&d);
-        let mut i = DynInst::fetched(1, &p, addr, 0, 0);
+        let p = PackedInst::new(0, InstClass::Load, Some(RegClass::Int), [0; 2], None);
+        let mut i = DynInst::fetched(1, &p, 0x40, 0, 0);
         assert_eq!(i.mem_addr, 0x40);
         assert!(!i.l1_miss() && !i.l2_miss() && !i.mispredicted());
         i.set_l1_miss();
@@ -247,9 +235,8 @@ mod tests {
 
     #[test]
     fn deps_before_stream_start_are_dropped() {
-        let d = DecodedInst::builder(InstClass::IntAlu, 0).dep(5).build();
         assert_eq!(
-            resolve_deps(&packed(&d).0, 3),
+            resolve_deps(&alu([5, 0]), 3),
             [NO_DEP, NO_DEP],
             "distance beyond seq 0 has no producer"
         );

@@ -16,9 +16,10 @@
 //! consumes the same generator outputs in the same order.
 
 use crate::profile::BenchmarkProfile;
+use crate::store::TraceRecord;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
-use smt_isa::{BranchKind, DecodedInst, InstClass, RegClass};
+use smt_isa::{BranchKind, InstClass, PackedInst, RegClass};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Execution phase of the generated program (the discriminant indexes
@@ -109,6 +110,11 @@ pub struct TraceGenerator {
 /// What [`TraceGenerator::next_access`] yields for one instruction: its
 /// fetch pc, and for loads and stores `(data address, is_store)`.
 type Access = (u64, Option<(u64, bool)>);
+
+/// What [`TraceGenerator::next_packed`] yields for one instruction: the
+/// record the trace store keeps, and its payload (a load or store address,
+/// a branch target, 0 for neither).
+type Packed = (PackedInst, u64);
 
 /// Size of every generated data access (bytes).
 pub(crate) const ACCESS_SIZE: u8 = 8;
@@ -213,7 +219,7 @@ impl DepTable {
     /// when they run out — a data-dependent binary search over 511 bounds
     /// costs about nine branch mispredictions.
     #[inline]
-    fn distance(&self, m: u64) -> u32 {
+    fn distance(&self, m: u64) -> u16 {
         const STEPS: usize = 4;
         let start = usize::from(self.guide[(m >> DEP_GUIDE_SHIFT) as usize]);
         let rest = &self.bounds[start..];
@@ -222,7 +228,7 @@ impl DepTable {
                 Some(n) => n,
                 None => rest.partition_point(|&b| b > m),
             };
-        above as u32 + 1
+        above as u16 + 1
     }
 }
 
@@ -517,7 +523,7 @@ impl TraceGenerator {
     /// Without `FULL` it only draws `m`, keeping the stream in step, and
     /// returns 0: the address-only stream never reads the distance.
     #[inline(always)]
-    fn dep_distance<const FULL: bool>(&mut self) -> u32 {
+    fn dep_distance<const FULL: bool>(&mut self) -> u16 {
         if self.profile.dep_mean <= 1.0 {
             return 1;
         }
@@ -589,8 +595,16 @@ impl TraceGenerator {
         }
     }
 
-    /// Generates the next dynamic instruction of the stream.
-    pub fn next_inst(&mut self) -> DecodedInst {
+    /// Generates the next dynamic instruction of the stream: the record
+    /// a [`ThreadTrace`](crate::ThreadTrace) replays for it.
+    pub fn next_inst(&mut self) -> TraceRecord {
+        let (packed, payload) = self.next_packed();
+        TraceRecord::new(packed, payload)
+    }
+
+    /// [`Self::next_inst`] as the trace store writes it: the packed
+    /// record, whose sidecar index is 0, and its payload.
+    pub(crate) fn next_packed(&mut self) -> Packed {
         self.generate::<true>()
             .1
             .expect("the full stream builds every record")
@@ -601,17 +615,17 @@ impl TraceGenerator {
     /// is a store. Advances the generator exactly as [`Self::next_inst`]
     /// does — same random draws, same state afterwards — so the two calls
     /// can be interleaved freely; it skips only the dependence-distance
-    /// lookup and the record build.
+    /// lookup and the record's packing.
     pub fn next_access(&mut self) -> (u64, Option<(u64, bool)>) {
         self.generate::<false>().0
     }
 
     /// The one generator body behind [`Self::next_inst`] and
     /// [`Self::next_access`]. `FULL` selects whether dependence distances
-    /// are resolved and the record built; every random draw happens either
+    /// are resolved and the record packed; every random draw happens either
     /// way, so both streams stay in lockstep.
     #[inline(always)]
-    fn generate<const FULL: bool>(&mut self) -> (Access, Option<DecodedInst>) {
+    fn generate<const FULL: bool>(&mut self) -> (Access, Option<Packed>) {
         let class = self.sample_class();
         let pc = self.pc;
         // Every site and branch target lies inside the footprint, so the
@@ -641,21 +655,21 @@ impl TraceGenerator {
         out
     }
 
-    fn gen_load<const FULL: bool>(&mut self, pc: u64) -> (Access, Option<DecodedInst>) {
+    fn gen_load<const FULL: bool>(&mut self, pc: u64) -> (Access, Option<Packed>) {
         let (addr, is_cold) = self.sample_address();
         let dest = if self.coins.fp_load > 0 && self.coin(self.coins.fp_load) {
             RegClass::Fp
         } else {
             RegClass::Int
         };
-        // 0 = no dependence (`dep` ignores it).
+        // 0 = no dependence.
         let mut dep = 0;
         if is_cold {
             // Pointer chasing: the address of this cold load depends on the
             // data of the previous cold load, serialising the misses.
             if let Some(prev) = self.last_cold_load_seq {
                 if self.coin(self.coins.pointer_chase) {
-                    dep = (self.seq - prev).clamp(1, 512) as u32;
+                    dep = (self.seq - prev).clamp(1, 512) as u16;
                 }
             }
             self.last_cold_load_seq = Some(self.seq);
@@ -663,38 +677,36 @@ impl TraceGenerator {
             dep = self.dep_distance::<FULL>();
         }
         let inst = FULL.then(|| {
-            DecodedInst::builder(InstClass::Load, pc)
-                .dest(dest)
-                .mem(addr, ACCESS_SIZE)
-                .dep(dep)
-                .build()
+            let packed = PackedInst::new(pc, InstClass::Load, Some(dest), [dep, 0], None);
+            (packed, addr)
         });
         ((pc, Some((addr, false))), inst)
     }
 
-    fn gen_store<const FULL: bool>(&mut self, pc: u64) -> (Access, Option<DecodedInst>) {
+    fn gen_store<const FULL: bool>(&mut self, pc: u64) -> (Access, Option<Packed>) {
         let (addr, _) = self.sample_address();
         let d1 = self.dep_distance::<FULL>();
         let d2 = self.dep_distance::<FULL>();
         let inst = FULL.then(|| {
-            DecodedInst::builder(InstClass::Store, pc)
-                .mem(addr, ACCESS_SIZE)
-                .dep(d1)
-                .dep(d2)
-                .build()
+            (
+                PackedInst::new(pc, InstClass::Store, None, [d1, d2], None),
+                addr,
+            )
         });
         ((pc, Some((addr, true))), inst)
     }
 
-    fn gen_branch<const FULL: bool>(&mut self, pc: u64) -> (Access, Option<DecodedInst>) {
+    fn gen_branch<const FULL: bool>(&mut self, pc: u64) -> (Access, Option<Packed>) {
         // Returns match outstanding calls; calls occur with call_frac.
         if self.call_depth > 0 && self.coin(HALF) {
             self.call_depth -= 1;
             let target = self.code_base + self.rng.gen_range(0..64) * 4;
             let inst = FULL.then(|| {
-                DecodedInst::builder(InstClass::Branch, pc)
-                    .branch(BranchKind::Return, true, target)
-                    .build()
+                let kind = Some((BranchKind::Return, true));
+                (
+                    PackedInst::new(pc, InstClass::Branch, None, [0; 2], kind),
+                    target,
+                )
             });
             return ((pc, None), inst);
         }
@@ -702,9 +714,11 @@ impl TraceGenerator {
             self.call_depth = (self.call_depth + 1).min(64);
             let site = self.pick_site();
             let inst = FULL.then(|| {
-                DecodedInst::builder(InstClass::Branch, site.pc)
-                    .branch(BranchKind::Call, true, site.target)
-                    .build()
+                let kind = Some((BranchKind::Call, true));
+                (
+                    PackedInst::new(site.pc, InstClass::Branch, None, [0; 2], kind),
+                    site.target,
+                )
             });
             return ((site.pc, None), inst);
         }
@@ -715,10 +729,11 @@ impl TraceGenerator {
             self.pc = site.target;
         }
         let inst = FULL.then(|| {
-            DecodedInst::builder(InstClass::Branch, site.pc)
-                .branch(BranchKind::Conditional, taken, site.target)
-                .dep(d)
-                .build()
+            let kind = Some((BranchKind::Conditional, taken));
+            (
+                PackedInst::new(site.pc, InstClass::Branch, None, [d, 0], kind),
+                site.target,
+            )
         });
         ((site.pc, None), inst)
     }
@@ -742,30 +757,20 @@ impl TraceGenerator {
         self.sites[idx]
     }
 
-    fn gen_alu<const FULL: bool>(
-        &mut self,
-        pc: u64,
-        class: InstClass,
-    ) -> (Access, Option<DecodedInst>) {
+    fn gen_alu<const FULL: bool>(&mut self, pc: u64, class: InstClass) -> (Access, Option<Packed>) {
         let dest = if class.is_fp() {
             RegClass::Fp
         } else {
             RegClass::Int
         };
         let d1 = self.dep_distance::<FULL>();
-        // 0 = no second dependence (`dep` ignores it).
+        // 0 = no second dependence.
         let d2 = if self.coin(QUARTER) {
             self.dep_distance::<FULL>()
         } else {
             0
         };
-        let inst = FULL.then(|| {
-            DecodedInst::builder(class, pc)
-                .dest(dest)
-                .dep(d1)
-                .dep(d2)
-                .build()
-        });
+        let inst = FULL.then(|| (PackedInst::new(pc, class, Some(dest), [d1, d2], None), 0));
         ((pc, None), inst)
     }
 }
@@ -819,7 +824,7 @@ mod tests {
             let mut g = TraceGenerator::new(p, 123, 0);
             let mut reference_rng = g.rng.clone();
             for i in 0..200_000 {
-                let expect = sample_geometric(&mut reference_rng, p.dep_mean).clamp(1, 512) as u32;
+                let expect = sample_geometric(&mut reference_rng, p.dep_mean).clamp(1, 512) as u16;
                 let got = g.dep_distance::<true>();
                 assert_eq!(got, expect, "{bench}: draw {i} diverged");
             }
@@ -954,10 +959,11 @@ mod tests {
                 let mut lean = base.decorrelated(0xCAFE);
                 for i in 0..200_000 {
                     let inst = full.next_inst();
-                    let mem = inst.mem.map(|m| (m.addr, inst.class == InstClass::Store));
+                    let is_store = inst.packed.class() == InstClass::Store;
+                    let mem = inst.mem.map(|m| (m.addr, is_store));
                     assert_eq!(
                         lean.next_access(),
-                        (inst.pc, mem),
+                        (inst.packed.pc, mem),
                         "{name} seed {seed} slot {slot}: inst {i}"
                     );
                 }
@@ -983,7 +989,7 @@ mod tests {
         let mut counts: BTreeMap<InstClass, u64> = BTreeMap::new();
         let n = 200_000;
         for _ in 0..n {
-            *counts.entry(g.next_inst().class).or_default() += 1;
+            *counts.entry(g.next_inst().packed.class()).or_default() += 1;
         }
         let total = p.mix.total();
         let load_frac = *counts.get(&InstClass::Load).unwrap_or(&0) as f64 / n as f64;
@@ -1001,9 +1007,13 @@ mod tests {
         let p = spec::profile("mcf").unwrap();
         let mut g = TraceGenerator::new(p, 9, 0);
         for _ in 0..50_000 {
-            let i = g.next_inst();
-            assert!(!i.class.is_fp(), "integer benchmark emitted {}", i.class);
-            if let Some(dest) = i.dest {
+            let i = g.next_inst().packed;
+            assert!(
+                !i.class().is_fp(),
+                "integer benchmark emitted {}",
+                i.class()
+            );
+            if let Some(dest) = i.dest() {
                 assert_ne!(dest, RegClass::Fp);
             }
         }
@@ -1013,7 +1023,9 @@ mod tests {
     fn fp_profile_emits_fp_work() {
         let p = spec::profile("swim").unwrap();
         let mut g = TraceGenerator::new(p, 9, 0);
-        let fp = (0..50_000).filter(|_| g.next_inst().class.is_fp()).count();
+        let fp = (0..50_000)
+            .filter(|_| g.next_inst().packed.class().is_fp())
+            .count();
         assert!(fp > 5_000, "FP benchmark generated only {fp} FP ops");
     }
 
@@ -1039,11 +1051,11 @@ mod tests {
         let mut g = TraceGenerator::new(p, 5, 2);
         for _ in 0..20_000 {
             let i = g.next_inst();
-            if i.class.is_mem() {
+            if i.packed.class().is_mem() {
                 let m = i.mem.expect("memory inst without address");
                 assert!(m.addr >= 0x1000_0000, "address below data base");
             }
-            if i.class == InstClass::Branch {
+            if i.packed.class() == InstClass::Branch {
                 assert!(i.branch.is_some());
             }
         }

@@ -7,7 +7,9 @@
 //! mix, dependence-distance distribution, nested working sets, branch-site
 //! behaviour, memory/compute phase alternation) and a [`TraceGenerator`]
 //! expands a profile into a deterministic, infinite stream of
-//! [`smt_isa::DecodedInst`]. The generated address and branch streams drive
+//! [`TraceRecord`]s: the 16-byte [`smt_isa::PackedInst`] the simulator's
+//! fetch stage reads, plus its load/store address or branch target, as a
+//! [`ThreadTrace`] keeps them. The generated address and branch streams drive
 //! the *real* cache and predictor substrates, so miss rates and
 //! mispredictions are produced by the modelled hardware, not sampled.
 //!
@@ -40,7 +42,7 @@
 //! let profile = spec::profile("mcf").expect("known benchmark");
 //! let mut generator = TraceGenerator::new(profile, 42, 0);
 //! let inst = generator.next_inst();
-//! assert!(inst.pc > 0);
+//! assert!(inst.packed.pc > 0);
 //! ```
 
 #![warn(missing_docs)]

@@ -3,18 +3,18 @@
 //! [`TraceGenerator`] expands a profile into an infinite stream one
 //! instruction at a time. The simulator's fetch stage used to invoke it
 //! *inline*, on the critical path, once per fetched instruction, and threw
-//! the decoded records away at commit — so a nine-policy sweep over the
+//! the records away at commit — so a nine-policy sweep over the
 //! same workload regenerated the identical stream nine times.
 //!
 //! [`ThreadTrace`] moves generation off the critical path and makes the
 //! stream replayable:
 //!
 //! * instructions are pre-generated in **blocks** of [`TRACE_BLOCK`]
-//!   records, packed into 16-byte [`PackedInst`]s beside one `u64`
-//!   payload lane: the address of a load or store, the target of a
-//!   branch. The rest of the cold [`MemAccess`]/[`BranchInfo`] payloads
-//!   is implied: the kind and direction live in the packed record, and
-//!   every generated access is 8 bytes wide,
+//!   16-byte [`PackedInst`] records, as the generator writes them, beside
+//!   one `u64` payload lane: the address of a load or store, the target
+//!   of a branch. The rest of the cold [`MemAccess`]/[`BranchInfo`]
+//!   payloads is implied: the kind and direction live in the packed
+//!   record, and every generated access is 8 bytes wide,
 //! * a persistent **prefix** of up to [`MAX_PREFIX_BLOCKS`] blocks is kept
 //!   across [`ThreadTrace::rebind`] calls: when the next run uses the same
 //!   (profile, seed, slot), its blocks are *reused*, not regenerated —
@@ -38,8 +38,8 @@
 //! memory never creeps with the payload mix. A recycled store keeps as
 //! many prefix buffers as the longest retained run it has served.
 //!
-//! The store is bit-exact: replayed records unpack to precisely what
-//! [`TraceGenerator::next_inst`] streams.
+//! The store is bit-exact: a replayed record ([`ThreadTrace::record`]) is
+//! precisely the one [`TraceGenerator::next_inst`] streams.
 
 use crate::generator::{TraceGenerator, ACCESS_SIZE};
 use crate::profile::BenchmarkProfile;
@@ -90,30 +90,21 @@ impl TraceBlock {
     }
 
     /// (Re)fills this block with the next [`TRACE_BLOCK`] instructions of
-    /// `gen`, in place.
+    /// `gen`, in place: each packed record as the generator writes it,
+    /// pointing at its payload in the sidecar lane if it has one.
     fn fill(&mut self, gen: &mut TraceGenerator, base_seq: u64) {
         self.base_seq = base_seq;
         let mut used = 0;
         for slot in self.insts.iter_mut() {
-            let d = gen.next_inst();
-            debug_assert!(
-                d.mem.is_none() || d.branch.is_none(),
-                "generated record carries both payloads"
-            );
-            debug_assert!(
-                d.mem.is_none_or(|m| m.size == ACCESS_SIZE),
-                "generated access of another size"
-            );
-            let aux = match d.mem.map(|m| m.addr).or(d.branch.map(|b| b.target)) {
-                Some(value) => {
-                    let aux = used;
-                    self.payload[aux] = value;
-                    used += 1;
-                    aux
-                }
-                None => 0,
+            let (packed, payload) = gen.next_packed();
+            let aux = if packed.has_mem() || packed.has_branch() {
+                self.payload[used] = payload;
+                used += 1;
+                used - 1
+            } else {
+                0
             };
-            *slot = PackedInst::pack(&d, aux as u16);
+            *slot = packed.with_aux(aux as u16);
         }
     }
 
@@ -123,29 +114,18 @@ impl TraceBlock {
         self.payload[usize::from(packed.aux())]
     }
 
-    /// The memory payload of `packed`, a load or store of this block.
+    /// The full view of the record at offset `off` of this block.
     #[inline]
-    fn mem(&self, packed: PackedInst) -> MemAccess {
-        MemAccess {
-            addr: self.payload(packed),
-            size: ACCESS_SIZE,
-        }
-    }
-
-    /// The branch payload of `packed`, a branch of this block.
-    #[inline]
-    fn branch(&self, packed: PackedInst) -> BranchInfo {
-        BranchInfo {
-            kind: packed.branch_kind().expect("a branch record"),
-            taken: packed.taken(),
-            target: self.payload(packed),
-        }
+    fn record(&self, off: usize) -> TraceRecord {
+        let packed = self.insts[off];
+        TraceRecord::new(packed, self.payload(packed))
     }
 }
 
-/// One instruction as served to the fetch stage: the packed hot core plus
-/// its cold payloads read out of the sidecar lanes in the same block
-/// lookup.
+/// One instruction of a generated trace, in full: the packed record plus
+/// its cold payload. It is what [`TraceGenerator::next_inst`] streams and
+/// [`ThreadTrace::record`] replays. The payloads are inline, so the packed
+/// core carries no sidecar index ([`PackedInst::aux`] is 0).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceRecord {
     /// The 16-byte hot core.
@@ -157,10 +137,22 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// Reassembles the full decoded record (tests and diagnostics; the
-    /// pipeline consumes the parts directly).
-    pub fn unpack(&self) -> smt_isa::DecodedInst {
-        self.packed.unpack(self.mem, self.branch)
+    /// The full view of `packed`, whose payload value is `payload`: a
+    /// load or store address, or a branch target (ignored otherwise).
+    #[inline]
+    pub(crate) fn new(packed: PackedInst, payload: u64) -> Self {
+        TraceRecord {
+            packed: packed.with_aux(0),
+            mem: packed.has_mem().then_some(MemAccess {
+                addr: payload,
+                size: ACCESS_SIZE,
+            }),
+            branch: packed.branch_kind().map(|kind| BranchInfo {
+                kind,
+                taken: packed.taken(),
+                target: payload,
+            }),
+        }
     }
 }
 
@@ -182,13 +174,11 @@ impl TraceRecord {
 /// let mut store = ThreadTrace::new(p, 7, 0, 512);
 /// let mut stream = TraceGenerator::new(p, 7, 0);
 /// for seq in 0..1000 {
-///     assert_eq!(store.record(seq).unpack(), stream.next_inst());
+///     assert_eq!(store.record(seq), stream.next_inst());
 /// }
 /// // Rebinding to the same workload replays the retained blocks.
 /// assert!(store.rebind(p, 7, 0));
-/// assert_eq!(store.record(0).unpack().pc, {
-///     TraceGenerator::new(p, 7, 0).next_inst().pc
-/// });
+/// assert_eq!(store.record(0), TraceGenerator::new(p, 7, 0).next_inst());
 /// ```
 #[derive(Debug)]
 pub struct ThreadTrace {
@@ -344,30 +334,18 @@ impl ThreadTrace {
     #[inline]
     pub fn branch_payload(&self, seq: u64, aux: u16) -> BranchInfo {
         let block = self.block_ref(seq >> BLOCK_SHIFT);
-        let packed = block.insts[(seq & BLOCK_MASK) as usize];
-        debug_assert_eq!(packed.aux(), aux, "aux of another record");
-        block.branch(packed)
+        let off = (seq & BLOCK_MASK) as usize;
+        debug_assert_eq!(block.insts[off].aux(), aux, "aux of another record");
+        block.record(off).branch.expect("a branch record")
     }
 
-    /// The packed record *and* its sidecar payloads at `seq`, in one block
-    /// lookup.
+    /// The full record at `seq` (the packed core and its payload), in one
+    /// block lookup: exactly what [`TraceGenerator::next_inst`] streamed
+    /// for it.
     #[inline]
     pub fn record(&mut self, seq: u64) -> TraceRecord {
-        let block = self.block(seq >> BLOCK_SHIFT);
-        let off = (seq & BLOCK_MASK) as usize;
-        let packed = block.insts[off];
-        let (mem, branch) = if packed.has_mem() {
-            (Some(block.mem(packed)), None)
-        } else if packed.has_branch() {
-            (None, Some(block.branch(packed)))
-        } else {
-            (None, None)
-        };
-        TraceRecord {
-            packed,
-            mem,
-            branch,
-        }
+        self.block(seq >> BLOCK_SHIFT)
+            .record((seq & BLOCK_MASK) as usize)
     }
 
     /// Resident block `b`, generating forward to materialise it if needed.
@@ -449,10 +427,10 @@ mod tests {
         let mut store = ThreadTrace::new(p, 42, 0, 512);
         let mut gen = TraceGenerator::new(p, 42, 0);
         for seq in 0..5_000u64 {
-            assert_eq!(store.record(seq).unpack(), gen.next_inst(), "seq {seq}");
+            assert_eq!(store.record(seq), gen.next_inst(), "seq {seq}");
         }
         // Lookback within the declared window replays identically.
-        let again = store.record(4_600).unpack();
+        let again = store.record(4_600);
         let mut gen2 = TraceGenerator::new(p, 42, 0);
         for _ in 0..4_600 {
             gen2.next_inst();
@@ -468,7 +446,7 @@ mod tests {
         let mut store = ThreadTrace::new(p, 11, 0, 512);
         let mut gen = TraceGenerator::new(p, 11, 0);
         for seq in 0..total {
-            assert_eq!(store.record(seq).unpack(), gen.next_inst(), "seq {seq}");
+            assert_eq!(store.record(seq), gen.next_inst(), "seq {seq}");
             if seq > cap && seq % 173 == 0 {
                 // Lookback re-reads across and past the cap boundary stay
                 // bit-identical while within the declared window.
@@ -483,11 +461,7 @@ mod tests {
         assert!(store.rebind(p, 11, 0), "same key must reuse");
         let mut gen2 = TraceGenerator::new(p, 11, 0);
         for seq in 0..total {
-            assert_eq!(
-                store.record(seq).unpack(),
-                gen2.next_inst(),
-                "replay seq {seq}"
-            );
+            assert_eq!(store.record(seq), gen2.next_inst(), "replay seq {seq}");
         }
     }
 
@@ -505,7 +479,7 @@ mod tests {
         let mut served = Vec::new();
         for seq in 0..20_000u64 {
             let r = store.record(seq);
-            assert_eq!(r.unpack(), gen.next_inst(), "seq {seq}");
+            assert_eq!(r, gen.next_inst(), "seq {seq}");
             served.push(r);
             if let Some(back) = seq.checked_sub(lookback) {
                 assert_eq!(store.record(back), served[back as usize], "lookback {back}");
@@ -541,14 +515,14 @@ mod tests {
         store.stream();
         let mut gen = TraceGenerator::new(p, 5, 0);
         for seq in 0..30_000u64 {
-            assert_eq!(store.record(seq).unpack(), gen.next_inst(), "seq {seq}");
+            assert_eq!(store.record(seq), gen.next_inst(), "seq {seq}");
         }
         assert_eq!(store.retained_blocks(), kept);
         assert_eq!(store.prefix.len(), kept, "no prefix buffer added");
         assert!(store.rebind(p, 5, 0));
         let mut gen = TraceGenerator::new(p, 5, 0);
         for seq in 0..30_000u64 {
-            assert_eq!(store.record(seq).unpack(), gen.next_inst(), "replay {seq}");
+            assert_eq!(store.record(seq), gen.next_inst(), "replay {seq}");
         }
         assert_eq!(store.retained_blocks(), 30_000usize.div_ceil(TRACE_BLOCK));
     }
@@ -566,9 +540,9 @@ mod tests {
     fn same_key_rebind_reuses_blocks_and_replays() {
         let p = gzip();
         let mut store = ThreadTrace::new(p, 7, 1, 512);
-        let first: Vec<_> = (0..2_000).map(|s| store.record(s).unpack()).collect();
+        let first: Vec<_> = (0..2_000).map(|s| store.record(s)).collect();
         assert!(store.rebind(p, 7, 1), "same key must reuse");
-        let second: Vec<_> = (0..2_000).map(|s| store.record(s).unpack()).collect();
+        let second: Vec<_> = (0..2_000).map(|s| store.record(s)).collect();
         assert_eq!(first, second);
     }
 
@@ -576,9 +550,9 @@ mod tests {
     fn different_seed_rebind_regenerates() {
         let p = gzip();
         let mut store = ThreadTrace::new(p, 1, 0, 512);
-        let a: Vec<_> = (0..1_000).map(|s| store.record(s).unpack()).collect();
+        let a: Vec<_> = (0..1_000).map(|s| store.record(s)).collect();
         assert!(!store.rebind(p, 2, 0), "changed seed must not reuse");
-        let b: Vec<_> = (0..1_000).map(|s| store.record(s).unpack()).collect();
+        let b: Vec<_> = (0..1_000).map(|s| store.record(s)).collect();
         assert_ne!(a, b, "different seeds must diverge");
         let mut gen = TraceGenerator::new(p, 2, 0);
         for (s, inst) in b.iter().enumerate() {
@@ -601,7 +575,7 @@ mod tests {
         assert!(!store.rebind(mcf, 2, 1));
         let mut gen = TraceGenerator::new(mcf, 2, 1);
         for seq in 0..1_000 {
-            assert_eq!(store.record(seq).unpack(), gen.next_inst(), "seq {seq}");
+            assert_eq!(store.record(seq), gen.next_inst(), "seq {seq}");
         }
         assert_eq!(store.prefix.len(), buffers, "buffers freed or added");
         assert_eq!(store.prefix[0].insts.as_ptr(), first, "buffer reallocated");
@@ -617,7 +591,7 @@ mod tests {
         let mut switches = 0;
         let mut phase = gen.in_memory_phase();
         for seq in 0..20_000u64 {
-            assert_eq!(store.record(seq).unpack(), gen.next_inst(), "seq {seq}");
+            assert_eq!(store.record(seq), gen.next_inst(), "seq {seq}");
             switches += usize::from(gen.in_memory_phase() != phase);
             phase = gen.in_memory_phase();
         }
@@ -636,17 +610,22 @@ mod tests {
         }
     }
 
+    /// The full record agrees with the fetch stage's split reads of it:
+    /// the packed core with its load/store address, and the branch payload
+    /// at the core's sidecar index.
     #[test]
     fn record_parts_match_unpacked_payloads() {
         let p = spec::profile("art").expect("registry profile");
         let mut store = ThreadTrace::new(p, 5, 0, 512);
         for seq in 0..2_000u64 {
             let r = store.record(seq);
-            let d = r.unpack();
-            assert_eq!(r.mem, d.mem);
-            assert_eq!(r.branch, d.branch);
-            assert_eq!(r.packed.pc, d.pc);
-            assert_eq!(r.packed.class(), d.class);
+            let (packed, addr) = store.entry(seq);
+            assert_eq!(r.packed, packed.with_aux(0));
+            assert_eq!(r.mem.map(|m| m.addr), packed.has_mem().then_some(addr));
+            let branch = packed
+                .has_branch()
+                .then(|| store.branch_payload(seq, packed.aux()));
+            assert_eq!(r.branch, branch);
         }
     }
 }

@@ -19,20 +19,18 @@ proptest! {
     ) {
         let mut g = TraceGenerator::new(profile, seed, 0);
         for _ in 0..n {
-            let i = g.next_inst();
-            if i.class.is_mem() {
-                prop_assert!(i.mem.is_some());
+            let r = g.next_inst();
+            let class = r.packed.class();
+            prop_assert_eq!(r.mem.is_some(), class.is_mem());
+            prop_assert_eq!(r.branch.is_some(), class == smt_isa::InstClass::Branch);
+            if class == smt_isa::InstClass::Branch {
+                prop_assert!(r.packed.dest().is_none());
             }
-            if i.class == smt_isa::InstClass::Branch {
-                prop_assert!(i.branch.is_some());
-                prop_assert!(i.dest.is_none());
+            if class.is_fp() {
+                prop_assert_eq!(r.packed.dest(), Some(smt_isa::RegClass::Fp));
             }
-            if i.class.is_fp() {
-                prop_assert_eq!(i.dest, Some(smt_isa::RegClass::Fp));
-            }
-            for d in i.deps().into_iter().flatten() {
-                prop_assert!(d >= 1, "dependence distance must be positive");
-            }
+            let [d1, d2] = r.packed.dep_dists();
+            prop_assert!(d1 != 0 || d2 == 0, "second dependence without a first");
         }
     }
 
@@ -56,9 +54,9 @@ proptest! {
             }
             let mut g = TraceGenerator::new(p, seed, 0);
             for _ in 0..500 {
-                let i = g.next_inst();
-                prop_assert!(!i.class.is_fp(), "{name} generated {}", i.class);
-                prop_assert_ne!(i.dest, Some(smt_isa::RegClass::Fp));
+                let i = g.next_inst().packed;
+                prop_assert!(!i.class().is_fp(), "{name} generated {}", i.class());
+                prop_assert_ne!(i.dest(), Some(smt_isa::RegClass::Fp));
             }
         }
     }
@@ -84,7 +82,7 @@ proptest! {
 
     /// Store-replayed traces are bit-identical to streamed generation:
     /// for any profile/seed/slot, every record the block store serves
-    /// unpacks to exactly what a fresh generator streams — including
+    /// is exactly what a fresh generator streams — including
     /// within-window lookback re-reads (the squash path).
     #[test]
     fn store_replay_matches_streamed_generation(
@@ -97,7 +95,7 @@ proptest! {
         let mut gen = TraceGenerator::new(profile, seed, slot);
         for seq in 0..n {
             let rec = store.record(seq);
-            prop_assert_eq!(rec.unpack(), gen.next_inst(), "seq {}", seq);
+            prop_assert_eq!(rec, gen.next_inst(), "seq {}", seq);
             if seq >= 32 && seq % 97 == 0 {
                 // Lookback re-read (squash path) replays identically.
                 let back = seq - 32;
@@ -117,14 +115,14 @@ proptest! {
         slot in 0u64..4,
     ) {
         let mut store = ThreadTrace::new(profile, seed, slot, 64);
-        let first: Vec<_> = (0..600).map(|s| store.record(s).unpack()).collect();
+        let first: Vec<_> = (0..600).map(|s| store.record(s)).collect();
         prop_assert!(store.rebind(profile, seed, slot), "same key must reuse");
-        let replay: Vec<_> = (0..600).map(|s| store.record(s).unpack()).collect();
+        let replay: Vec<_> = (0..600).map(|s| store.record(s)).collect();
         prop_assert_eq!(&first, &replay);
         prop_assert!(!store.rebind(profile, seed ^ 0xdead, slot));
         let mut gen = TraceGenerator::new(profile, seed ^ 0xdead, slot);
         for seq in 0..600 {
-            prop_assert_eq!(store.record(seq).unpack(), gen.next_inst(), "seq {}", seq);
+            prop_assert_eq!(store.record(seq), gen.next_inst(), "seq {}", seq);
         }
     }
 

@@ -7,9 +7,10 @@
 //! change to a random draw, its order or its rounding moves a digest, so
 //! a faster generator must leave every constant here untouched.
 
-use smt_isa::{BranchKind, DecodedInst, InstClass, RegClass};
+use smt_isa::{BranchKind, InstClass, RegClass};
 use smt_workloads::{
-    spec, BenchmarkProfile, ThreadTrace, TraceGenerator, MAX_PREFIX_BLOCKS, TRACE_BLOCK,
+    spec, BenchmarkProfile, ThreadTrace, TraceGenerator, TraceRecord, MAX_PREFIX_BLOCKS,
+    TRACE_BLOCK,
 };
 
 /// Instructions digested per (profile, seed, slot).
@@ -33,25 +34,26 @@ impl Fnv {
         }
     }
 
-    fn inst(&mut self, d: &DecodedInst) {
-        self.word(d.pc);
-        self.word(u64::from(d.class.code()));
-        self.word(match d.dest {
+    fn inst(&mut self, r: &TraceRecord) {
+        let p = r.packed;
+        self.word(p.pc);
+        self.word(u64::from(p.class().code()));
+        self.word(match p.dest() {
             None => 0,
             Some(RegClass::Int) => 1,
             Some(RegClass::Fp) => 2,
         });
-        for dep in d.deps() {
-            self.word(u64::from(dep.unwrap_or(0)));
+        for dep in p.dep_dists() {
+            self.word(u64::from(dep));
         }
-        match d.mem {
+        match r.mem {
             Some(m) => {
                 self.word(m.addr);
                 self.word(u64::from(m.size));
             }
             None => self.word(u64::MAX),
         }
-        match d.branch {
+        match r.branch {
             Some(b) => {
                 self.word(match b.kind {
                     BranchKind::Conditional => 0,
@@ -250,14 +252,14 @@ fn store_replay_through_rebinds_is_pinned() {
         let mut gen = TraceGenerator::new(p, seed, slot);
         for seq in 0..len {
             let r = store.record(seq);
-            let d = r.unpack();
-            assert_eq!(d, gen.next_inst(), "run {i} ({}): seq {seq}", p.name);
-            if d.class == InstClass::Branch {
-                assert_eq!(store.branch_payload(seq, r.packed.aux()), r.branch.unwrap());
+            assert_eq!(r, gen.next_inst(), "run {i} ({}): seq {seq}", p.name);
+            if r.packed.class() == InstClass::Branch {
+                let aux = store.packed(seq).aux();
+                assert_eq!(store.branch_payload(seq, aux), r.branch.unwrap());
             }
-            run.inst(&d);
+            run.inst(&r);
             if !streamed {
-                h.inst(&d);
+                h.inst(&r);
             }
         }
         per_run.push(run.0);
