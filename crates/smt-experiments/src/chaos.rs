@@ -3,10 +3,9 @@
 //!
 //! A [`FaultPlan`] takes a clean batch of [`RunSpec`]s and sabotages a
 //! seeded, reproducible subset of them — runs that panic mid-simulation,
-//! invalid machine configurations, unknown benchmarks, budget-exhausting
-//! workloads and sink poisoning — so soak tests can push hundreds of
-//! mixed good/faulty runs through
-//! [`Runner::run_isolated`](crate::runner::Runner::run_isolated) and
+//! invalid machine configurations, unknown benchmarks and sink
+//! poisoning — so soak tests can push hundreds of mixed good/faulty runs
+//! through [`Runner::run_isolated`](crate::runner::Runner::run_isolated) and
 //! assert that every *good* run stays bit-identical to a fault-free
 //! sweep while every fault surfaces, on its one attempt, as a typed
 //! [`RunError`](crate::fault::RunError).
@@ -17,7 +16,6 @@
 
 use crate::fault::InjectedFault;
 use crate::runner::RunSpec;
-use smt_sim::RunBudget;
 use std::sync::Once;
 
 /// Marker embedded in every panic message the chaos harness produces.
@@ -39,14 +37,6 @@ pub enum FaultKind {
     /// The first benchmark name is replaced with one outside the registry
     /// → [`RunError::UnknownBenchmark`](crate::fault::RunError::UnknownBenchmark).
     UnknownBenchmark,
-    /// A one-cycle livelock window is attached → trips before the machine
-    /// can possibly commit → [`RunError::Budget`](crate::fault::RunError::Budget)
-    /// with a [`BudgetBreach::Livelock`](smt_sim::watch::BudgetBreach::Livelock).
-    Livelock,
-    /// A cycle cap far below the spec's warmup length is attached →
-    /// [`RunError::Budget`](crate::fault::RunError::Budget) with a
-    /// [`BudgetBreach::CycleCap`](smt_sim::watch::BudgetBreach::CycleCap).
-    CycleCap,
     /// The spec itself is untouched; the *sink callback* is expected to
     /// panic for this index (the harness's caller arranges it via
     /// [`FaultPlan::poisons_sink`]) → the index lands in
@@ -54,12 +44,10 @@ pub enum FaultKind {
     PoisonedSink,
 }
 
-const ALL_KINDS: [FaultKind; 6] = [
+const ALL_KINDS: [FaultKind; 4] = [
     FaultKind::Panic,
     FaultKind::InvalidConfig,
     FaultKind::UnknownBenchmark,
-    FaultKind::Livelock,
-    FaultKind::CycleCap,
     FaultKind::PoisonedSink,
 ];
 
@@ -142,20 +130,6 @@ impl FaultPlan {
                     )]
                     Some(FaultKind::UnknownBenchmark) => {
                         s.benches[0] = "__chaos_unknown__".to_string();
-                    }
-                    Some(FaultKind::Livelock) => {
-                        // A fresh machine cannot commit by cycle 1, so a
-                        // one-cycle window trips deterministically.
-                        s.budget = RunBudget {
-                            max_cycles: None,
-                            livelock_window: Some(1),
-                        };
-                    }
-                    Some(FaultKind::CycleCap) => {
-                        s.budget = RunBudget {
-                            max_cycles: Some(50),
-                            livelock_window: None,
-                        };
                     }
                 }
                 s
@@ -252,16 +226,6 @@ mod tests {
             .position(|k| *k == FaultKind::UnknownBenchmark)
             .unwrap();
         assert_eq!(specs[unknown].benches[0], "__chaos_unknown__");
-        let livelock = ALL_KINDS
-            .iter()
-            .position(|k| *k == FaultKind::Livelock)
-            .unwrap();
-        assert_eq!(specs[livelock].budget.livelock_window, Some(1));
-        let cap = ALL_KINDS
-            .iter()
-            .position(|k| *k == FaultKind::CycleCap)
-            .unwrap();
-        assert_eq!(specs[cap].budget.max_cycles, Some(50));
         let sink = ALL_KINDS
             .iter()
             .position(|k| *k == FaultKind::PoisonedSink)

@@ -6,16 +6,13 @@
 //! hardware: a misbehaving workload degrades *its own* results, never the
 //! machine running the other threads. Every failure mode of a run —
 //! panicking policy code, invalid machine configuration, unknown
-//! benchmark, livelock, cycle-budget exhaustion — maps to one
-//! [`RunError`] variant carried in a
+//! benchmark — maps to one [`RunError`] variant carried in a
 //! [`RunOutcome::Failed`](crate::runner::RunOutcome::Failed), and sibling
 //! runs in the same sweep are unaffected.
 //!
 //! A run is a pure function of its [`RunSpec`](crate::runner::RunSpec),
 //! so the engine gives each run exactly one attempt: a failure would
 //! repeat identically on a fresh simulator.
-
-use smt_sim::watch::BudgetBreach;
 
 /// Why a single run failed. Clonable and comparable so sweep reports can
 /// carry, deduplicate and assert on failures.
@@ -40,16 +37,6 @@ pub enum RunError {
         /// The panic payload, if it was a string.
         message: String,
     },
-    /// The run breached its [`RunBudget`](smt_sim::RunBudget): it hit its
-    /// hard cycle cap, or advanced a full livelock window without
-    /// committing a single instruction.
-    Budget(BudgetBreach),
-}
-
-impl From<BudgetBreach> for RunError {
-    fn from(breach: BudgetBreach) -> Self {
-        RunError::Budget(breach)
-    }
 }
 
 impl std::fmt::Display for RunError {
@@ -60,7 +47,6 @@ impl std::fmt::Display for RunError {
                 write!(f, "invalid run spec configuration: {message}")
             }
             RunError::Panicked { message } => write!(f, "run panicked: {message}"),
-            RunError::Budget(breach) => breach.fmt(f),
         }
     }
 }
@@ -89,9 +75,8 @@ pub struct EngineReport {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectedFault {
     /// The run panics when its clock reaches `at_cycle`, after the prewarm
-    /// and before any pipeline stage of that cycle. A budget breach before
-    /// `at_cycle` wins, and a fuse at or past the end of the measurement
-    /// never fires.
+    /// and before any pipeline stage of that cycle. A fuse at or past the
+    /// end of the measurement never fires.
     PanicAtCycle {
         /// Cycle at which the run panics.
         at_cycle: u64,
@@ -112,17 +97,6 @@ mod tests {
             RunError::Panicked {
                 message: "boom".into(),
             },
-            RunError::Budget(BudgetBreach::Livelock {
-                window: 8,
-                at_cycle: 8,
-                last_progress_cycle: 0,
-                committed: 0,
-            }),
-            RunError::Budget(BudgetBreach::CycleCap {
-                limit: 100,
-                at_cycle: 100,
-                committed: 5,
-            }),
         ] {
             assert!(!format!("{err}").is_empty(), "{err:?}");
         }

@@ -4,9 +4,9 @@
 //! and memoises the post-prewarm memory state of every workload it runs.
 //!
 //! Every run executes once inside its own **fault domain**: panics are
-//! caught per run ([`std::panic::catch_unwind`]), the spec's budget bounds
-//! a runaway run, and every failure mode surfaces as a typed [`RunError`]
-//! inside [`RunOutcome::Failed`] rather than tearing the sweep down. See
+//! caught per run ([`std::panic::catch_unwind`]), and every failure mode
+//! surfaces as a typed [`RunError`] inside [`RunOutcome::Failed`] rather
+//! than tearing the sweep down. See
 //! `ARCHITECTURE.md`, "Fault domains & error taxonomy".
 
 use crate::chaos::CHAOS_MARKER;
@@ -16,8 +16,7 @@ use smt_isa::{PerResource, ThreadId};
 use smt_mem::{MemoryConfig, WarmState};
 use smt_policies as pol;
 use smt_sim::policy::AnyPolicy;
-use smt_sim::watch::CommitWatchdog;
-use smt_sim::{RunBudget, SimConfig, SimResult, Simulator};
+use smt_sim::{SimConfig, SimResult, Simulator};
 use smt_workloads::{spec, BenchmarkProfile, Workload};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -133,10 +132,6 @@ pub struct RunSpec {
     pub warmup_cycles: u64,
     /// Measured cycles.
     pub measure_cycles: u64,
-    /// Per-run budget: a cycle cap and a livelock window, both enforced
-    /// by a [`CommitWatchdog`] over warm-up and measurement.
-    /// [`RunSpec::new`] sets [`RunBudget::default`].
-    pub budget: RunBudget,
     /// Deterministic fault injection for chaos tests; `None` everywhere
     /// else. See [`crate::chaos`].
     pub fault: Option<InjectedFault>,
@@ -156,7 +151,6 @@ impl RunSpec {
             prewarm_insts: 400_000,
             warmup_cycles: 30_000,
             measure_cycles: 250_000,
-            budget: RunBudget::default(),
             fault: None,
         }
     }
@@ -291,8 +285,8 @@ impl SimSession {
     /// ([`SimConfig::validate`] — a hard check that holds in release
     /// builds, so e.g. a >8-thread config fails loudly here instead of
     /// corrupting issue ordering downstream),
-    /// a thread count that differs from the number of benchmarks, and
-    /// budget breaches come back as typed [`RunError`]s. Panics from
+    /// and a thread count that differs from the number of benchmarks come
+    /// back as typed [`RunError`]s. Panics from
     /// policy or simulator code propagate — one-shot callers that need
     /// containment go through the [`Runner`] engine instead, which wraps
     /// each run in [`std::panic::catch_unwind`].
@@ -342,23 +336,17 @@ impl SimSession {
             Some(memo) => memo.prewarm(sim, spec),
             None => sim.prewarm(spec.prewarm_insts),
         }
-        // One watchdog spans warm-up and measurement, so the cycle cap
-        // bounds the whole run. An unlimited budget's watchdog never
-        // checks. A breach leaves the simulator in the session: its
-        // allocations are fine, and the next run's `reset` restores a
-        // clean machine.
-        let mut watch = CommitWatchdog::new(spec.budget);
         if let Some(InjectedFault::PanicAtCycle { at_cycle }) = spec.fault {
             if at_cycle < spec.warmup_cycles.saturating_add(spec.measure_cycles) {
                 // The loop's end clamps fast-forward, so the clock stops
                 // at exactly `at_cycle`, between two cycles.
-                sim.run_cycles_budgeted(at_cycle, &mut watch)?;
+                sim.run_cycles(at_cycle);
                 detonate(spec.policy.name(), sim.now());
             }
         }
-        sim.run_cycles_budgeted(spec.warmup_cycles, &mut watch)?;
+        sim.run_cycles(spec.warmup_cycles);
         sim.reset_stats();
-        sim.run_cycles_budgeted(spec.measure_cycles, &mut watch)?;
+        sim.run_cycles(spec.measure_cycles);
         let mem = (0..spec.benches.len())
             .map(|i| sim.memory().thread_stats(ThreadId::new(i)))
             .collect();
@@ -582,8 +570,6 @@ impl Runner {
     ///   spec, injected chaos) is caught on its worker; the worker's
     ///   simulator is discarded and the queue keeps draining. The panic
     ///   surfaces as [`RunError::Panicked`].
-    /// * **Budgets** — every run is bounded by its spec's
-    ///   [`RunSpec::budget`]; breaches surface as [`RunError::Budget`].
     /// * **Sink isolation** — a panicking sink callback is caught too; the
     ///   shared sink lock is explicitly poison-recovered, sibling
     ///   deliveries proceed, and the affected indices are reported in
@@ -865,7 +851,6 @@ fn baseline_spec(bench: &str, config: &SimConfig, lengths: &RunSpec) -> (Baselin
 mod tests {
     use super::*;
     use smt_sim::policy::Policy as _;
-    use smt_sim::watch::BudgetBreach;
 
     fn tiny(benches: &[&str], policy: PolicyKind) -> RunSpec {
         let mut s = RunSpec::new(benches, policy);
@@ -1125,22 +1110,17 @@ mod tests {
     }
 
     #[test]
-    fn injected_panics_land_on_their_cycle_and_yield_to_budgets() {
-        // The fuse is never skipped by fast-forward, a budget breach
-        // before it wins, and a fuse past the end of the run never fires.
+    fn injected_panics_land_on_their_cycle() {
+        // The fuse is never skipped by fast-forward, and a fuse past the
+        // end of the run never fires.
         crate::chaos::silence_chaos_panics();
         let clean = tiny(&["gzip", "mcf"], PolicyKind::Icount);
         let fused = |at_cycle| RunSpec {
             fault: Some(InjectedFault::PanicAtCycle { at_cycle }),
             ..clean.clone()
         };
-        let mut capped = fused(64);
-        capped.budget = RunBudget {
-            max_cycles: Some(50),
-            ..RunBudget::default()
-        };
         let past_end = fused(clean.warmup_cycles + clean.measure_cycles);
-        let specs = [fused(64), capped, past_end];
+        let specs = [fused(64), past_end];
         let outcomes = Runner::new().run_all_with_workers(&specs, 1);
         match &outcomes[0] {
             RunOutcome::Failed(RunError::Panicked { message }) => {
@@ -1149,16 +1129,8 @@ mod tests {
             }
             other => panic!("expected a panic at cycle 64, got {other:?}"),
         }
-        assert!(
-            matches!(
-                &outcomes[1],
-                RunOutcome::Failed(RunError::Budget(BudgetBreach::CycleCap { limit: 50, .. }))
-            ),
-            "expected the cycle cap to win, got {:?}",
-            outcomes[1]
-        );
         let fresh = SimSession::new().run(&clean).expect("valid spec");
-        let stats = outcomes[2]
+        let stats = outcomes[1]
             .stats()
             .expect("a fuse past the run never fires");
         assert_eq!(stats.result, fresh.result);
@@ -1281,36 +1253,21 @@ mod tests {
     }
 
     #[test]
-    fn budget_breaches_surface_as_typed_errors() {
-        let mut spec = tiny(&["gzip"], PolicyKind::Icount);
-        spec.budget = RunBudget {
-            max_cycles: Some(50),
-            livelock_window: None,
-        };
-        match SimSession::new().run(&spec) {
-            Err(RunError::Budget(BudgetBreach::CycleCap { limit: 50, .. })) => {}
-            other => panic!("expected CycleCap, got {other:?}"),
+    fn a_run_that_never_commits_completes_its_window() {
+        // Zero caps on every resource refuse every dispatch, so nothing
+        // ever commits; the run still ends at its cycle count, however
+        // long, with its (empty) statistics.
+        let mut spec = RunSpec::new(
+            &["gzip", "mcf"],
+            PolicyKind::SraCapped(PerResource::filled(Some(0))),
+        );
+        spec.measure_cycles = 1_100_000;
+        let outcomes = Runner::new().run_all_with_workers(&[spec], 1);
+        let stats = outcomes[0].stats().expect("the run completes");
+        assert_eq!(stats.result.cycles, 1_100_000);
+        for (t, thread) in stats.result.threads.iter().enumerate() {
+            assert_eq!(thread.committed, 0, "thread {t} committed");
         }
-        spec.budget = RunBudget {
-            max_cycles: None,
-            livelock_window: Some(1),
-        };
-        match SimSession::new().run(&spec) {
-            Err(RunError::Budget(BudgetBreach::Livelock { window: 1, .. })) => {}
-            other => panic!("expected Livelock, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn default_budget_leaves_results_bit_identical() {
-        // The default livelock watchdog must never perturb a healthy run.
-        let spec = tiny(&["gzip", "mcf"], PolicyKind::Icount);
-        let mut unbudgeted = spec.clone();
-        unbudgeted.budget = RunBudget::unlimited();
-        let watched = SimSession::new().run(&spec).expect("valid spec");
-        let free = SimSession::new().run(&unbudgeted).expect("valid spec");
-        assert_eq!(watched.result, free.result);
-        assert_eq!(watched.mem, free.mem);
     }
 
     #[test]

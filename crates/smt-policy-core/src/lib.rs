@@ -360,23 +360,15 @@ pub trait Policy {
     /// release bookkeeping tied to the instruction.
     fn on_squash_inst(&mut self, _t: ThreadId, _inst: &PackedInst) {}
 
-    /// `true` if the policy reads the [`CycleView`] in
-    /// [`Policy::may_dispatch`]. Allocation policies (SRA, DCRA) override
-    /// this; for everything else the simulator skips the mid-cycle view
-    /// refresh that `may_dispatch` would otherwise need every cycle.
+    /// `true` if the policy's [`Policy::may_dispatch`] can ever refuse a
+    /// dispatch, and so reads the [`CycleView`] there. When `false` (the
+    /// default, correct for every policy that leaves `may_dispatch` at its
+    /// always-`true` default), the simulator's dispatch stage skips the
+    /// mid-cycle view refresh and the per-instruction policy call, and
+    /// dispatches each thread's burst against the structural limits alone.
+    /// Of the canonical nine only SRA overrides it.
     fn wants_dispatch_view(&self) -> bool {
         false
-    }
-
-    /// `true` if the policy's [`Policy::may_dispatch`] can ever refuse a
-    /// dispatch. When `false` (the default, correct for every policy that
-    /// leaves `may_dispatch` at its always-`true` default), the simulator's
-    /// dispatch stage skips the per-instruction policy call entirely and
-    /// dispatches each thread's burst against the structural limits alone.
-    /// Defaults to [`Policy::wants_dispatch_view`], which is exact for the
-    /// canonical nine (only SRA gates dispatch, and it needs the view).
-    fn wants_dispatch_gate(&self) -> bool {
-        self.wants_dispatch_view()
     }
 
     /// `true` if the policy reads the cumulative progress counters of the
@@ -513,7 +505,7 @@ mod tests {
         let v = view(2);
         assert!(rr.fetch_gate(ThreadId::new(0), &v));
         assert!(rr.may_dispatch(ThreadId::new(0), QueueKind::Int, Some(RegClass::Int), &v));
-        assert!(!rr.wants_dispatch_gate());
+        assert!(!rr.wants_dispatch_view());
         assert_eq!(
             rr.on_l2_miss_detected(ThreadId::new(0), &v),
             MissResponse::Continue

@@ -221,59 +221,6 @@ impl SimConfig {
     }
 }
 
-/// Per-run execution budget, enforced by
-/// [`Simulator::run_cycles_budgeted`](crate::Simulator::run_cycles_budgeted)
-/// through a [`CommitWatchdog`](crate::watch::CommitWatchdog). Every
-/// experiment run goes through it; [`RunBudget::unlimited`] makes the
-/// watchdog a no-op.
-///
-/// A budget bounds how far a single run may go before it is declared
-/// broken: `max_cycles` caps the absolute cycle count of the run, and
-/// `livelock_window` demands at least one committed instruction per
-/// window of cycles. Both limits are observational — the budgeted run is
-/// the one cycle loop behind
-/// [`Simulator::run_cycles`](crate::Simulator::run_cycles) with the
-/// watchdog looking on, so a run that stays inside its budget is
-/// bit-identical to an unbudgeted run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RunBudget {
-    /// Hard cap on the run's total cycle count (`None` = unlimited). The
-    /// watchdog observes monotonically increasing cycle numbers starting
-    /// at 0 for each run.
-    pub max_cycles: Option<u64>,
-    /// Maximum cycles the machine may advance without committing a single
-    /// instruction before the run is declared livelocked (`None` = never).
-    /// Detection is checkpoint-based: commits are counted once per window,
-    /// so a livelock is reported within one to two windows of the last
-    /// commit.
-    pub livelock_window: Option<u64>,
-}
-
-impl RunBudget {
-    /// A budget with no limits at all: never trips, never truncates.
-    pub fn unlimited() -> Self {
-        RunBudget {
-            max_cycles: None,
-            livelock_window: None,
-        }
-    }
-}
-
-impl Default for RunBudget {
-    /// No cycle cap, and a one-million-cycle livelock window — three
-    /// orders of magnitude beyond the longest legitimate commit gap (a
-    /// full memory round trip is ≤ 500 cycles on every configuration the
-    /// experiments sweep), so healthy runs never trip it while a policy
-    /// that gates every thread forever still terminates with a diagnostic
-    /// instead of spinning.
-    fn default() -> Self {
-        RunBudget {
-            max_cycles: None,
-            livelock_window: Some(1_000_000),
-        }
-    }
-}
-
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig::baseline(4)

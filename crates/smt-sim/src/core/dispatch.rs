@@ -7,7 +7,7 @@
 //! the policy's gating hints, the shared occupancy counters — is hoisted
 //! into locals before the burst; the per-instruction policy call is
 //! skipped entirely for policies whose `may_dispatch` can never refuse
-//! ([`Policy::wants_dispatch_gate`]), which is all of the canonical nine
+//! ([`Policy::wants_dispatch_view`]), which is all of the canonical nine
 //! except SRA.
 
 use super::events::ReadyEntry;
@@ -23,12 +23,10 @@ impl Simulator {
         // The view's usage is kept live across this cycle's dispatches so
         // hard-partition policies (SRA) see every allocation immediately —
         // otherwise several same-cycle dispatches could overshoot a cap.
-        // Policies whose `may_dispatch` ignores the view (everything but
-        // the allocation policies) skip the refresh and the per-dispatch
-        // usage mirroring entirely; policies that cannot refuse a dispatch
-        // additionally skip the gate call itself.
+        // Policies whose `may_dispatch` can never refuse (everything but
+        // SRA) skip the refresh, the per-dispatch usage mirroring and the
+        // gate call itself.
         let needs_view = self.policy.wants_dispatch_view();
-        let gated = self.policy.wants_dispatch_gate();
         let mut view = std::mem::take(&mut self.scratch_view);
         if needs_view {
             self.fill_view(&mut view);
@@ -85,7 +83,7 @@ impl Simulator {
                 }
                 // Policy gate (hard-partition policies only; skipped when
                 // the policy can never refuse).
-                if gated && !self.policy.may_dispatch(t, q, dest, &view) {
+                if needs_view && !self.policy.may_dispatch(t, q, dest, &view) {
                     self.stats[tid].blocked_policy += 1;
                     self.idle.blocked_policy |= 1 << tid;
                     break;

@@ -118,7 +118,7 @@ impl Simulator {
 
             let mut stop_block = false;
             if packed.has_branch() {
-                let bi = th.branch_at(seq, packed.aux());
+                let bi = th.branch_at(seq);
                 let pred = bpred.predict(t, packed.pc, bi.kind);
                 bpred.update(t, packed.pc, bi, pred);
                 if pred.mispredicted(bi) {

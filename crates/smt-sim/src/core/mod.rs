@@ -13,7 +13,7 @@
 //! | [`fetch`]   | I-cache access, branch prediction, fetch-queue fill      |
 //! | [`squash`]  | misprediction/flush recovery (shared by events + policy) |
 //! | [`rings`]   | the power-of-two seq-indexed ring storage they share     |
-//! | [`profile`] | the run loop's observers: stage clock, watchdog hook     |
+//! | [`profile`] | the run loop's observer hooks and the stage clock        |
 //!
 //! Every stage is *batched*: it processes per-thread bursts (contiguous
 //! sequence-number runs) with thread-invariant state hoisted out of the
@@ -416,30 +416,7 @@ impl Simulator {
     /// memory-bound workloads, where most cycles are empty waits on L2/
     /// memory fills.
     pub fn run_cycles(&mut self, n: u64) {
-        // The no-op observer never stops the run.
-        let _ = self.run_observed(n, &mut ());
-    }
-
-    /// [`Self::run_cycles`] under a
-    /// [`CommitWatchdog`](crate::watch::CommitWatchdog): identical stepping
-    /// (so in-budget runs are bit-identical to [`Self::run_cycles`] — the
-    /// budget suite pins this), but the watchdog sees the clock after
-    /// every step + fast-forward span, and converts a cycle cap or
-    /// commit-progress violation into an early
-    /// [`BudgetBreach`](crate::watch::BudgetBreach) return. On breach the
-    /// simulator is left in a consistent mid-run state (the breach is
-    /// detected between cycles, never inside one); the caller decides
-    /// whether to salvage partial statistics or discard the run.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first breach the watchdog detects.
-    pub fn run_cycles_budgeted(
-        &mut self,
-        n: u64,
-        watch: &mut crate::watch::CommitWatchdog,
-    ) -> Result<(), crate::watch::BudgetBreach> {
-        self.run_observed(n, watch)
+        self.run_observed(n, &mut ());
     }
 
     /// [`Self::run_cycles`] with per-stage wall-clock attribution: every
@@ -449,34 +426,20 @@ impl Simulator {
     /// output is bit-identical to `run_cycles`; only speed differs (nine
     /// clock reads per stepped cycle).
     pub fn run_cycles_profiled(&mut self, n: u64, profile: &mut StageProfile) {
-        // The profile clock never stops the run.
-        let _ = self.run_observed(n, &mut ProfileClock::new(profile));
+        self.run_observed(n, &mut ProfileClock::new(profile));
     }
 
     /// The one cycle loop: step, fast-forward through any idle span up to
     /// the run's end, then let the observer look.
-    fn run_observed<O: RunObserver>(
-        &mut self,
-        n: u64,
-        obs: &mut O,
-    ) -> Result<(), crate::watch::BudgetBreach> {
+    fn run_observed<O: RunObserver>(&mut self, n: u64, obs: &mut O) {
         let end = self.now + n;
         while self.now < end {
             self.step_observed(obs);
             let stepped = self.now;
             self.fast_forward(end);
             obs.lap(|p| &mut p.forward);
-            obs.after_span(self, self.now - stepped)?;
+            obs.after_span(self.now - stepped);
         }
-        Ok(())
-    }
-
-    /// Total instructions committed in the current measurement interval
-    /// (since construction, [`Self::reset`] or [`Self::reset_stats`]),
-    /// summed over threads. The commit-progress signal the
-    /// [`CommitWatchdog`](crate::watch::CommitWatchdog) samples.
-    pub fn committed_total(&self) -> u64 {
-        self.stats.iter().map(|s| s.committed).sum()
     }
 
     /// Snapshot of the measured statistics.

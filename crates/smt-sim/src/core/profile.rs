@@ -1,20 +1,17 @@
 //! The hooks of the one cycle loop, and per-stage wall-clock attribution.
 //!
-//! [`Simulator::step`] and the run loop behind every `run_cycles*` method
-//! are generic over a crate-private [`RunObserver`]. `()` observes
-//! nothing, so its instance compiles to the bare loop. [`ProfileClock`]
-//! times each stage into a [`StageProfile`] (what
-//! [`Simulator::run_cycles_profiled`] reports), and
-//! [`CommitWatchdog`] stops the run on a budget breach (what
-//! [`Simulator::run_cycles_budgeted`] enforces).
+//! [`Simulator::step`](crate::Simulator::step) and the run loop behind
+//! `run_cycles` and `run_cycles_profiled` are generic over a crate-private
+//! [`RunObserver`]. `()` observes nothing, so its instance compiles to the
+//! bare loop. [`ProfileClock`] times each stage into a [`StageProfile`]
+//! (what [`Simulator::run_cycles_profiled`](crate::Simulator::run_cycles_profiled)
+//! reports).
 
 #![expect(
     clippy::disallowed_methods,
     reason = "stage-profiling instrumentation; wall-clock readings are reported, never fed back into simulated state"
 )]
 
-use super::Simulator;
-use crate::watch::{BudgetBreach, CommitWatchdog};
 use std::time::{Duration, Instant};
 
 /// Accumulated wall-clock time per pipeline stage of the cycle loop.
@@ -88,9 +85,9 @@ impl StageProfile {
 /// Names one [`StageProfile`] field, so a clock can charge time to it.
 pub(crate) type Stage = fn(&mut StageProfile) -> &mut Duration;
 
-/// What the cycle loop reports to, and asks of, its observer. Every hook
-/// defaults to nothing, and the loop never reads simulated state back
-/// from an observer, so every instance simulates bit-identically.
+/// What the cycle loop reports to its observer. Every hook defaults to
+/// nothing, and the loop never reads anything back from an observer, so
+/// every instance simulates bit-identically.
 pub(crate) trait RunObserver {
     /// Marks the start of a stepped cycle, so the loop's own bookkeeping
     /// between spans is charged to no stage.
@@ -102,24 +99,13 @@ pub(crate) trait RunObserver {
     fn lap(&mut self, _stage: Stage) {}
 
     /// Called after each span of one step plus the fast-forward jump that
-    /// followed it (`skipped` cycles). An error stops the run between
-    /// cycles.
+    /// followed it (`skipped` cycles).
     #[inline(always)]
-    fn after_span(&mut self, _sim: &Simulator, _skipped: u64) -> Result<(), BudgetBreach> {
-        Ok(())
-    }
+    fn after_span(&mut self, _skipped: u64) {}
 }
 
 /// The no-op observer: the plain `step` and `run_cycles`.
 impl RunObserver for () {}
-
-/// The watchdog observes progress only; its stage clock is the no-op one.
-impl RunObserver for CommitWatchdog {
-    #[inline(always)]
-    fn after_span(&mut self, sim: &Simulator, _skipped: u64) -> Result<(), BudgetBreach> {
-        self.observe(sim.now, || sim.committed_total())
-    }
-}
 
 /// Times every stage of every stepped cycle, and every fast-forward jump,
 /// into a [`StageProfile`]: nine clock reads per span.
@@ -151,9 +137,8 @@ impl RunObserver for ProfileClock<'_> {
     }
 
     #[inline(always)]
-    fn after_span(&mut self, _sim: &Simulator, skipped: u64) -> Result<(), BudgetBreach> {
+    fn after_span(&mut self, skipped: u64) {
         self.profile.cycles += 1 + skipped;
         self.profile.skipped += skipped;
-        Ok(())
     }
 }

@@ -48,8 +48,7 @@ mod inst;
 pub mod policy;
 mod stats;
 mod thread;
-pub mod watch;
 
-pub use config::{RunBudget, SimConfig};
+pub use config::SimConfig;
 pub use core::{Simulator, StageProfile};
 pub use stats::{SimResult, ThreadStats};

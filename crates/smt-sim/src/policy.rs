@@ -156,11 +156,6 @@ impl Policy for AnyPolicy {
     }
 
     #[inline]
-    fn wants_dispatch_gate(&self) -> bool {
-        fan_out!(self, p => p.wants_dispatch_gate())
-    }
-
-    #[inline]
     fn wants_progress_counters(&self) -> bool {
         fan_out!(self, p => p.wants_progress_counters())
     }

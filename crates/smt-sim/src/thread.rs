@@ -315,12 +315,11 @@ impl ThreadState {
         self.trace.entry(seq)
     }
 
-    /// The branch payload of the record at `seq`, addressed by the sidecar
-    /// index the caller read from the packed record. Only records with
+    /// The branch payload of the record at `seq`. Only records with
     /// [`PackedInst::has_branch`] carry one.
     #[inline]
-    pub fn branch_at(&self, seq: u64, aux: u16) -> smt_isa::BranchInfo {
-        self.trace.branch_payload(seq, aux)
+    pub fn branch_at(&self, seq: u64) -> smt_isa::BranchInfo {
+        self.trace.branch_payload(seq)
     }
 
     /// The full trace record (packed core + cold payloads) at `seq`

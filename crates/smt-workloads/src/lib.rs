@@ -55,8 +55,7 @@ mod workload;
 
 pub use generator::TraceGenerator;
 pub use profile::{
-    BenchmarkProfile, BenchmarkProfileBuilder, BranchBehavior, InstMix, MemBehavior, PhaseBehavior,
-    ProfileError, Suite,
+    BenchmarkProfile, BranchBehavior, InstMix, MemBehavior, PhaseBehavior, ProfileError, Suite,
 };
 pub use store::{ThreadTrace, TraceRecord, MAX_PREFIX_BLOCKS, TRACE_BLOCK};
 pub use workload::{table4_workloads, workloads_of, Workload, WorkloadType};

@@ -119,21 +119,6 @@ pub struct MemBehavior {
     pub streaming: f64,
 }
 
-impl MemBehavior {
-    /// A cache-friendly default: everything hits the L1 hot set.
-    pub fn cache_friendly() -> Self {
-        MemBehavior {
-            hot_bytes: 8 * 1024,
-            warm_bytes: 8 * 1024,
-            cold_bytes: 16 * 1024 * 1024,
-            warm_frac: 0.01,
-            cold_frac: 0.0005,
-            pointer_chase: 0.1,
-            streaming: 0.5,
-        }
-    }
-}
-
 /// Branch behaviour: a population of synthetic static branch sites.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BranchBehavior {
@@ -149,19 +134,6 @@ pub struct BranchBehavior {
     pub call_frac: f64,
     /// Code footprint in bytes (drives I-cache behaviour).
     pub code_bytes: u64,
-}
-
-impl BranchBehavior {
-    /// Loop-heavy, predictable control flow.
-    pub fn predictable() -> Self {
-        BranchBehavior {
-            sites: 64,
-            biased_frac: 0.92,
-            random_taken_rate: 0.5,
-            call_frac: 0.05,
-            code_bytes: 24 * 1024,
-        }
-    }
 }
 
 /// Memory/compute phase alternation.
@@ -182,18 +154,6 @@ pub struct PhaseBehavior {
     pub compute_damp: f64,
 }
 
-impl PhaseBehavior {
-    /// Mild phase behaviour for compute-bound programs.
-    pub fn mild() -> Self {
-        PhaseBehavior {
-            compute_len: 4000.0,
-            mem_len: 400.0,
-            mem_boost: 3.0,
-            compute_damp: 0.6,
-        }
-    }
-}
-
 /// Error returned when a profile fails validation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileError(String);
@@ -208,8 +168,8 @@ impl std::error::Error for ProfileError {}
 
 /// A complete statistical description of one benchmark.
 ///
-/// Build with [`BenchmarkProfile::builder`]; ready-made SPEC2000-like
-/// profiles live in [`crate::spec`].
+/// Plain data: [`crate::spec`] builds the 20 SPEC2000-like profiles as
+/// literals and checks each with [`BenchmarkProfile::validate`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchmarkProfile {
     /// Benchmark name (paper's naming, e.g. `"mcf"`, `"perl"`).
@@ -229,35 +189,12 @@ pub struct BenchmarkProfile {
     /// Fraction of loads whose destination is an FP register (FP suites).
     pub fp_load_frac: f64,
     /// Whether this benchmark is memory-bounded by the paper's Table-3
-    /// criterion (L2 miss rate above 1%). Defaults to an analytic estimate
-    /// from the working-set fractions; the calibrated profiles in
-    /// [`crate::spec`] set it explicitly from the paper's measurements.
+    /// criterion (L2 miss rate above 1%). The calibrated profiles in
+    /// [`crate::spec`] set it from the paper's measurements.
     pub mem_bound: bool,
 }
 
 impl BenchmarkProfile {
-    /// Starts building a profile with suite-appropriate defaults.
-    pub fn builder(name: impl Into<String>, suite: Suite) -> BenchmarkProfileBuilder {
-        let mix = match suite {
-            Suite::Int => InstMix::integer(),
-            Suite::Fp => InstMix::floating_point(),
-        };
-        BenchmarkProfileBuilder {
-            profile: BenchmarkProfile {
-                name: name.into(),
-                suite,
-                mix,
-                mem: MemBehavior::cache_friendly(),
-                branches: BranchBehavior::predictable(),
-                phases: PhaseBehavior::mild(),
-                dep_mean: 6.0,
-                fp_load_frac: if suite == Suite::Fp { 0.6 } else { 0.0 },
-                mem_bound: false,
-            },
-            mem_bound_set: false,
-        }
-    }
-
     /// Validates internal consistency.
     ///
     /// # Errors
@@ -325,119 +262,32 @@ impl BenchmarkProfile {
     pub fn is_mem_bound(&self) -> bool {
         self.mem_bound
     }
-
-    /// Analytic estimate of memory-boundedness from the working-set
-    /// fractions, used as the default when a builder does not set
-    /// [`BenchmarkProfileBuilder::mem_bound`] explicitly.
-    pub fn estimate_mem_bound(&self) -> bool {
-        let l1_miss = self.mem.warm_frac + self.mem.cold_frac;
-        if l1_miss <= 0.0 {
-            return false;
-        }
-        let l2_local = self.mem.cold_frac / l1_miss;
-        l2_local > 0.02 && self.mem.cold_frac > 0.0015
-    }
-}
-
-/// Builder for [`BenchmarkProfile`]; see [`BenchmarkProfile::builder`].
-#[derive(Debug, Clone)]
-pub struct BenchmarkProfileBuilder {
-    profile: BenchmarkProfile,
-    mem_bound_set: bool,
-}
-
-impl BenchmarkProfileBuilder {
-    /// Overrides the instruction mix.
-    pub fn mix(mut self, mix: InstMix) -> Self {
-        self.profile.mix = mix;
-        self
-    }
-
-    /// Overrides the memory behaviour.
-    pub fn mem(mut self, mem: MemBehavior) -> Self {
-        self.profile.mem = mem;
-        self
-    }
-
-    /// Overrides the branch behaviour.
-    pub fn branches(mut self, b: BranchBehavior) -> Self {
-        self.profile.branches = b;
-        self
-    }
-
-    /// Overrides the phase behaviour.
-    pub fn phases(mut self, p: PhaseBehavior) -> Self {
-        self.profile.phases = p;
-        self
-    }
-
-    /// Sets the mean dependence distance.
-    pub fn dep_mean(mut self, d: f64) -> Self {
-        self.profile.dep_mean = d;
-        self
-    }
-
-    /// Sets the FP-load fraction.
-    pub fn fp_load_frac(mut self, f: f64) -> Self {
-        self.profile.fp_load_frac = f;
-        self
-    }
-
-    /// Explicitly marks the benchmark as memory-bounded (or not) instead of
-    /// relying on the analytic estimate.
-    pub fn mem_bound(mut self, mem_bound: bool) -> Self {
-        self.profile.mem_bound = mem_bound;
-        self.mem_bound_set = true;
-        self
-    }
-
-    /// Finishes and validates the profile.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BenchmarkProfile::validate`] failures.
-    pub fn build(self) -> Result<BenchmarkProfile, ProfileError> {
-        let mut profile = self.profile;
-        if !self.mem_bound_set {
-            profile.mem_bound = profile.estimate_mem_bound();
-        }
-        profile.validate()?;
-        Ok(profile)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec;
 
-    #[test]
-    fn builder_produces_valid_defaults() {
-        let p = BenchmarkProfile::builder("test", Suite::Int)
-            .build()
-            .unwrap();
-        assert_eq!(p.name, "test");
-        assert!(!p.mix.uses_fp());
-        p.validate().unwrap();
+    fn gzip() -> BenchmarkProfile {
+        spec::profile("gzip").expect("registry profile").clone()
     }
 
     #[test]
     fn fp_suite_uses_fp() {
-        let p = BenchmarkProfile::builder("fp", Suite::Fp).build().unwrap();
+        let p = spec::profile("art").expect("registry profile");
+        assert_eq!(p.suite, Suite::Fp);
         assert!(p.mix.uses_fp());
         assert!(p.fp_load_frac > 0.0);
     }
 
     #[test]
     fn validation_rejects_bad_fractions() {
-        let mut p = BenchmarkProfile::builder("bad", Suite::Int)
-            .build()
-            .unwrap();
+        let mut p = gzip();
         p.mem.cold_frac = 1.5;
         assert!(p.validate().is_err());
 
-        let mut p2 = BenchmarkProfile::builder("bad2", Suite::Int)
-            .build()
-            .unwrap();
+        let mut p2 = gzip();
         p2.mem.warm_frac = 0.8;
         p2.mem.cold_frac = 0.5;
         assert!(p2.validate().is_err());
@@ -445,37 +295,13 @@ mod tests {
 
     #[test]
     fn validation_rejects_degenerate_shapes() {
-        let mut p = BenchmarkProfile::builder("bad", Suite::Int)
-            .build()
-            .unwrap();
+        let mut p = gzip();
         p.dep_mean = 0.0;
         assert!(p.validate().is_err());
 
-        let mut p2 = BenchmarkProfile::builder("bad", Suite::Int)
-            .build()
-            .unwrap();
+        let mut p2 = gzip();
         p2.branches.sites = 0;
         assert!(p2.validate().is_err());
-    }
-
-    #[test]
-    fn mem_bound_criterion_tracks_cold_fraction() {
-        let mut p = BenchmarkProfile::builder("m", Suite::Int).build().unwrap();
-        p.mem.warm_frac = 0.15;
-        p.mem.cold_frac = 0.05;
-        assert!(p.estimate_mem_bound());
-        p.mem.cold_frac = 0.0;
-        assert!(!p.estimate_mem_bound());
-    }
-
-    #[test]
-    fn explicit_mem_bound_overrides_estimate() {
-        let p = BenchmarkProfile::builder("m", Suite::Int)
-            .mem_bound(true)
-            .build()
-            .unwrap();
-        assert!(p.is_mem_bound());
-        assert!(!p.estimate_mem_bound(), "default shape is cache friendly");
     }
 
     #[test]

@@ -342,9 +342,11 @@ fn expand(shape: &Shape) -> BenchmarkProfile {
         Suite::Int => InstMix::integer(),
         Suite::Fp => InstMix::floating_point(),
     };
-    BenchmarkProfile::builder(shape.name, shape.suite)
-        .mix(mix)
-        .mem(MemBehavior {
+    let profile = BenchmarkProfile {
+        name: shape.name.to_string(),
+        suite: shape.suite,
+        mix,
+        mem: MemBehavior {
             hot_bytes: 8 * 1024,
             warm_bytes: 8 * 1024,
             cold_bytes: 24 * 1024 * 1024,
@@ -358,28 +360,29 @@ fn expand(shape: &Shape) -> BenchmarkProfile {
             cold_frac: shape.cold_frac * scale,
             pointer_chase: shape.pointer_chase,
             streaming: shape.streaming,
-        })
-        .branches(BranchBehavior {
+        },
+        branches: BranchBehavior {
             sites: 96,
             biased_frac: shape.biased_frac,
             random_taken_rate: 0.5,
             call_frac: 0.04,
             code_bytes: shape.code_kb * 1024,
-        })
-        .phases(PhaseBehavior {
+        },
+        phases: PhaseBehavior {
             compute_len: shape.compute_len,
             mem_len: shape.mem_len,
             mem_boost: boost,
             compute_damp: DAMP,
-        })
-        .dep_mean(shape.dep_mean)
-        .fp_load_frac(match shape.suite {
+        },
+        dep_mean: shape.dep_mean,
+        fp_load_frac: match shape.suite {
             Suite::Fp => 0.6,
             Suite::Int => 0.0,
-        })
-        .mem_bound(shape.paper_l2_pct >= 1.0)
-        .build()
-        .expect("built-in profile must validate")
+        },
+        mem_bound: shape.paper_l2_pct >= 1.0,
+    };
+    profile.validate().expect("built-in profile must validate");
+    profile
 }
 
 // BTreeMap rather than HashMap: lookup is cold (once per RunSpec), and a

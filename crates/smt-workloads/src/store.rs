@@ -326,17 +326,16 @@ impl ThreadTrace {
         (packed, addr)
     }
 
-    /// The branch payload of the record at `seq`, whose sidecar index the
-    /// caller read from the packed record ([`PackedInst::aux`]). Only
-    /// valid for records with [`PackedInst::has_branch`] set; the block
-    /// must already be materialised (it was — the caller just read the
-    /// packed record out of it).
+    /// The branch payload of the record at `seq`. Only valid for records
+    /// with [`PackedInst::has_branch`] set; the block must already be
+    /// materialised (it was — the caller just read the packed record out
+    /// of it).
     #[inline]
-    pub fn branch_payload(&self, seq: u64, aux: u16) -> BranchInfo {
-        let block = self.block_ref(seq >> BLOCK_SHIFT);
-        let off = (seq & BLOCK_MASK) as usize;
-        debug_assert_eq!(block.insts[off].aux(), aux, "aux of another record");
-        block.record(off).branch.expect("a branch record")
+    pub fn branch_payload(&self, seq: u64) -> BranchInfo {
+        self.block_ref(seq >> BLOCK_SHIFT)
+            .record((seq & BLOCK_MASK) as usize)
+            .branch
+            .expect("a branch record")
     }
 
     /// The full record at `seq` (the packed core and its payload), in one
@@ -622,9 +621,7 @@ mod tests {
             let (packed, addr) = store.entry(seq);
             assert_eq!(r.packed, packed.with_aux(0));
             assert_eq!(r.mem.map(|m| m.addr), packed.has_mem().then_some(addr));
-            let branch = packed
-                .has_branch()
-                .then(|| store.branch_payload(seq, packed.aux()));
+            let branch = packed.has_branch().then(|| store.branch_payload(seq));
             assert_eq!(r.branch, branch);
         }
     }

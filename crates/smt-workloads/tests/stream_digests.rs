@@ -254,8 +254,7 @@ fn store_replay_through_rebinds_is_pinned() {
             let r = store.record(seq);
             assert_eq!(r, gen.next_inst(), "run {i} ({}): seq {seq}", p.name);
             if r.packed.class() == InstClass::Branch {
-                let aux = store.packed(seq).aux();
-                assert_eq!(store.branch_payload(seq, aux), r.branch.unwrap());
+                assert_eq!(store.branch_payload(seq), r.branch.unwrap());
             }
             run.inst(&r);
             if !streamed {

@@ -6,7 +6,6 @@
 
 use dcra_smt::experiments::chaos::{silence_chaos_panics, FaultKind, FaultPlan, CHAOS_MARKER};
 use dcra_smt::experiments::{PolicyKind, RunError, RunOutcome, RunSpec, Runner};
-use dcra_smt::sim::watch::BudgetBreach;
 use std::sync::Mutex;
 
 const SOAK_SEED: u64 = 0xC4A0_57AC;
@@ -130,28 +129,6 @@ fn chaos_soak_contains_every_fault_and_preserves_good_runs() {
                         other => panic!("run {i}: expected UnknownBenchmark, got {other:?}"),
                     }
                 }
-                Some(FaultKind::Livelock) => {
-                    expected_failed += 1;
-                    assert!(
-                        matches!(
-                            outcome.error(),
-                            Some(RunError::Budget(BudgetBreach::Livelock { window: 1, .. }))
-                        ),
-                        "run {i}: expected Livelock, got {:?}",
-                        outcome.error()
-                    );
-                }
-                Some(FaultKind::CycleCap) => {
-                    expected_failed += 1;
-                    assert!(
-                        matches!(
-                            outcome.error(),
-                            Some(RunError::Budget(BudgetBreach::CycleCap { limit: 50, .. }))
-                        ),
-                        "run {i}: expected CycleCap, got {:?}",
-                        outcome.error()
-                    );
-                }
             }
         }
         assert_eq!(
@@ -174,11 +151,7 @@ fn chaos_soak_contains_every_fault_and_preserves_good_runs() {
     // above cover every restored run that completed.
     let per_sweep: u64 = (0..clean.len())
         .map(|i| match plan.fault_at(i) {
-            None
-            | Some(FaultKind::PoisonedSink)
-            | Some(FaultKind::Panic)
-            | Some(FaultKind::Livelock)
-            | Some(FaultKind::CycleCap) => 1,
+            None | Some(FaultKind::PoisonedSink) | Some(FaultKind::Panic) => 1,
             Some(FaultKind::InvalidConfig) | Some(FaultKind::UnknownBenchmark) => 0,
         })
         .sum();
