@@ -4,19 +4,27 @@
 //! ```text
 //! cargo run --release -p smt-experiments --bin diagnose -- POLICY bench [bench ...]
 //! ```
+//!
+//! With no arguments it runs DCRA (tuned for 300-cycle memory) on
+//! gzip+mcf. A policy without benchmarks is a usage error (exit 2).
 
 use smt_experiments::{PolicyKind, RunSpec, Runner};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (policy, benches): (PolicyKind, Vec<&str>) = if args.len() >= 2 {
-        let p = PolicyKind::from_name(&args[0]).unwrap_or_else(|| {
-            eprintln!("unknown policy `{}`", args[0]);
+    let (policy, benches): (PolicyKind, Vec<&str>) = match args.as_slice() {
+        [] => (PolicyKind::dcra_for_latency(300), vec!["gzip", "mcf"]),
+        [_] => {
+            eprintln!("usage: diagnose [POLICY bench [bench ...]]");
             std::process::exit(2);
-        });
-        (p, args[1..].iter().map(|s| s.as_str()).collect())
-    } else {
-        (PolicyKind::dcra_for_latency(300), vec!["gzip", "mcf"])
+        }
+        [name, benches @ ..] => {
+            let p = PolicyKind::from_name(name).unwrap_or_else(|| {
+                eprintln!("unknown policy `{name}`");
+                std::process::exit(2);
+            });
+            (p, benches.iter().map(String::as_str).collect())
+        }
     };
 
     let runner = Runner::new();

@@ -1,6 +1,8 @@
 //! Fault-domain vocabulary for the experiment engine: the typed error a
-//! single run can die with, the report of one engine call, and the fault a
-//! chaos test can inject into a run.
+//! single run can die with, and the panic hook that keeps the panics a
+//! fault-injection test raises on purpose
+//! ([`RunSpec::panic_at_cycle`](crate::runner::RunSpec::panic_at_cycle))
+//! out of its output.
 //!
 //! The design goal is the property the paper assumes of real SMT
 //! hardware: a misbehaving workload degrades *its own* results, never the
@@ -13,6 +15,8 @@
 //! A run is a pure function of its [`RunSpec`](crate::runner::RunSpec),
 //! so the engine gives each run exactly one attempt: a failure would
 //! repeat identically on a fresh simulator.
+
+use std::sync::Once;
 
 /// Why a single run failed. Clonable and comparable so sweep reports can
 /// carry, deduplicate and assert on failures.
@@ -53,34 +57,36 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// What the isolated engine observed while draining one queue — the
-/// sweep-level fault report.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EngineReport {
-    /// Runs that completed and delivered statistics.
-    pub completed: usize,
-    /// Runs that failed with a typed [`RunError`].
-    pub failed: usize,
-    /// Spec indices whose *sink callback* panicked. The outcome of such a
-    /// run is lost to the consumer, but the panic was contained: sibling
-    /// runs kept draining the queue and the shared sink lock was recovered
-    /// rather than poisoned. Sorted ascending.
-    pub sink_panics: Vec<usize>,
-}
+/// Marker embedded in the panic message of a
+/// [`RunSpec::panic_at_cycle`](crate::runner::RunSpec::panic_at_cycle)
+/// fault. [`silence_chaos_panics`] recognises it to keep expected panics
+/// out of test output, and fault-injection tests use it to tell injected
+/// panics from genuine bugs.
+pub const CHAOS_MARKER: &str = "chaos-injected";
 
-/// A deterministic fault to inject into a run — the hook the chaos
-/// harness (see [`crate::chaos`]) uses to make runs fail on purpose.
-/// Carried on [`RunSpec::fault`](crate::runner::RunSpec::fault); `None`
-/// everywhere outside fault-injection tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InjectedFault {
-    /// The run panics when its clock reaches `at_cycle`, after the prewarm
-    /// and before any pipeline stage of that cycle. A fuse at or past the
-    /// end of the measurement never fires.
-    PanicAtCycle {
-        /// Cycle at which the run panics.
-        at_cycle: u64,
-    },
+/// Install a process-global panic hook that suppresses the default
+/// backtrace/location print for [`CHAOS_MARKER`]-tagged panics while
+/// forwarding every other panic to the previously installed hook.
+///
+/// Fault-injection tests raise dozens of *expected* panics; without this,
+/// `cargo test` output drowns in scary-but-harmless panic traces.
+/// Installation happens once per process and is idempotent.
+pub fn silence_chaos_panics() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let payload = info.payload();
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            match message {
+                Some(m) if m.contains(CHAOS_MARKER) => {}
+                _ => previous(info),
+            }
+        }));
+    });
 }
 
 #[cfg(test)]

@@ -4,7 +4,9 @@
 //! Each paper artefact has a module with a `run(...)` entry point returning
 //! a structured result and a formatted text table; the `bin/` targets print
 //! them. Every policy comparison is one policy grid in [`sweep`] — each
-//! policy on each workload, one engine call — reduced per workload class
+//! policy on each workload, one engine call
+//! ([`Runner::run_all_with_workers`], which returns the outcomes in spec
+//! order) — reduced per workload class
 //! ([`sweep::sweep_policies`]: Figs. 4 and 5, §5.2), per machine point
 //! ([`fig6`], [`fig7`]) or per labelled policy
 //! ([`sweep::run_study`]: the two studies, [`ablation`] and
@@ -34,7 +36,6 @@
 )]
 
 pub mod ablation;
-pub mod chaos;
 pub mod extra;
 pub mod fault;
 pub mod fig2;
@@ -50,5 +51,5 @@ pub mod table3;
 pub mod table5;
 pub mod tables;
 
-pub use fault::{EngineReport, InjectedFault, RunError};
+pub use fault::RunError;
 pub use runner::{PolicyKind, RunOutcome, RunSpec, RunStats, Runner, SimSession};

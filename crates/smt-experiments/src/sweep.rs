@@ -1,7 +1,8 @@
 //! Shared machinery for the policy comparisons. Each one is a policy
 //! grid: every policy run on every workload, the baselines measured once
-//! and every run submitted to one engine call, then a reduction. The
-//! figures reduce per workload class (the 9 ILP/MIX/MEM × 2/3/4 classes of
+//! and every run submitted to one engine call
+//! ([`Runner::run_all_with_workers`]), then a reduction of the returned
+//! outcomes in workload order. The figures reduce per workload class (the 9 ILP/MIX/MEM × 2/3/4 classes of
 //! Section 4) through [`sweep_policies`]; the sensitivity figures (6 and
 //! 7) are one grid per machine point, reduced to DCRA's Hmean gain; the
 //! single-table studies ([`crate::ablation`], [`crate::partitioning`])
@@ -163,8 +164,7 @@ pub fn sweep_policies<const N: usize>(
 /// itself fails only when the single-thread baselines cannot be measured.
 #[expect(
     clippy::indexing_slicing,
-    clippy::expect_used,
-    reason = "order is a permutation of the cell indices, cells is pre-sized to them and singles to the workloads, and the pool yields exactly one outcome per spec; a hole is a bug worth aborting on"
+    reason = "singles holds one entry per workload, and a cell index divided by the policy count is a workload index"
 )]
 fn run_grid(
     runner: &Runner,
@@ -173,9 +173,8 @@ fn run_grid(
     config: &SimConfig,
     lengths: &RunSpec,
 ) -> Result<Vec<Result<ClassMetrics, RunError>>, RunError> {
-    // The sink below needs each workload's baselines for its Hmean, so
-    // they are measured first: one pooled batch of every uncached one,
-    // cached in the runner for later calls.
+    // Each cell's Hmean needs its workload's baselines: one pooled batch
+    // of every uncached one, cached in the runner for later calls.
     let singles = runner.baselines(workloads, config, lengths)?;
     let mut dispatch: Vec<(usize, RunSpec)> = workloads
         .iter()
@@ -194,30 +193,32 @@ fn run_grid(
     // runs. The sort is stable: within a thread count a workload's
     // policies stay adjacent, so a worker's next run mostly restores the
     // prewarm state just memoised. `order[j]` is the cell of the `j`-th
-    // spec dispatched; outcomes land there, so the order changes no
+    // spec dispatched; its outcome lands there, so the order changes no
     // result.
     dispatch.sort_by_key(|(_, s)| Reverse(s.benches.len()));
     let (order, specs): (Vec<usize>, Vec<RunSpec>) = dispatch.into_iter().unzip();
 
-    // Stream outcomes into per-cell scalars, overlapping the remaining
-    // runs. Reductions sum the cells in workload order, never completion
-    // order: f64 addition is not associative.
-    let mut cells: Vec<Option<Result<ClassMetrics, RunError>>> = vec![None; specs.len()];
-    runner.run_isolated(&specs, default_workers(), |j, outcome| {
-        let cell = order[j];
-        let singles = &singles[cell / policies.len()];
-        cells[cell] = Some(outcome.into_stats().map(|out| ClassMetrics {
-            throughput: out.throughput(),
-            hmean: hmean(&out.ipcs(), singles),
-            fetch_per_commit: out.result.total_fetched() as f64
-                / out.result.total_committed().max(1) as f64,
-            mlp: smt_metrics::workload_mlp(&out.result),
-        }));
-    });
-    Ok(cells
+    // Reduce each outcome to its cell's scalars, then put the cells back
+    // in workload order, the order the reductions sum them in: f64
+    // addition is not associative.
+    let outcomes = runner.run_all_with_workers(&specs, default_workers());
+    let mut cells: Vec<(usize, Result<ClassMetrics, RunError>)> = order
         .into_iter()
-        .map(|cell| cell.expect("worker pool covered every spec"))
-        .collect())
+        .zip(outcomes)
+        .map(|(cell, outcome)| {
+            let singles = &singles[cell / policies.len()];
+            let metrics = outcome.into_stats().map(|out| ClassMetrics {
+                throughput: out.throughput(),
+                hmean: hmean(&out.ipcs(), singles),
+                fetch_per_commit: out.result.total_fetched() as f64
+                    / out.result.total_committed().max(1) as f64,
+                mlp: smt_metrics::workload_mlp(&out.result),
+            });
+            (cell, metrics)
+        })
+        .collect();
+    cells.sort_unstable_by_key(|(cell, _)| *cell);
+    Ok(cells.into_iter().map(|(_, metrics)| metrics).collect())
 }
 
 /// Field-wise mean of `metrics`, summed in iteration order; `None` when

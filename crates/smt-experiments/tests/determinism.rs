@@ -100,7 +100,7 @@ const GOLDEN: [&str; 9] = [
 const GOLDEN_DCRA_DC: &str = "DCRA-DC committed=15413/3237/8034/9401 fetched=24152/6976/12932/16755 squashed=8715/3686/4862/7332 mispred=814/443/301/707 loads=4062/928/2493/2587 l1d=332/281/590/220 l2=200/224/309/153 gated=5754/10720/6003/3911 mlp=80892/96853/119392/69657:29785/40695/38493/29564 blocked=0/0/0/0:463/198/102/95:119/21/17/18:0/0/0/0 ipc=0.721700";
 
 /// Session reuse (one `SimSession`, and the engine's per-worker sessions
-/// through `run_isolated` and `run_all_with_workers`) must equal
+/// through `run_all_with_workers`) must equal
 /// fresh-`Simulator` sequential runs outcome for outcome.
 #[test]
 fn session_runner_matches_fresh_sequential_runs() {
@@ -152,7 +152,7 @@ fn session_runner_matches_fresh_sequential_runs() {
         );
     }
 
-    // The parallel work-queue paths (per-worker sessions).
+    // The parallel work queue (per-worker sessions).
     let runner = Runner::new();
     let all = runner.run_all_with_workers(&specs, 2);
     for (out, want) in all.iter().zip(&fresh) {
@@ -160,21 +160,6 @@ fn session_runner_matches_fresh_sequential_runs() {
         assert_eq!(
             &stats.result, want,
             "run_all_with_workers drifted on {}",
-            want.policy
-        );
-    }
-    let mut streamed: Vec<Option<smt_experiments::RunOutcome>> =
-        specs.iter().map(|_| None).collect();
-    runner.run_isolated(&specs, 2, |i, out| streamed[i] = Some(out));
-    for (out, want) in streamed.iter().zip(&fresh) {
-        let stats = out
-            .as_ref()
-            .expect("sink covered every spec")
-            .stats()
-            .expect("run completed");
-        assert_eq!(
-            &stats.result, want,
-            "run_isolated drifted on {}",
             want.policy
         );
     }

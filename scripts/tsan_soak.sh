@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Runs the chaos-soak suite under ThreadSanitizer: the worker pool, the
-# session-reuse cache and the streaming sink are the only concurrent code
-# in the workspace, and the soak drives all of them through hundreds of
-# good/faulty runs per pool width — exactly the workload a data race
-# would hide in.
+# Runs the chaos-soak suite under ThreadSanitizer: the worker pool's
+# shared work queue, the single-flight prewarm memo and the baseline
+# cache are the only concurrent code in the workspace, and the soak
+# drives them through hundreds of good/faulty runs per pool width —
+# exactly the workload a data race would hide in.
 #
 # Usage:
 #   scripts/tsan_soak.sh

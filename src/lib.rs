@@ -53,3 +53,9 @@ pub use smt_policies as policies;
 pub use smt_policy_core as policy_core;
 pub use smt_sim as sim;
 pub use smt_workloads as workloads;
+
+/// The Rust blocks of `README.md`, compiled and run as doctests so the
+/// library snippet there cannot go stale.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

@@ -4,12 +4,48 @@
 //! surfaces as its typed [`RunError`], and every non-faulted run stays
 //! bit-identical to a fault-free sweep of the same specs.
 
-use dcra_smt::experiments::chaos::{silence_chaos_panics, FaultKind, FaultPlan, CHAOS_MARKER};
-use dcra_smt::experiments::{PolicyKind, RunError, RunOutcome, RunSpec, Runner};
-use std::sync::Mutex;
+use dcra_smt::experiments::fault::{silence_chaos_panics, CHAOS_MARKER};
+use dcra_smt::experiments::{PolicyKind, RunError, RunSpec, Runner};
 
-const SOAK_SEED: u64 = 0xC4A0_57AC;
-const FAULT_SHARE: f64 = 0.35;
+/// The sabotage a run of the soak carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fault {
+    /// The run panics at cycle 64 → [`RunError::Panicked`].
+    Panic,
+    /// A zero-sized fetch queue → [`RunError::InvalidSpec`].
+    InvalidConfig,
+    /// The first benchmark is outside the registry →
+    /// [`RunError::UnknownBenchmark`].
+    UnknownBenchmark,
+}
+
+/// The fixed index rule: three of every eight runs carry a fault.
+fn fault_at(i: usize) -> Option<Fault> {
+    match i % 8 {
+        1 => Some(Fault::Panic),
+        4 => Some(Fault::InvalidConfig),
+        6 => Some(Fault::UnknownBenchmark),
+        _ => None,
+    }
+}
+
+/// `clean` with each run's [`fault_at`] baked into its spec.
+fn instrument(clean: &[RunSpec]) -> Vec<RunSpec> {
+    clean
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            let mut s = spec.clone();
+            match fault_at(i) {
+                None => {}
+                Some(Fault::Panic) => s.panic_at_cycle = Some(64),
+                Some(Fault::InvalidConfig) => s.config.fetch_queue = 0,
+                Some(Fault::UnknownBenchmark) => s.benches[0] = "__chaos_unknown__".to_string(),
+            }
+            s
+        })
+        .collect()
+}
 
 /// ≥200 small runs cycling over workload mixes and every canonical policy.
 fn soak_specs() -> Vec<RunSpec> {
@@ -45,14 +81,13 @@ fn chaos_soak_contains_every_fault_and_preserves_good_runs() {
     silence_chaos_panics();
 
     let clean = soak_specs();
-    let plan = FaultPlan::seeded(SOAK_SEED, clean.len(), FAULT_SHARE);
+    let fault_count = (0..clean.len()).filter(|&i| fault_at(i).is_some()).count();
     assert!(
-        plan.fault_count() * 4 >= clean.len(),
-        "plan must sabotage at least 25% of runs (got {}/{})",
-        plan.fault_count(),
+        fault_count * 4 >= clean.len(),
+        "the rule must sabotage at least 25% of runs (got {fault_count}/{})",
         clean.len()
     );
-    let faulty = plan.instrument(&clean);
+    let faulty = instrument(&clean);
 
     // Fault-free reference sweep: the bit-identity baseline.
     let runner = Runner::new();
@@ -63,25 +98,12 @@ fn chaos_soak_contains_every_fault_and_preserves_good_runs() {
         .collect();
 
     for workers in [1usize, 4, 8] {
-        let outcomes: Mutex<Vec<Option<RunOutcome>>> =
-            Mutex::new(clean.iter().map(|_| None).collect());
-        let report = runner.run_isolated(&faulty, workers, |i, outcome| {
-            // Record first so the assertion below still sees the outcome,
-            // then detonate for the indices the plan poisons: the engine
-            // must catch the unwind and keep the sink mutex usable.
-            outcomes.lock().unwrap()[i] = Some(outcome);
-            if plan.poisons_sink(i) {
-                panic!("{CHAOS_MARKER}: sink detonated for run {i}");
-            }
-        });
-
-        let outcomes = outcomes.into_inner().unwrap();
+        let outcomes = runner.run_all_with_workers(&faulty, workers);
+        assert_eq!(outcomes.len(), clean.len(), "one outcome per spec");
         let mut expected_completed = 0;
         let mut expected_failed = 0;
-        let mut expected_sink_panics = Vec::new();
-        for (i, slot) in outcomes.iter().enumerate() {
-            let outcome = slot.as_ref().expect("sink covered every spec");
-            match plan.fault_at(i) {
+        for (i, outcome) in outcomes.iter().enumerate() {
+            match fault_at(i) {
                 None => {
                     expected_completed += 1;
                     let stats = outcome.stats().unwrap_or_else(|| {
@@ -92,17 +114,7 @@ fn chaos_soak_contains_every_fault_and_preserves_good_runs() {
                         "run {i} ({workers} workers) drifted from the fault-free sweep"
                     );
                 }
-                Some(FaultKind::PoisonedSink) => {
-                    // The run itself is healthy — only its delivery blows up.
-                    expected_completed += 1;
-                    expected_sink_panics.push(i);
-                    assert_eq!(
-                        outcome.stats().expect("poisoned-sink run completes"),
-                        &baseline[i],
-                        "run {i}: sink poisoning must not perturb the simulation"
-                    );
-                }
-                Some(FaultKind::Panic) => {
+                Some(Fault::Panic) => {
                     expected_failed += 1;
                     match outcome.error() {
                         Some(RunError::Panicked { message }) => assert!(
@@ -112,7 +124,7 @@ fn chaos_soak_contains_every_fault_and_preserves_good_runs() {
                         other => panic!("run {i}: expected Panicked, got {other:?}"),
                     }
                 }
-                Some(FaultKind::InvalidConfig) => {
+                Some(Fault::InvalidConfig) => {
                     expected_failed += 1;
                     assert!(
                         matches!(outcome.error(), Some(RunError::InvalidSpec { .. })),
@@ -120,7 +132,7 @@ fn chaos_soak_contains_every_fault_and_preserves_good_runs() {
                         outcome.error()
                     );
                 }
-                Some(FaultKind::UnknownBenchmark) => {
+                Some(Fault::UnknownBenchmark) => {
                     expected_failed += 1;
                     match outcome.error() {
                         Some(RunError::UnknownBenchmark { bench }) => {
@@ -131,17 +143,15 @@ fn chaos_soak_contains_every_fault_and_preserves_good_runs() {
                 }
             }
         }
+        let completed = outcomes.iter().filter(|o| o.is_completed()).count();
         assert_eq!(
-            report.completed, expected_completed,
+            completed, expected_completed,
             "{workers} workers: completed count"
         );
         assert_eq!(
-            report.failed, expected_failed,
+            outcomes.len() - completed,
+            expected_failed,
             "{workers} workers: failed count"
-        );
-        assert_eq!(
-            report.sink_panics, expected_sink_panics,
-            "{workers} workers: every poisoned delivery must be reported"
         );
     }
 
@@ -150,9 +160,9 @@ fn chaos_soak_contains_every_fault_and_preserves_good_runs() {
     // prewarm was restored from the memo — and the bit-identity checks
     // above cover every restored run that completed.
     let per_sweep: u64 = (0..clean.len())
-        .map(|i| match plan.fault_at(i) {
-            None | Some(FaultKind::PoisonedSink) | Some(FaultKind::Panic) => 1,
-            Some(FaultKind::InvalidConfig) | Some(FaultKind::UnknownBenchmark) => 0,
+        .map(|i| match fault_at(i) {
+            None | Some(Fault::Panic) => 1,
+            Some(Fault::InvalidConfig) | Some(Fault::UnknownBenchmark) => 0,
         })
         .sum();
     let (hits, misses, _) = runner.prewarm_memo_stats();
