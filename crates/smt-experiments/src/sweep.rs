@@ -2,12 +2,12 @@
 //! grid: every policy run on every workload, the baselines measured once
 //! and every run submitted to one engine call
 //! ([`Runner::run_all_with_workers`]), then a reduction of the returned
-//! outcomes in workload order. The figures reduce per workload class (the 9 ILP/MIX/MEM × 2/3/4 classes of
-//! Section 4) through [`sweep_policies`]; the sensitivity figures (6 and
-//! 7) are one grid per machine point, reduced to DCRA's Hmean gain; the
-//! single-table studies ([`crate::ablation`], [`crate::partitioning`])
-//! average each labelled policy over [`study_workloads`] through
-//! [`run_study`].
+//! outcomes in workload order. The figures reduce per workload class (the
+//! 9 ILP/MIX/MEM × 2/3/4 classes of Section 4) through
+//! [`sweep_policies`]; the sensitivity figures (6 and 7) are one grid per
+//! machine point, reduced to DCRA's Hmean gain; the single-table studies
+//! ([`crate::ablation`], [`crate::partitioning`]) average each labelled
+//! policy over [`study_workloads`] through [`run_study`].
 
 use crate::fault::RunError;
 use crate::runner::{default_workers, PolicyKind, RunSpec, Runner};
