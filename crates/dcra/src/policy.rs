@@ -219,7 +219,7 @@ impl Dcra {
 }
 
 impl Policy for Dcra {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         if self.degeneracy.is_some() {
             "DCRA-DC"
         } else {

@@ -16,7 +16,7 @@ use dcra::{Dcra, DcraConfig, SharingConfig};
 use smt_isa::{PerResource, ThreadId};
 use smt_mem::{MemoryConfig, WarmState};
 use smt_policies as pol;
-use smt_sim::policy::AnyPolicy;
+use smt_sim::policy::{AnyPolicy, Policy as _};
 use smt_sim::{SimConfig, SimResult, Simulator};
 use smt_workloads::{spec, BenchmarkProfile, Workload};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -53,20 +53,10 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// The paper's name for this policy.
+    /// The paper's name for this policy: the built policy's own
+    /// [`Policy::name`](smt_sim::policy::Policy::name).
     pub fn name(&self) -> &'static str {
-        match self {
-            PolicyKind::RoundRobin => "RR",
-            PolicyKind::Icount => "ICOUNT",
-            PolicyKind::Stall => "STALL",
-            PolicyKind::Flush => "FLUSH",
-            PolicyKind::FlushPlusPlus => "FLUSH++",
-            PolicyKind::DataGating => "DG",
-            PolicyKind::PredictiveDataGating => "PDG",
-            PolicyKind::Sra | PolicyKind::SraCapped(_) => "SRA",
-            PolicyKind::Dcra(_) => "DCRA",
-            PolicyKind::DcraDc => "DCRA-DC",
-        }
+        self.build().name()
     }
 
     /// The inverse of [`PolicyKind::name`] for the nine canonical
@@ -125,7 +115,9 @@ pub struct RunSpec {
     pub policy: PolicyKind,
     /// Machine configuration (threads must equal `benches.len()`).
     pub config: SimConfig,
-    /// Random seed for the trace generators.
+    /// Random seed for the trace generators. A lengths spec carries it
+    /// with the three lengths, and [`RunSpec::with_lengths`] copies it
+    /// into every run derived from that spec.
     pub seed: u64,
     /// Functional cache warm-up (instructions per thread).
     pub prewarm_insts: u64,
@@ -142,15 +134,13 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// Standard measurement lengths: 400k-instruction functional warm-up,
-    /// 30k-cycle timed warm-up, 250k measured cycles.
+    /// Standard measurement lengths and seed: 400k-instruction functional
+    /// warm-up, 30k-cycle timed warm-up, 250k measured cycles, seed 42.
     pub fn new(benches: &[&str], policy: PolicyKind) -> Self {
-        let mut config = SimConfig::baseline(benches.len());
-        config.threads = benches.len();
         RunSpec {
             benches: benches.iter().map(|b| b.to_string()).collect(),
             policy,
-            config,
+            config: SimConfig::baseline(benches.len()),
             seed: 42,
             prewarm_insts: 400_000,
             warmup_cycles: 30_000,
@@ -169,6 +159,17 @@ impl RunSpec {
     pub fn with_config(mut self, mut config: SimConfig) -> Self {
         config.threads = self.benches.len();
         self.config = config;
+        self
+    }
+
+    /// Takes the seed, prewarm, warm-up and measure lengths of `lengths`,
+    /// the spec a sweep, study or baseline is asked to run at. The
+    /// benchmarks, policy, machine and fault injection stay this spec's.
+    pub fn with_lengths(mut self, lengths: &RunSpec) -> Self {
+        self.seed = lengths.seed;
+        self.prewarm_insts = lengths.prewarm_insts;
+        self.warmup_cycles = lengths.warmup_cycles;
+        self.measure_cycles = lengths.measure_cycles;
         self
     }
 
@@ -491,18 +492,6 @@ fn execute(
     }
 }
 
-/// Cache key for single-thread baseline IPCs: the benchmark plus the
-/// *complete* machine configuration it ran on (normalised to one thread,
-/// which is how baselines are measured). Deriving the key from the full
-/// [`SimConfig`] means configs differing in ROB size, cache geometry or any
-/// other field can never collide — the old string key hashed only four
-/// fields and silently returned wrong baselines for the rest.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct BaselineKey {
-    bench: String,
-    config: SimConfig,
-}
-
 /// The drivers' worker count: the host's available parallelism.
 pub fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get())
@@ -525,11 +514,12 @@ pub fn default_workers() -> usize {
 /// ```
 #[derive(Debug, Default)]
 pub struct Runner {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "lookup-only cache: never iterated, so RandomState order cannot reach any output"
-    )]
-    baselines: Mutex<std::collections::HashMap<BaselineKey, f64>>,
+    /// Single-thread baseline IPCs, each with the run that measured it
+    /// ([`baseline_spec`]), looked up by `==` on that whole run: a linear
+    /// scan, as the prewarm memo's, over at most a few dozen entries. Two
+    /// callers that miss one run at once both push it, with the same
+    /// value; a lookup takes the first.
+    baselines: Mutex<Vec<(RunSpec, f64)>>,
     prewarm_memo: PrewarmMemo,
 }
 
@@ -642,9 +632,11 @@ impl Runner {
     }
 
     /// Single-thread baseline IPC of `bench` on `config` (ICOUNT, full
-    /// machine), cached per (bench, complete one-thread machine config).
-    /// An uncached baseline is measured through the engine on the calling
-    /// thread, as [`Runner::baselines`] measures many.
+    /// machine) at the seed and lengths `lengths` carries, cached per
+    /// baseline run: the benchmark, the complete one-thread machine
+    /// config, the seed and the three lengths. An uncached baseline is
+    /// measured through the engine on the calling thread, as
+    /// [`Runner::baselines`] measures many.
     pub fn single_ipc(
         &self,
         bench: &str,
@@ -707,25 +699,23 @@ impl Runner {
         lengths: &RunSpec,
         workers: usize,
     ) -> Result<Vec<f64>, RunError> {
-        let (mut keys, mut uncached, mut specs) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut wanted, mut uncached) = (Vec::new(), Vec::new());
         for bench in benches {
-            let (key, spec) = baseline_spec(bench.as_ref(), config, lengths);
-            if !uncached.contains(&key) && self.cached(&key).is_none() {
-                uncached.push(key.clone());
-                specs.push(spec);
+            let spec = baseline_spec(bench.as_ref(), config, lengths);
+            if !uncached.contains(&spec) && self.cached(&spec).is_none() {
+                uncached.push(spec.clone());
             }
-            keys.push(key);
+            wanted.push(spec);
         }
-        let outcomes = self.run_all_with_workers(&specs, workers);
+        let outcomes = self.run_all_with_workers(&uncached, workers);
         let mut first_error = None;
-        for (key, outcome) in uncached.into_iter().zip(outcomes) {
+        for (spec, outcome) in uncached.into_iter().zip(outcomes) {
             match outcome.into_stats() {
-                Ok(stats) => {
-                    self.baselines
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .insert(key, stats.throughput());
-                }
+                Ok(stats) => self
+                    .baselines
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push((spec, stats.throughput())),
                 Err(error) => {
                     first_error.get_or_insert(error);
                 }
@@ -734,9 +724,9 @@ impl Runner {
         if let Some(error) = first_error {
             return Err(error);
         }
-        Ok(keys
+        Ok(wanted
             .iter()
-            .map(|key| self.cached(key).expect("measured or cached"))
+            .map(|spec| self.cached(spec).expect("measured or cached"))
             .collect())
     }
 
@@ -761,12 +751,16 @@ impl Runner {
         )
     }
 
-    fn cached(&self, key: &BaselineKey) -> Option<f64> {
+    /// The cached IPC of the baseline run `spec`. Every update is one
+    /// `push` of a complete entry, so a poisoned lock still guards a valid
+    /// list.
+    fn cached(&self, spec: &RunSpec) -> Option<f64> {
         self.baselines
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-            .copied()
+            .iter()
+            .find(|(run, _)| run == spec)
+            .map(|&(_, ipc)| ipc)
     }
 }
 
@@ -777,25 +771,18 @@ fn same_traces(a: &RunSpec, b: &RunSpec) -> bool {
     a.seed == b.seed && a.benches == b.benches && a.config == b.config
 }
 
-/// The run that measures `bench`'s single-thread baseline (ICOUNT on a
-/// one-thread copy of `config`, at `lengths`' prewarm, warm-up and
-/// measure lengths), and the cache key of its result.
-fn baseline_spec(bench: &str, config: &SimConfig, lengths: &RunSpec) -> (BaselineKey, RunSpec) {
-    let mut spec = RunSpec::new(&[bench], PolicyKind::Icount).with_config(config.clone());
-    spec.prewarm_insts = lengths.prewarm_insts;
-    spec.warmup_cycles = lengths.warmup_cycles;
-    spec.measure_cycles = lengths.measure_cycles;
-    let key = BaselineKey {
-        bench: bench.to_string(),
-        config: spec.config.clone(),
-    };
-    (key, spec)
+/// The run that measures `bench`'s single-thread baseline: ICOUNT on a
+/// one-thread copy of `config`, at `lengths`' seed and lengths. The
+/// baseline cache is keyed by this whole run.
+fn baseline_spec(bench: &str, config: &SimConfig, lengths: &RunSpec) -> RunSpec {
+    RunSpec::new(&[bench], PolicyKind::Icount)
+        .with_config(config.clone())
+        .with_lengths(lengths)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smt_sim::policy::Policy as _;
 
     fn tiny(benches: &[&str], policy: PolicyKind) -> RunSpec {
         let mut s = RunSpec::new(benches, policy);
@@ -803,24 +790,6 @@ mod tests {
         s.warmup_cycles = 2_000;
         s.measure_cycles = 10_000;
         s
-    }
-
-    #[test]
-    fn policy_kinds_build_and_name() {
-        for k in [
-            PolicyKind::RoundRobin,
-            PolicyKind::Icount,
-            PolicyKind::Stall,
-            PolicyKind::Flush,
-            PolicyKind::FlushPlusPlus,
-            PolicyKind::DataGating,
-            PolicyKind::PredictiveDataGating,
-            PolicyKind::Sra,
-            PolicyKind::Dcra(DcraConfig::default()),
-            PolicyKind::DcraDc,
-        ] {
-            assert_eq!(k.build().name(), k.name());
-        }
     }
 
     #[test]
@@ -970,14 +939,20 @@ mod tests {
 
     #[test]
     fn outcomes_match_for_any_worker_count_and_one_worker_is_the_caller() {
+        let reseeded = RunSpec {
+            seed: 7,
+            ..tiny(&["mcf", "art"], PolicyKind::Dcra(DcraConfig::default()))
+        };
         let specs = vec![
             tiny(&["gzip"], PolicyKind::Icount),
             tiny(&["mcf", "art"], PolicyKind::Dcra(DcraConfig::default())),
             tiny(&["twolf", "gcc", "swim"], PolicyKind::Flush),
             tiny(&["vpr"], PolicyKind::Stall),
+            reseeded,
         ];
         let r = Runner::new();
         let reference = r.run_all_with_workers(&specs, 1);
+        assert_ne!(reference[1], reference[4], "the seed is an input");
         assert!(reference.iter().all(RunOutcome::is_completed));
         for workers in [2, 3] {
             assert_eq!(
@@ -1213,7 +1188,7 @@ mod tests {
                 .benchmarks
                 .iter()
                 .map(|b| {
-                    let (_, spec) = baseline_spec(b, &cfg, &lengths);
+                    let spec = baseline_spec(b, &cfg, &lengths);
                     let stats = reference.run(&spec).expect("registry benchmark");
                     stats.throughput().to_bits()
                 })
@@ -1305,6 +1280,54 @@ mod tests {
             ipc_full, ipc_small_l2,
             "cache geometry must be part of the baseline key"
         );
+    }
+
+    /// The baseline cache holds everything its run read: one runner looks
+    /// mcf up at two lengths and two seeds, and once more through a pooled
+    /// `baselines` call, and every value is what a fresh runner measures
+    /// for the same inputs, bit for bit.
+    #[test]
+    fn baseline_cache_is_keyed_by_seed_and_lengths() {
+        let short = tiny(&["mcf"], PolicyKind::Icount);
+        let long = RunSpec {
+            prewarm_insts: 30_000,
+            measure_cycles: 15_000,
+            ..short.clone()
+        };
+        let cfg = SimConfig::baseline(1);
+        let r = Runner::new();
+        let mut seen = Vec::new();
+        for seed in [42, 7] {
+            for lengths in [&short, &long] {
+                let lengths = RunSpec {
+                    seed,
+                    ..lengths.clone()
+                };
+                let ipc = |r: &Runner| r.single_ipc("mcf", &cfg, &lengths).expect("known bench");
+                let fresh = ipc(&Runner::new()).to_bits();
+                assert_eq!(ipc(&r).to_bits(), fresh, "seed {seed}, {lengths:?}");
+                seen.push(fresh);
+            }
+        }
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), 4, "each seed and length moves mcf's IPC");
+
+        let workloads: Vec<Workload> = smt_workloads::table4_workloads()
+            .into_iter()
+            .filter(|w| w.benchmarks.iter().any(|b| b == "mcf"))
+            .take(2)
+            .collect();
+        let lengths = RunSpec { seed: 7, ..long };
+        let cfg = SimConfig::baseline(2);
+        let pooled = |r: &Runner| {
+            let ipcs = r.baselines(&workloads, &cfg, &lengths).expect("registry");
+            ipcs.concat()
+                .into_iter()
+                .map(f64::to_bits)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(pooled(&r), pooled(&Runner::new()));
     }
 
     #[test]

@@ -92,7 +92,8 @@ impl PolicySweep {
 pub(crate) const TABLE4_THREADS: [usize; 3] = [2, 3, 4];
 
 /// Runs `policy` over every Table-4 workload on `config` and aggregates per
-/// class. `lengths` provides the prewarm/warmup/measure cycle counts.
+/// class. `lengths` provides the seed and the prewarm/warmup/measure
+/// lengths of every run and baseline.
 ///
 /// Individual workload failures land in [`PolicySweep::failures`] and are
 /// skipped by the class averages; the call itself only fails when the
@@ -158,10 +159,10 @@ pub fn sweep_policies<const N: usize>(
 }
 
 /// Every policy of a comparison on every workload, on `config` at
-/// `lengths`' prewarm, warm-up and measure lengths: each cell's metrics,
-/// or the error its run failed with. Cells are workload-major: cell
-/// `w * policies.len() + p` is `policies[p]` on `workloads[w]`. The call
-/// itself fails only when the single-thread baselines cannot be measured.
+/// `lengths`' seed and lengths: each cell's metrics, or the error its run
+/// failed with. Cells are workload-major: cell `w * policies.len() + p` is
+/// `policies[p]` on `workloads[w]`. The call itself fails only when the
+/// single-thread baselines cannot be measured.
 #[expect(
     clippy::indexing_slicing,
     reason = "singles holds one entry per workload, and a cell index divided by the policy count is a workload index"
@@ -180,11 +181,9 @@ fn run_grid(
         .iter()
         .flat_map(|w| {
             policies.iter().map(|policy| {
-                let mut s = RunSpec::for_workload(w, policy.clone()).with_config(config.clone());
-                s.prewarm_insts = lengths.prewarm_insts;
-                s.warmup_cycles = lengths.warmup_cycles;
-                s.measure_cycles = lengths.measure_cycles;
-                s
+                RunSpec::for_workload(w, policy.clone())
+                    .with_config(config.clone())
+                    .with_lengths(lengths)
             })
         })
         .enumerate()
@@ -310,10 +309,10 @@ pub struct StudyRow {
 }
 
 /// Runs every labelled policy over `workloads` on the baseline machine at
-/// `lengths`' prewarm, warm-up and measure lengths, and averages each
-/// variant's throughput and Hmean: one policy grid, each row summed in
-/// workload order, so the rows do not depend on the worker count. The
-/// first failed run, in (workload, variant) order, fails the study.
+/// `lengths`' seed and lengths, and averages each variant's throughput and
+/// Hmean: one policy grid, each row summed in workload order, so the rows
+/// do not depend on the worker count. The first failed run, in (workload,
+/// variant) order, fails the study.
 pub fn run_study(
     runner: &Runner,
     workloads: &[Workload],
@@ -347,9 +346,11 @@ pub fn study_report(rows: &[StudyRow]) -> TextTable {
     t
 }
 
-/// Standard lengths for the figure sweeps: [`RunSpec::new`]'s (shorter
-/// than Table-3 calibration; 36 workloads × several policies must finish
-/// in minutes).
+/// Standard lengths for the figure sweeps, and their seed:
+/// [`RunSpec::new`]'s (shorter than Table-3 calibration; 36 workloads ×
+/// several policies must finish in minutes). Every run and baseline
+/// derived from a lengths spec takes its seed too
+/// ([`RunSpec::with_lengths`]).
 pub fn sweep_lengths() -> RunSpec {
     RunSpec::new(&["gzip"], PolicyKind::Icount)
 }
@@ -416,10 +417,7 @@ mod tests {
         // Restricting thread counts produces classes with no workloads in
         // some bins of custom filters; every row must stay finite.
         let runner = Runner::new();
-        let mut lengths = sweep_lengths();
-        lengths.prewarm_insts = 2_000;
-        lengths.warmup_cycles = 200;
-        lengths.measure_cycles = 1_000;
+        let lengths = tiny_lengths(42);
         let [sweep] = sweep_policies(
             &runner,
             &[PolicyKind::Icount],
@@ -445,14 +443,29 @@ mod tests {
         // dispatches 4-thread mixes first; neither may change a bit of the
         // result. The reference runs each baseline with `single_ipc` and
         // each spec with `Runner::run`, one after another in Table-4
-        // order, and reduces in that order.
-        let mut lengths = sweep_lengths();
-        lengths.prewarm_insts = 2_000;
-        lengths.warmup_cycles = 200;
-        lengths.measure_cycles = 1_000;
+        // order, and reduces in that order. The seed is an input: each
+        // seed's sweep matches its own reference, and the two differ.
+        let rows = [42, 7].map(|seed| sweep_matches_serial_reference(&tiny_lengths(seed)));
+        assert_ne!(rows[0], rows[1], "seed 7 must not repeat seed 42's sweep");
+    }
+
+    /// Sweep lengths for structure tests, not measurements.
+    fn tiny_lengths(seed: u64) -> RunSpec {
+        RunSpec {
+            seed,
+            prewarm_insts: 2_000,
+            warmup_cycles: 200,
+            measure_cycles: 1_000,
+            ..sweep_lengths()
+        }
+    }
+
+    /// Checks the DCRA sweep at `lengths` against its serial reference,
+    /// bit for bit, and returns the sweep's rows as bits.
+    fn sweep_matches_serial_reference(lengths: &RunSpec) -> Vec<(usize, WorkloadType, [u64; 4])> {
         let config = SimConfig::baseline(2);
         let policy = PolicyKind::from_name("DCRA").expect("canonical policy");
-        let sweep = sweep_policy(&Runner::new(), &policy, &config, &lengths)
+        let sweep = sweep_policy(&Runner::new(), &policy, &config, lengths)
             .expect("baselines must measure");
         assert!(sweep.failures.is_empty());
 
@@ -467,12 +480,13 @@ mod tests {
                     .map(|w| {
                         let mut spec =
                             RunSpec::for_workload(w, policy.clone()).with_config(config.clone());
+                        spec.seed = lengths.seed;
                         spec.prewarm_insts = lengths.prewarm_insts;
                         spec.warmup_cycles = lengths.warmup_cycles;
                         spec.measure_cycles = lengths.measure_cycles;
                         let out = serial.run(&spec).expect("registry benchmarks");
                         let singles = serial
-                            .single_ipcs(w, &config, &lengths)
+                            .single_ipcs(w, &config, lengths)
                             .expect("registry benchmarks");
                         [
                             out.throughput(),
@@ -498,18 +512,24 @@ mod tests {
                 .map(|(t, k, m)| (*t, *k, m.map(f64::to_bits)))
                 .collect()
         };
-        assert_eq!(bits(&got), bits(&expected));
+        assert_eq!(bits(&got), bits(&expected), "seed {}", lengths.seed);
+        bits(&got)
     }
 
     #[test]
     fn pooled_study_matches_a_serial_reference_bit_for_bit() {
         // The reference builds a fresh simulator per run and runs them one
         // after another in variant-major order, with each workload's
-        // baselines from `single_ipcs`.
-        let mut lengths = sweep_lengths();
-        lengths.prewarm_insts = 2_000;
-        lengths.warmup_cycles = 200;
-        lengths.measure_cycles = 1_000;
+        // baselines from `single_ipcs`. The seed is an input: each seed's
+        // study matches its own reference, and the two differ.
+        let rows = [42, 7].map(|seed| study_matches_serial_reference(&tiny_lengths(seed)));
+        assert_ne!(rows[0], rows[1], "seed 7 must not repeat seed 42's study");
+    }
+
+    /// Checks a two-variant study at `lengths` against its serial
+    /// reference, bit for bit, and returns each row's throughput and Hmean
+    /// as bits.
+    fn study_matches_serial_reference(lengths: &RunSpec) -> Vec<[u64; 2]> {
         let all = study_workloads();
         let workloads = [all[0].clone(), all[all.len() - 1].clone()];
         let zero = dcra::SharingConfig {
@@ -526,8 +546,8 @@ mod tests {
             ),
             ("DCRA-DC".to_string(), PolicyKind::DcraDc),
         ];
-        let rows = run_study(&Runner::new(), &workloads, &variants, &lengths)
-            .expect("registry benchmarks");
+        let rows =
+            run_study(&Runner::new(), &workloads, &variants, lengths).expect("registry benchmarks");
 
         let serial = Runner::new();
         for ((label, policy), row) in variants.iter().zip(&rows) {
@@ -542,7 +562,7 @@ mod tests {
                     SimConfig::baseline(w.threads()),
                     &profiles,
                     policy.build(),
-                    42,
+                    lengths.seed,
                 );
                 sim.prewarm(lengths.prewarm_insts);
                 sim.run_cycles(lengths.warmup_cycles);
@@ -550,7 +570,7 @@ mod tests {
                 sim.run_cycles(lengths.measure_cycles);
                 let r = sim.result();
                 let singles = serial
-                    .single_ipcs(w, sim.config(), &lengths)
+                    .single_ipcs(w, sim.config(), lengths)
                     .expect("registry benchmarks");
                 tput += r.throughput();
                 hm += hmean(&r.ipcs(), &singles);
@@ -561,6 +581,9 @@ mod tests {
             assert_eq!(row.hmean.to_bits(), (hm / n).to_bits(), "{label}");
         }
         assert_eq!(rows.len(), variants.len());
+        rows.iter()
+            .map(|r| [r.throughput.to_bits(), r.hmean.to_bits()])
+            .collect()
     }
 
     #[test]
@@ -568,10 +591,9 @@ mod tests {
         // One grid runs the three policies workload-major through one
         // engine call; each sweep must equal a separate `sweep_policy`
         // call on its own fresh runner, bit for bit, failures included.
-        let mut lengths = sweep_lengths();
-        lengths.prewarm_insts = 2_000;
-        lengths.warmup_cycles = 200;
-        lengths.measure_cycles = 1_000;
+        // Seed 7: the Fig. 5 grid test in `tests/determinism.rs` pins the
+        // same at seed 42.
+        let lengths = tiny_lengths(7);
         let config = SimConfig::baseline(2);
         let policies = [
             PolicyKind::Icount,

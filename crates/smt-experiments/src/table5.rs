@@ -51,8 +51,8 @@ pub const PAPER: [(WorkloadType, PhaseDistribution); 3] = [
 
 /// Measures the phase combination of every cycle of all four groups of
 /// each 2-thread workload class: one engine call of twelve ICOUNT runs,
-/// prewarmed and warmed up as the sensitivity sweeps are, measuring
-/// `cycles_per_workload` cycles each. The simulator counts the phase
+/// seeded, prewarmed and warmed up as the sensitivity sweeps are,
+/// measuring `cycles_per_workload` cycles each. The simulator counts the phase
 /// combinations itself ([`SimResult::phase_cycles`](smt_sim::SimResult::phase_cycles)).
 ///
 /// # Errors
@@ -69,9 +69,7 @@ pub fn run(
         .iter()
         .flat_map(|(_, workloads)| workloads)
         .map(|w| {
-            let mut s = RunSpec::for_workload(w, PolicyKind::Icount);
-            s.prewarm_insts = lengths.prewarm_insts;
-            s.warmup_cycles = lengths.warmup_cycles;
+            let mut s = RunSpec::for_workload(w, PolicyKind::Icount).with_lengths(&lengths);
             s.measure_cycles = cycles_per_workload;
             s
         })

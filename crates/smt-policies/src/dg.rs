@@ -24,7 +24,7 @@ use smt_policy_core::{CycleView, Policy};
 pub struct DataGating;
 
 impl Policy for DataGating {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "DG"
     }
 

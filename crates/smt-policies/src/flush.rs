@@ -24,7 +24,7 @@ use smt_policy_core::{CycleView, MissResponse, Policy};
 pub struct Flush;
 
 impl Policy for Flush {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "FLUSH"
     }
 

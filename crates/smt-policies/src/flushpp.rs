@@ -97,7 +97,7 @@ impl FlushPlusPlus {
 }
 
 impl Policy for FlushPlusPlus {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "FLUSH++"
     }
 

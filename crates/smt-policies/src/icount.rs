@@ -83,7 +83,7 @@ pub fn icount_order(view: &CycleView) -> Vec<ThreadId> {
 pub struct Icount;
 
 impl Policy for Icount {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "ICOUNT"
     }
 

@@ -72,7 +72,7 @@ impl PredictiveDataGating {
 }
 
 impl Policy for PredictiveDataGating {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "PDG"
     }
 

@@ -50,7 +50,7 @@ impl StaticAllocation {
 }
 
 impl Policy for StaticAllocation {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "SRA"
     }
 

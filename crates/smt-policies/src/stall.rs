@@ -25,7 +25,7 @@ use smt_policy_core::{CycleView, MissResponse, Policy};
 pub struct Stall;
 
 impl Policy for Stall {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "STALL"
     }
 

@@ -292,7 +292,7 @@ pub enum MissResponse {
 /// reproducible for a given seed and the experiments depend on it.
 pub trait Policy {
     /// Short name used in reports (e.g. `"DCRA"`, `"FLUSH++"`).
-    fn name(&self) -> &str;
+    fn name(&self) -> &'static str;
 
     /// Called once at the start of every cycle, before any stage runs.
     fn begin_cycle(&mut self, _view: &CycleView) {}
@@ -452,7 +452,7 @@ pub struct RoundRobin {
 }
 
 impl Policy for RoundRobin {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "RR"
     }
 
@@ -548,7 +548,7 @@ mod tests {
         // fast-forwarded past.
         struct Plain;
         impl Policy for Plain {
-            fn name(&self) -> &str {
+            fn name(&self) -> &'static str {
                 "PLAIN"
             }
             fn fetch_order(&mut self, view: &CycleView, order: &mut Vec<ThreadId>) {

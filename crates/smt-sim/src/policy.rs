@@ -70,7 +70,7 @@ macro_rules! fan_out {
 
 impl Policy for AnyPolicy {
     #[inline]
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         fan_out!(self, p => p.name())
     }
 
