@@ -158,8 +158,8 @@ impl SimConfig {
     /// no `debug_assert`): it runs identically in release builds, where it
     /// backstops invariants the hot path only `debug_assert`s — most
     /// importantly the `threads <= ThreadId::MAX_THREADS` bound that the
-    /// issue stage's `ReadyEntry` key packing (`seq << 3 | tid`) and the
-    /// fast-forward thread bitmasks rely on. [`Simulator::new`] and the
+    /// `seq << 3 | tid` packing of ready-list and event-wheel entries and
+    /// the fast-forward thread bitmasks rely on. [`Simulator::new`] and the
     /// experiment session layer both call it before running.
     ///
     /// [`Simulator::new`]: crate::Simulator::new

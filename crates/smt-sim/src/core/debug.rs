@@ -1,6 +1,7 @@
 //! Expensive cross-checks of the incrementally maintained state, used by
 //! tests and the property suite.
 
+use super::events::SeqTid;
 use super::Simulator;
 use crate::inst::{Stage, NO_DEP};
 use smt_isa::PerResource;
@@ -66,9 +67,45 @@ impl Simulator {
         assert_eq!(self.iq_used, iq, "iq drift");
         assert_eq!(self.regs_used, regs, "regs drift");
 
+        // Ready-list liveness: every entry that passes the issue stage's
+        // liveness test names a `Dispatched` instruction of that queue with
+        // no outstanding operand, and no instruction has two such entries
+        // (so a stale entry can never issue a newer incarnation).
+        let mut live = Vec::new();
+        for (q, list) in self.ready.iter().enumerate() {
+            for &Reverse(e) in list.iter() {
+                if !self.ready_entry_is_live(e) {
+                    continue;
+                }
+                let (tid, seq) = (e.id.tid(), e.id.seq());
+                let inst = self.threads[tid].at(seq);
+                assert_eq!(
+                    self.threads[tid].stage_of(seq),
+                    Stage::Dispatched,
+                    "T{tid} seq {seq} live ready entry not Dispatched"
+                );
+                assert_eq!(inst.pending_ops, 0, "T{tid} seq {seq} listed before ready");
+                assert_eq!(
+                    inst.class.queue().index(),
+                    q,
+                    "T{tid} seq {seq} on the wrong queue"
+                );
+                live.push(e.id);
+            }
+        }
+        live.sort_unstable();
+        let listed = live.len();
+        live.dedup();
+        assert_eq!(
+            live.len(),
+            listed,
+            "an instruction has two live ready entries"
+        );
+
         // Wakeup-scoreboard invariants: every waiting instruction's
         // outstanding-operand count matches a fresh scan, and everything
-        // the scan would consider issuable sits on its queue's ready list.
+        // the scan would consider issuable has a live entry on its queue's
+        // ready list.
         for (tid, th) in self.threads.iter().enumerate() {
             if th.window_is_empty() {
                 continue;
@@ -95,11 +132,11 @@ impl Simulator {
                     "T{tid} seq {seq} scan/scoreboard disagreement"
                 );
                 if outstanding == 0 {
-                    let q = inst.class.queue();
-                    let listed = self.ready[q.index()]
-                        .iter()
-                        .any(|Reverse(e)| e.seq() == seq && e.tid() == tid && e.uid == inst.uid);
-                    assert!(listed, "T{tid} seq {seq} ready but not listed");
+                    let id = SeqTid::new(seq, tid);
+                    assert!(
+                        live.binary_search(&id).is_ok(),
+                        "T{tid} seq {seq} ready but not listed"
+                    );
                 }
             }
         }

@@ -128,7 +128,7 @@ impl Simulator {
                 }
                 th.at_mut(seq).pending_ops = pending;
                 if pending == 0 {
-                    self.ready[q.index()].push(Reverse(ReadyEntry::new(now, seq, tid, uid)));
+                    self.ready[q.index()].push(Reverse(ReadyEntry::new(now, seq, tid)));
                 }
 
                 self.policy.on_dispatch(t, q, dest);

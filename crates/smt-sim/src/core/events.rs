@@ -16,13 +16,13 @@ use smt_isa::{InstClass, ThreadId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A timing event scheduled on the simulator's event queue. Field order
-/// is the comparison order (and the per-cycle drain order): `(at, uid,
-/// tid, kind, seq)` — drain-order-equivalent to the original `(at, uid,
-/// tid, seq, kind)` because `uid` is globally unique per incarnation, so
-/// two distinct events can only tie through `kind`. `tid` is narrowed to
-/// `u32` and `kind` packed before `seq` purely to keep the struct at 32
-/// bytes — the wheel sorts one bucket of these every cycle.
+/// A timing event as the issue stage schedules it. The canonical drain
+/// order is the field order `(at, uid, tid, kind, seq)` —
+/// drain-order-equivalent to the original `(at, uid, tid, seq, kind)`
+/// because `uid` is globally unique per incarnation, so two distinct
+/// events can only tie through `kind`. The wheel stores each event as a
+/// 16-byte [`WheelEntry`] instead; only beyond-horizon events keep this
+/// form, in the overflow heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Event {
     pub at: u64,
@@ -41,87 +41,158 @@ pub(crate) enum EventKind {
     DetectL2,
 }
 
-/// Ready-list entry: ordered by `(dispatched_at, seq·8 + tid)` — exactly
-/// the `(dispatched_at, seq, tid)` age order the scan-based issue stage
-/// used (`tid < ThreadId::MAX_THREADS = 8`, so the packing is
-/// order-preserving). `uid` identifies the incarnation so entries left
-/// behind by a squash are recognised as stale when popped; it is excluded
-/// from the ordering (and equality) because at most one entry per
-/// `(dispatched_at, seq, tid)` can ever be live — a squashed incarnation
-/// is re-dispatched at a strictly later cycle.
-#[derive(Clone, Copy)]
-pub(crate) struct ReadyEntry {
-    pub at: u64,
-    pub seq_tid: u64,
-    pub uid: u64,
-}
+/// A per-thread sequence number and its thread in one word, `seq << 3 |
+/// tid`: order-preserving for `(seq, tid)` because `tid <
+/// ThreadId::MAX_THREADS = 8`. Ready entries and wheel entries both name
+/// their instruction this way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct SeqTid(u64);
 
-impl PartialEq for ReadyEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq_tid) == (other.at, other.seq_tid)
+impl SeqTid {
+    #[inline]
+    pub fn new(seq: u64, tid: usize) -> Self {
+        // `tid < 8` is a hard invariant of the whole simulator, enforced in
+        // release builds by `SimConfig::validate` (rejected before any
+        // entry can exist) and by the `ThreadId::new` assert; the
+        // debug_assert here is a local reminder that the packing would
+        // corrupt issue and drain ordering if it ever broke.
+        debug_assert!(tid < ThreadId::MAX_THREADS);
+        SeqTid((seq << 3) | tid as u64)
+    }
+
+    #[inline]
+    pub fn seq(self) -> u64 {
+        self.0 >> 3
+    }
+
+    #[inline]
+    pub fn tid(self) -> usize {
+        (self.0 & 7) as usize
     }
 }
 
-impl Eq for ReadyEntry {}
+/// Ready-list entry, ordered by `(dispatched_at, seq, tid)`: issue pops
+/// the oldest dispatched instruction first. It carries no incarnation
+/// id: an entry is live exactly when its instruction is still
+/// `Dispatched` with `dispatched_at == at` ([`Simulator::ready_entry_is_live`]).
+/// A squashed incarnation is re-dispatched at a strictly later cycle, so
+/// an entry left behind by a squash can never match the newer one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct ReadyEntry {
+    pub at: u64,
+    pub id: SeqTid,
+}
+
+const _: () = assert!(
+    std::mem::size_of::<ReadyEntry>() == 16,
+    "ReadyEntry must stay 16 bytes (the ready heaps sift these)"
+);
 
 impl ReadyEntry {
     #[inline]
-    pub fn new(at: u64, seq: u64, tid: usize, uid: u64) -> Self {
-        // `tid < 8` is a hard invariant of the whole simulator, enforced in
-        // release builds by `SimConfig::validate` (rejected before any
-        // `ReadyEntry` can exist) and by the `ThreadId::new` assert; the
-        // debug_assert here is a local reminder that the `seq << 3 | tid`
-        // packing below would corrupt issue ordering if it ever broke.
-        debug_assert!(tid < smt_isa::ThreadId::MAX_THREADS);
+    pub fn new(at: u64, seq: u64, tid: usize) -> Self {
         ReadyEntry {
             at,
-            seq_tid: (seq << 3) | tid as u64,
-            uid,
+            id: SeqTid::new(seq, tid),
+        }
+    }
+}
+
+/// Set in a [`WheelEntry`] key when the event is delivered at its own
+/// `at`. A degenerate event scheduled with `at == now` is delivered one
+/// cycle late, in the next cycle's bucket, and — clear bit — sorts ahead
+/// of the bucket's on-time events, as its smaller `at` would.
+const ON_TIME: u64 = 1 << 63;
+
+/// One event as the wheel stores it, 16 bytes: the delivery cycle is the
+/// bucket, so `at` is implied. `key` is `ON_TIME | uid << 1 | kind`, and
+/// the derived order `(key, id)` is the canonical [`Event`] order within
+/// one bucket: uids are unique per incarnation (so `tid` and `seq` never
+/// decide between two distinct uids), and the early events of a bucket
+/// all share one `at` (issue schedules `at >= now`, so a degenerate event
+/// has `at == now`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct WheelEntry {
+    key: u64,
+    id: SeqTid,
+}
+
+const _: () = assert!(
+    std::mem::size_of::<WheelEntry>() == 16,
+    "WheelEntry must stay 16 bytes (the drain sorts a bucket of these)"
+);
+
+impl WheelEntry {
+    /// `ev` as delivered at cycle `deliver_at >= ev.at`.
+    #[inline]
+    fn new(ev: &Event, deliver_at: u64) -> Self {
+        debug_assert!(ev.uid < 1 << 62, "uid overflows the wheel key");
+        let on_time = if ev.at == deliver_at { ON_TIME } else { 0 };
+        WheelEntry {
+            key: on_time | ev.uid << 1 | ev.kind as u64,
+            id: SeqTid::new(ev.seq, ev.tid as usize),
         }
     }
 
     #[inline]
-    pub fn seq(&self) -> u64 {
-        self.seq_tid >> 3
+    pub fn uid(self) -> u64 {
+        (self.key & !ON_TIME) >> 1
     }
 
     #[inline]
-    pub fn tid(&self) -> usize {
-        (self.seq_tid & 7) as usize
+    pub fn kind(self) -> EventKind {
+        if self.key & 1 == 0 {
+            EventKind::Complete
+        } else {
+            EventKind::DetectL2
+        }
+    }
+
+    #[inline]
+    pub fn seq(self) -> u64 {
+        self.id.seq()
+    }
+
+    #[inline]
+    pub fn tid(self) -> usize {
+        self.id.tid()
     }
 }
 
-impl Ord for ReadyEntry {
-    #[inline]
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq_tid).cmp(&(other.at, other.seq_tid))
-    }
-}
+/// Sentinel for "no node" in the wheel's bucket chains and free list.
+const NIL: u32 = u32::MAX;
 
-impl PartialOrd for ReadyEntry {
-    #[inline]
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// A slab node: one scheduled event and the next node of its chain (the
+/// same delivery cycle's bucket, or the free list).
+#[derive(Debug, Clone, Copy)]
+struct WheelNode {
+    entry: WheelEntry,
+    next: u32,
 }
 
 /// Timing wheel for the simulator's completion/detection events.
 ///
 /// Event latencies are bounded by the memory system (worst case: L1 + L2 +
-/// memory + TLB penalty), so events land in a power-of-two ring of
-/// per-cycle buckets (a [`SeqRing`] keyed by delivery cycle): O(1)
-/// scheduling and draining instead of a binary heap's `O(log n)` tuple
-/// comparisons. Each cycle's bucket is sorted before processing, which
-/// reproduces the heap's global `(at, uid, tid, seq, kind)` drain order
-/// exactly — every event in the bucket shares the same `at`. Events beyond
-/// the wheel horizon (odd configurations only) spill into a small overflow
-/// heap that is merged on drain.
+/// memory + TLB penalty), so each delivery cycle within the horizon owns
+/// one chain head in a power-of-two ring ([`SeqRing`] keyed by cycle):
+/// O(1) scheduling and draining instead of a binary heap's `O(log n)`
+/// tuple comparisons. Every chain lives in one slab of nodes recycled
+/// through a free list, so the wheel holds as many nodes as events were
+/// ever live at once, not a buffer per cycle. Each cycle's drain sorts its
+/// chain, which reproduces the heap's global `(at, uid, tid, kind, seq)`
+/// drain order exactly (see [`WheelEntry`]). Events beyond the wheel
+/// horizon (odd configurations only) spill into a small overflow heap
+/// that is merged on drain.
 #[derive(Debug)]
 pub(crate) struct EventWheel {
-    slots: SeqRing<Vec<Event>>,
+    /// First node of each delivery cycle's chain, [`NIL`] when empty.
+    heads: SeqRing<u32>,
+    nodes: Vec<WheelNode>,
+    /// First recycled node, [`NIL`] when the slab is full.
+    free: u32,
     overflow: BinaryHeap<Reverse<Event>>,
     /// Drain scratch, reused every cycle.
-    due: Vec<Event>,
+    due: Vec<WheelEntry>,
     /// Scheduled events currently live (wheel + overflow), so the
     /// fast-forward deadline scan can bail out in O(1) on an empty wheel.
     len: usize,
@@ -131,21 +202,40 @@ impl EventWheel {
     /// Builds a wheel covering at least `max_delay` cycles of look-ahead.
     pub fn new(max_delay: u64) -> Self {
         EventWheel {
-            slots: SeqRing::new((max_delay + 2).max(16) as usize, Vec::new()),
+            heads: SeqRing::new((max_delay + 2).max(16) as usize, NIL),
+            nodes: Vec::new(),
+            free: NIL,
             overflow: BinaryHeap::new(),
             due: Vec::new(),
             len: 0,
         }
     }
 
-    /// Schedules `ev`. All real latencies are at least one cycle; should a
-    /// degenerate configuration produce `at <= now`, the event lands in the
-    /// next cycle's bucket (this cycle's drain has already run), which is
-    /// exactly when the replaced binary-heap drain would have delivered it.
+    /// Schedules `ev`, which must not be due before `now`. All real
+    /// latencies are at least one cycle; should a degenerate configuration
+    /// produce `at == now`, the event lands in the next cycle's bucket
+    /// (this cycle's drain has already run), which is exactly when the
+    /// replaced binary-heap drain would have delivered it.
     pub fn push(&mut self, now: u64, ev: Event) {
+        debug_assert!(ev.at >= now, "event scheduled in the past");
         let deliver_at = ev.at.max(now + 1);
-        if ((deliver_at - now) as usize) < self.slots.capacity() {
-            self.slots.at_mut(deliver_at).push(ev);
+        if ((deliver_at - now) as usize) < self.heads.capacity() {
+            let head = self.heads.at_mut(deliver_at);
+            let node = WheelNode {
+                entry: WheelEntry::new(&ev, deliver_at),
+                next: *head,
+            };
+            let idx = if self.free != NIL {
+                let idx = self.free;
+                self.free = self.nodes[idx as usize].next;
+                self.nodes[idx as usize] = node;
+                idx
+            } else {
+                let idx = u32::try_from(self.nodes.len()).expect("event slab overflow");
+                self.nodes.push(node);
+                idx
+            };
+            self.heads.set(deliver_at, idx);
         } else {
             self.overflow.push(Reverse(ev));
         }
@@ -156,8 +246,8 @@ impl EventWheel {
     /// `[now, now + horizon)` (stale events included — delivering a stale
     /// event is a no-op, so treating it as a deadline is merely
     /// conservative), or `None` when nothing is scheduled in that range.
-    /// Live wheel entries always sit within `(drain cycle, drain cycle +
-    /// capacity)`, so one bounded pass over the buckets visits every
+    /// Live chains always sit within `(drain cycle, drain cycle +
+    /// capacity)`, so one bounded pass over the heads visits every
     /// delivery cycle at most once; the fast-forward caller passes its
     /// current best deadline as the horizon, keeping the scan no longer
     /// than the jump it could justify.
@@ -170,10 +260,10 @@ impl EventWheel {
             .peek()
             .map(|&Reverse(ev)| ev.at.max(now))
             .filter(|&at| at - now < horizon);
-        let span = (self.slots.capacity() as u64).min(horizon);
+        let span = (self.heads.capacity() as u64).min(horizon);
         for dt in 0..span {
             let at = now + dt;
-            if !self.slots.at(at).is_empty() {
+            if *self.heads.at(at) != NIL {
                 best = Some(best.map_or(at, |b| b.min(at)));
                 break;
             }
@@ -185,25 +275,31 @@ impl EventWheel {
     /// buffer shuffle entirely on quiet cycles.
     #[inline]
     pub fn is_idle(&self, now: u64) -> bool {
-        self.slots.at(now).is_empty()
+        *self.heads.at(now) == NIL
             && self.overflow.peek().map(|&Reverse(ev)| ev.at > now) != Some(false)
     }
 
     /// Moves every event due at `now` into the `due` scratch buffer,
     /// sorted in the canonical event order, and returns the buffer by
     /// value for borrow-free iteration (return it via [`Self::restore`]).
-    pub fn take_due(&mut self, now: u64) -> Vec<Event> {
+    pub fn take_due(&mut self, now: u64) -> Vec<WheelEntry> {
         let mut due = std::mem::take(&mut self.due);
         due.clear();
-        due.append(self.slots.at_mut(now));
+        let mut node = std::mem::replace(self.heads.at_mut(now), NIL);
+        while node != NIL {
+            let n = &mut self.nodes[node as usize];
+            due.push(n.entry);
+            let next = std::mem::replace(&mut n.next, self.free);
+            self.free = node;
+            node = next;
+        }
         while let Some(&Reverse(ev)) = self.overflow.peek() {
             if ev.at > now {
                 break;
             }
             self.overflow.pop();
-            due.push(ev);
+            due.push(WheelEntry::new(&ev, now));
         }
-        debug_assert!(due.iter().all(|e| e.at <= now), "stale bucket entry");
         self.len -= due.len();
         if due.len() > 1 {
             due.sort_unstable();
@@ -212,16 +308,18 @@ impl EventWheel {
     }
 
     /// Hands the drain buffer back for reuse.
-    pub fn restore(&mut self, due: Vec<Event>) {
+    pub fn restore(&mut self, due: Vec<WheelEntry>) {
         self.due = due;
     }
 
     /// Discards every scheduled event, retaining all allocations. Used by
     /// [`Simulator::reset`] when a session is reused for a new run.
     pub fn clear(&mut self) {
-        for at in 0..self.slots.capacity() as u64 {
-            self.slots.at_mut(at).clear();
+        for at in 0..self.heads.capacity() as u64 {
+            self.heads.set(at, NIL);
         }
+        self.nodes.clear();
+        self.free = NIL;
         self.overflow.clear();
         self.due.clear();
         self.len = 0;
@@ -245,20 +343,19 @@ impl Simulator {
             // the cycle eligible for fast-forward (squash-heavy policies
             // like FLUSH would otherwise have their idle spans shredded by
             // the dead completions of every flushed window).
-            let tid = ev.tid as usize;
+            let (tid, seq) = (ev.tid(), ev.seq());
             let valid = self.threads[tid]
-                .get(ev.seq)
-                .map(|i| i.uid == ev.uid)
-                .unwrap_or(false);
+                .get(seq)
+                .is_some_and(|i| i.uid == ev.uid());
             if !valid {
                 continue;
             }
             // A delivered event changes machine state (stages, wakeups,
             // pending counters, possibly a squash): the cycle is active.
             self.idle.active = true;
-            match ev.kind {
-                EventKind::Complete => self.complete_inst(tid, ev.seq),
-                EventKind::DetectL2 => self.detect_l2(tid, ev.seq),
+            match ev.kind() {
+                EventKind::Complete => self.complete_inst(tid, seq),
+                EventKind::DetectL2 => self.detect_l2(tid, seq),
             }
         }
         self.events.restore(due);
@@ -274,7 +371,6 @@ impl Simulator {
         let l1_miss = inst.l1_miss();
         let l2_miss = inst.l2_miss();
         let l2_detected = inst.l2_detected();
-        let pc = inst.pc;
         let is_load = inst.class == InstClass::Load;
 
         if l1_miss {
@@ -303,23 +399,27 @@ impl Simulator {
                 let consumer = th.at_mut(w.seq);
                 consumer.pending_ops -= 1;
                 if consumer.pending_ops == 0 {
-                    let entry = ReadyEntry::new(consumer.dispatched_at, w.seq, tid, consumer.uid);
+                    let entry = ReadyEntry::new(consumer.dispatched_at, w.seq, tid);
                     let q = consumer.class.queue();
                     self.ready[q.index()].push(Reverse(entry));
                 }
             }
         }
 
+        // Only loads miss in the L1 data cache (issue sets the flag on
+        // the load path alone), so the pc is read only for loads.
+        debug_assert!(is_load || !l1_miss);
         if is_load {
+            let pc = self.threads[tid].inflight_record(seq).0.pc;
             self.policy.on_load_complete(t, pc, l1_miss);
-        }
-        if l1_miss {
-            let level = if l2_miss {
-                smt_mem::HitLevel::Memory
-            } else {
-                smt_mem::HitLevel::L2
-            };
-            self.policy.on_miss_resolved(t, pc, level);
+            if l1_miss {
+                let level = if l2_miss {
+                    smt_mem::HitLevel::Memory
+                } else {
+                    smt_mem::HitLevel::L2
+                };
+                self.policy.on_miss_resolved(t, pc, level);
+            }
         }
         if mispredicted {
             // The thread kept fetching past the unresolved branch (the
@@ -357,6 +457,120 @@ impl Simulator {
             MissResponse::Flush => {
                 self.squash_after(tid, seq);
                 self.threads[tid].stall_on_load = Some(seq);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The drain the wheel replaced: one binary heap in the canonical
+    /// `(at, uid, tid, kind, seq)` order, drained of every event with
+    /// `at <= now` at the top of cycle `now`.
+    #[derive(Default)]
+    struct Reference {
+        heap: BinaryHeap<Reverse<Event>>,
+    }
+
+    impl Reference {
+        fn take_due(&mut self, now: u64) -> Vec<(u64, usize, EventKind, u64)> {
+            let mut due = Vec::new();
+            while self.heap.peek().is_some_and(|Reverse(ev)| ev.at <= now) {
+                if let Some(Reverse(ev)) = self.heap.pop() {
+                    due.push((ev.uid, ev.tid as usize, ev.kind, ev.seq));
+                }
+            }
+            due
+        }
+
+        /// An event left in the heap with `at < now` was scheduled during
+        /// cycle `now - 1` with `at == now - 1`: it is due at `now`.
+        fn next_due_at(&self, now: u64, horizon: u64) -> Option<u64> {
+            self.heap
+                .peek()
+                .map(|Reverse(ev)| ev.at.max(now))
+                .filter(|&at| at - now < horizon)
+        }
+    }
+
+    fn drain(wheel: &mut EventWheel, reference: &mut Reference, now: u64) -> Result<(), String> {
+        let want = reference.take_due(now);
+        prop_assert_eq!(wheel.is_idle(now), want.is_empty(), "idle at {}", now);
+        let due = wheel.take_due(now);
+        let got: Vec<_> = due
+            .iter()
+            .map(|e| (e.uid(), e.tid(), e.kind(), e.seq()))
+            .collect();
+        wheel.restore(due);
+        prop_assert_eq!(got, want, "drain at {}", now);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Every drained sequence and every deadline equal the reference
+        /// heap's, for events due now (delivered next cycle, first),
+        /// within the horizon and beyond it (the overflow heap), under
+        /// any interleaving of drains, fast-forward jumps and clears.
+        /// Each op is a selector and one random word: 0–3 schedules an
+        /// event `0..2 × capacity` cycles ahead (a completion, an L2
+        /// detection, or both under one uid), 4–6 steps one cycle and
+        /// drains it, 7–8 fast-forwards as the simulator does (to the next
+        /// deadline within a random horizon, or across the whole horizon
+        /// when there is none) and 9 clears.
+        #[test]
+        fn wheel_matches_a_reference_heap(
+            max_delay in 0u64..40,
+            ops in proptest::collection::vec((0u8..10, any::<u64>()), 1..300),
+        ) {
+            let mut wheel = EventWheel::new(max_delay);
+            let cap = wheel.heads.capacity() as u64;
+            let mut reference = Reference::default();
+            // The drain of `now` has run; pushes land after it.
+            let mut now = 0u64;
+            let mut count = 0u64;
+            for (op, r) in ops {
+                match op {
+                    0..=3 => {
+                        // Unique uids in random order: the counter keeps
+                        // them unique, the random high bits shuffle them.
+                        count += 1;
+                        let uid = (r >> 40) << 24 | count;
+                        let kinds: &[EventKind] = match r % 3 {
+                            0 => &[EventKind::Complete],
+                            1 => &[EventKind::DetectL2],
+                            _ => &[EventKind::DetectL2, EventKind::Complete],
+                        };
+                        let at = now + (r >> 2) % (2 * cap);
+                        let tid = (r >> 8) as u32 % ThreadId::MAX_THREADS as u32;
+                        let seq = (r >> 12) & 0xFF_FFFF;
+                        for &kind in kinds {
+                            let ev = Event { at, uid, tid, kind, seq };
+                            wheel.push(now, ev);
+                            reference.heap.push(Reverse(ev));
+                        }
+                    }
+                    4..=6 => {
+                        now += 1;
+                        drain(&mut wheel, &mut reference, now)?;
+                    }
+                    7..=8 => {
+                        let horizon = 1 + r % (3 * cap);
+                        let deadline = wheel.next_due_at(now + 1, horizon);
+                        prop_assert_eq!(deadline, reference.next_due_at(now + 1, horizon));
+                        now = deadline.unwrap_or(now + horizon);
+                        drain(&mut wheel, &mut reference, now)?;
+                    }
+                    _ => {
+                        wheel.clear();
+                        reference.heap.clear();
+                        prop_assert_eq!(wheel.next_due_at(now + 1, u64::MAX >> 1), None);
+                    }
+                }
             }
         }
     }

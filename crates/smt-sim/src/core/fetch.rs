@@ -108,12 +108,12 @@ impl Simulator {
         while budget > 0 && room > 0 {
             let seq = th.next_fetch;
             *uid_counter += 1;
-            // One block lookup serves the 16-byte packed core plus (for
-            // loads/stores) the effective address; only the minority of
-            // records that are branches pay a second sidecar read. The
-            // policy sees only the packed view.
-            let (packed, mem_addr) = th.fetch_entry(seq);
-            let mut inst = DynInst::fetched(*uid_counter, &packed, mem_addr, now, frontend_delay);
+            // One block lookup serves the 16-byte packed core; only the
+            // minority of records that are branches pay a second sidecar
+            // read (issue reads a load's or store's address from the store
+            // itself). The policy sees only the packed view.
+            let packed = th.packed_at(seq);
+            let mut inst = DynInst::fetched(*uid_counter, &packed, now, frontend_delay);
             policy.on_fetch_inst(t, &packed);
 
             let mut stop_block = false;

@@ -2,7 +2,7 @@
 //! wakeup scoreboard, bounded by per-queue unit counts and the global
 //! issue width.
 
-use super::events::{Event, EventKind};
+use super::events::{Event, EventKind, ReadyEntry};
 use super::Simulator;
 use crate::inst::{Stage, NO_DEP};
 use crate::policy::Policy;
@@ -22,21 +22,18 @@ impl Simulator {
             // Pop ready instructions oldest-first. No window scan: the
             // wakeup scoreboard moved every issuable instruction onto this
             // queue's ready list when its last operand completed. Entries
-            // whose uid no longer matches (or whose instruction is no
-            // longer Dispatched) were squashed after being woken; they are
-            // discarded without consuming issue bandwidth, exactly as the
-            // scan never saw them.
+            // that fail the liveness test were squashed (or already
+            // issued) after being woken; they are discarded without
+            // consuming issue bandwidth, exactly as the scan never saw
+            // them.
             while unit_budget > 0 && global_budget > 0 {
                 let Some(std::cmp::Reverse(entry)) = self.ready[q.index()].pop() else {
                     break;
                 };
-                let (seq, tid, uid) = (entry.seq(), entry.tid(), entry.uid);
-                let th = &self.threads[tid];
-                let live = th.get(seq).map(|i| i.uid == uid).unwrap_or(false)
-                    && th.stage_of(seq) == Stage::Dispatched;
-                if !live {
+                if !self.ready_entry_is_live(entry) {
                     continue;
                 }
+                let (seq, tid) = (entry.id.seq(), entry.id.tid());
                 debug_assert!(
                     self.operands_ready(tid, seq),
                     "wakeup scoreboard woke T{tid} seq {seq} before its operands"
@@ -46,6 +43,18 @@ impl Simulator {
                 global_budget -= 1;
             }
         }
+    }
+
+    /// The issue stage's liveness test: `entry` names an instruction that
+    /// is still `Dispatched` and was dispatched at `entry.at`. Exact,
+    /// because a squashed incarnation is re-dispatched strictly later than
+    /// the one it replaces, and each incarnation is listed once.
+    #[inline]
+    pub(crate) fn ready_entry_is_live(&self, entry: ReadyEntry) -> bool {
+        let (seq, tid) = (entry.id.seq(), entry.id.tid());
+        let th = &self.threads[tid];
+        th.get(seq).is_some_and(|i| i.dispatched_at == entry.at)
+            && th.stage_of(seq) == Stage::Dispatched
     }
 
     /// Scan-based readiness check, used only by debug assertions and the
@@ -73,8 +82,6 @@ impl Simulator {
         let class = inst.class;
         let q = class.queue();
         let uid = inst.uid;
-        let mem_addr = inst.mem_addr;
-        let pc = inst.pc;
 
         th.pre_issue -= 1;
         self.iq_used[q.index()] -= 1;
@@ -82,6 +89,7 @@ impl Simulator {
 
         let ready_at = match class {
             InstClass::Load => {
+                let (packed, mem_addr) = self.threads[tid].inflight_record(seq);
                 let outcome = self.mem.access_data(t, mem_addr, false, now);
                 self.stats[tid].loads += 1;
                 if outcome.l1_miss() {
@@ -89,7 +97,7 @@ impl Simulator {
                     th.at_mut(seq).set_l1_miss();
                     th.l1d_pending += 1;
                     self.stats[tid].l1d_misses += 1;
-                    self.policy.on_l1d_miss(t, pc);
+                    self.policy.on_l1d_miss(t, packed.pc);
                 }
                 if outcome.l2_miss() {
                     self.threads[tid].at_mut(seq).set_l2_miss();
@@ -110,6 +118,7 @@ impl Simulator {
             InstClass::Store => {
                 // Stores write at commit through a store buffer; the access
                 // warms the caches but does not block the pipeline.
+                let mem_addr = self.threads[tid].inflight_record(seq).1;
                 let _ = self.mem.access_data(t, mem_addr, true, now);
                 now + regread + u64::from(class.exec_latency())
             }

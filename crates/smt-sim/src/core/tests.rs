@@ -136,10 +136,10 @@ fn fill_fetch_queue(s: &mut Simulator, tid: usize) {
     while s.threads[tid].fetch_queue_len() < cap {
         let th = &mut s.threads[tid];
         let seq = th.next_fetch;
-        let (packed, mem_addr) = th.fetch_entry(seq);
+        let packed = th.packed_at(seq);
         let deps = crate::inst::resolve_deps(&packed, seq);
         s.uid_counter += 1;
-        let inst = crate::inst::DynInst::fetched(s.uid_counter, &packed, mem_addr, s.now, 0);
+        let inst = crate::inst::DynInst::fetched(s.uid_counter, &packed, s.now, 0);
         let th = &mut s.threads[tid];
         th.push_fetched(inst, deps);
         th.pre_issue += 1;

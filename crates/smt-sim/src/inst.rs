@@ -50,16 +50,17 @@ pub(crate) fn resolve_deps(packed: &PackedInst, seq: u64) -> [u64; 2] {
 
 /// One in-flight instruction.
 ///
-/// Deliberately compact (48 bytes, so three fit in two cache lines): the
-/// window ring holds these, so the trace record is *not* embedded — only
-/// the fields the pipeline reads per stage, and of those, the hottest
-/// (`stage`, `deps`) live in separate struct-of-arrays lanes of the ring
-/// instead. The per-thread sequence number is not stored either — it *is*
-/// the ring key — and the five status booleans share one flags byte. The
-/// packed record itself stays in the thread's trace store (whose tail
-/// ring outlives every in-flight instruction by construction: it keeps
-/// every block within `max_lookback` of the newest requested seq, and
-/// squashed instructions re-fetch from within that span), where squash
+/// Deliberately compact (32 bytes, two per cache line): the window ring
+/// holds these, so the trace record is *not* embedded — only the fields
+/// the pipeline reads per stage, and of those, the hottest (`stage`,
+/// `deps`) live in separate struct-of-arrays lanes of the ring instead.
+/// The per-thread sequence number is not stored either — it *is* the ring
+/// key — and the five status booleans share one flags byte. The packed
+/// record itself, with its pc and effective address, stays in the
+/// thread's trace store (whose tail ring outlives every in-flight
+/// instruction by construction: it keeps every block within
+/// `max_lookback` of the newest requested seq, and squashed instructions
+/// re-fetch from within that span), where issue, completion, squash
 /// notifications and re-fetches look it up.
 #[derive(Debug, Clone)]
 pub(crate) struct DynInst {
@@ -67,10 +68,6 @@ pub(crate) struct DynInst {
     /// reuses its seq but gets a fresh `uid`, so stale timing events can
     /// be recognised and dropped.
     pub uid: u64,
-    /// Program counter.
-    pub pc: u64,
-    /// Effective address for loads/stores (unused otherwise).
-    pub mem_addr: u64,
     /// Earliest cycle the instruction may be renamed (front-end depth).
     pub dispatch_eligible_at: u64,
     /// Cycle the instruction was dispatched (age for issue arbitration).
@@ -95,8 +92,8 @@ pub(crate) struct DynInst {
 // Window slots are the simulator's dominant memory traffic; every build,
 // release included, evaluates this pin.
 const _: () = assert!(
-    std::mem::size_of::<DynInst>() <= 48,
-    "DynInst must stay 48 bytes (three per two cache lines)"
+    std::mem::size_of::<DynInst>() <= 32,
+    "DynInst must stay 32 bytes (two per cache line)"
 );
 
 /// Fetch-time branch misprediction (squash when the branch resolves).
@@ -117,8 +114,6 @@ impl DynInst {
     pub fn placeholder() -> Self {
         DynInst {
             uid: 0,
-            pc: 0,
-            mem_addr: 0,
             dispatch_eligible_at: 0,
             dispatched_at: 0,
             waiters_head: crate::thread::NO_WAITER,
@@ -129,22 +124,12 @@ impl DynInst {
         }
     }
 
-    /// Creates a freshly fetched instruction from its packed trace record
-    /// plus the effective address the fetch stage pre-read from the memory
-    /// sidecar (0 for non-memory instructions). The caller stores the
-    /// companion lane values ([`resolve_deps`], [`Stage::Fetched`])
-    /// alongside.
-    pub fn fetched(
-        uid: u64,
-        packed: &PackedInst,
-        mem_addr: u64,
-        now: u64,
-        frontend_delay: u32,
-    ) -> Self {
+    /// Creates a freshly fetched instruction from its packed trace record.
+    /// The caller stores the companion lane values ([`resolve_deps`],
+    /// [`Stage::Fetched`]) alongside.
+    pub fn fetched(uid: u64, packed: &PackedInst, now: u64, frontend_delay: u32) -> Self {
         DynInst {
             uid,
-            pc: packed.pc,
-            mem_addr,
             dispatch_eligible_at: now + u64::from(frontend_delay),
             dispatched_at: 0,
             waiters_head: crate::thread::NO_WAITER,
@@ -217,15 +202,14 @@ mod tests {
     fn deps_resolve_to_absolute_seqs() {
         let p = alu([3, 10]);
         assert_eq!(resolve_deps(&p, 20), [17, 10]);
-        let i = DynInst::fetched(1, &p, 0, 5, 4);
+        let i = DynInst::fetched(1, &p, 5, 4);
         assert_eq!(i.dispatch_eligible_at, 9);
     }
 
     #[test]
     fn flags_pack_independently() {
         let p = PackedInst::new(0, InstClass::Load, Some(RegClass::Int), [0; 2], None);
-        let mut i = DynInst::fetched(1, &p, 0x40, 0, 0);
-        assert_eq!(i.mem_addr, 0x40);
+        let mut i = DynInst::fetched(1, &p, 0, 0);
         assert!(!i.l1_miss() && !i.l2_miss() && !i.mispredicted());
         i.set_l1_miss();
         i.set_l2_detected();

@@ -22,6 +22,9 @@ pub(crate) struct Waiter {
 /// instructions are re-fetched, and must decode identically — the store
 /// serves any seq within the window span of the newest one fetched), the
 /// in-flight instruction window and the thread's blocking conditions.
+/// The store is also where issue and completion read an in-flight
+/// instruction's pc and effective address ([`Self::inflight_record`]),
+/// so the window does not copy them.
 ///
 /// The instruction window and its struct-of-arrays stage/deps lanes are
 /// power-of-two *sequence-indexed rings* ([`SeqRing`]): element `seq`
@@ -306,13 +309,17 @@ impl ThreadState {
 
     // ---------------------------------------------------------- trace store
 
-    /// The fetch stage's hot read at `seq`: the 16-byte packed record plus
-    /// the effective address for loads/stores (0 otherwise), generating
-    /// forward block-at-a-time as needed. Re-fetching a squashed sequence
-    /// number returns the identical record.
+    /// The packed record of an in-flight instruction plus its effective
+    /// address (0 for non-memory instructions), read through `&self`: the
+    /// issue and completion stages take the pc and address from here
+    /// rather than from the window slot. Every in-flight seq is at or
+    /// above `win_base`, which is within the store's `max_lookback` of
+    /// the newest seq fetched, so its block is resident (the invariant
+    /// [`Self::packed_at`]'s squash-path re-reads rely on).
     #[inline]
-    pub fn fetch_entry(&mut self, seq: u64) -> (PackedInst, u64) {
-        self.trace.entry(seq)
+    pub fn inflight_record(&self, seq: u64) -> (PackedInst, u64) {
+        debug_assert!(self.in_window(seq));
+        self.trace.resident_entry(seq)
     }
 
     /// The branch payload of the record at `seq`. Only records with
@@ -329,8 +336,10 @@ impl ThreadState {
         self.trace.record(seq)
     }
 
-    /// The packed core alone at `seq` (squash notifications don't need the
-    /// cold payloads).
+    /// The packed core at `seq`, generating forward block-at-a-time as
+    /// needed: the fetch stage's hot read (16 bytes), also used by squash
+    /// notifications. Re-fetching a squashed sequence number returns the
+    /// identical record.
     #[inline]
     pub fn packed_at(&mut self, seq: u64) -> PackedInst {
         self.trace.packed(seq)
@@ -368,9 +377,9 @@ mod tests {
 
     /// Fetches seq `s` into the window with uid `uid`.
     fn push(t: &mut ThreadState, s: u64, uid: u64) {
-        let (p, addr) = t.fetch_entry(s);
+        let p = t.packed_at(s);
         let deps = resolve_deps(&p, s);
-        t.push_fetched(crate::inst::DynInst::fetched(uid, &p, addr, 0, 0), deps);
+        t.push_fetched(crate::inst::DynInst::fetched(uid, &p, 0, 0), deps);
     }
 
     #[test]

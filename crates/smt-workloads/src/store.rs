@@ -114,6 +114,19 @@ impl TraceBlock {
         self.payload[usize::from(packed.aux())]
     }
 
+    /// The packed record at offset `off` of this block and its effective
+    /// address (0 for non-memory records).
+    #[inline]
+    fn entry(&self, off: usize) -> (PackedInst, u64) {
+        let packed = self.insts[off];
+        let addr = if packed.has_mem() {
+            self.payload(packed)
+        } else {
+            0
+        };
+        (packed, addr)
+    }
+
     /// The full view of the record at offset `off` of this block.
     #[inline]
     fn record(&self, off: usize) -> TraceRecord {
@@ -163,7 +176,9 @@ impl TraceRecord {
 /// re-fetches squashed sequence numbers; records must replay
 /// bit-identically). Reads at or past the generation frontier extend it
 /// one whole block at a time — generation runs off the per-instruction
-/// critical path.
+/// critical path. The simulator's issue and completion stages read an
+/// in-flight instruction's pc and address back through
+/// [`ThreadTrace::resident_entry`], so its window does not copy them.
 ///
 /// # Examples
 ///
@@ -309,21 +324,26 @@ impl ThreadTrace {
         block.insts[(seq & BLOCK_MASK) as usize]
     }
 
-    /// The fetch stage's hot read: the packed record at `seq` plus the
-    /// effective address for loads/stores (0 otherwise), in one block
-    /// lookup and at most 24 bytes moved. Branch payloads are *not*
-    /// touched — the minority of records that need one fetch it with
-    /// [`ThreadTrace::branch_payload`].
+    /// The packed record at `seq` plus the effective address for
+    /// loads/stores (0 otherwise), in one block lookup and at most 24
+    /// bytes moved, extending the generation frontier as needed. Branch
+    /// payloads are *not* touched — the minority of records that need one
+    /// fetch it with [`ThreadTrace::branch_payload`].
     #[inline]
     pub fn entry(&mut self, seq: u64) -> (PackedInst, u64) {
-        let block = self.block(seq >> BLOCK_SHIFT);
-        let packed = block.insts[(seq & BLOCK_MASK) as usize];
-        let addr = if packed.has_mem() {
-            block.payload(packed)
-        } else {
-            0
-        };
-        (packed, addr)
+        self.block(seq >> BLOCK_SHIFT)
+            .entry((seq & BLOCK_MASK) as usize)
+    }
+
+    /// [`ThreadTrace::entry`] for a record whose block is already
+    /// materialised and still within `max_lookback` of the newest one
+    /// served, without generating: a read through `&self`. The simulator
+    /// reads an in-flight instruction's pc and address this way at issue
+    /// and completion instead of copying them into its window.
+    #[inline]
+    pub fn resident_entry(&self, seq: u64) -> (PackedInst, u64) {
+        self.block_ref(seq >> BLOCK_SHIFT)
+            .entry((seq & BLOCK_MASK) as usize)
     }
 
     /// The branch payload of the record at `seq`. Only valid for records
@@ -380,7 +400,8 @@ impl ThreadTrace {
     }
 
     /// Resident block `b` without generating (the block must already be
-    /// materialised — used by [`ThreadTrace::branch_payload`]).
+    /// materialised — used by [`ThreadTrace::branch_payload`] and
+    /// [`ThreadTrace::resident_entry`]).
     #[inline]
     fn block_ref(&self, b: u64) -> &TraceBlock {
         if b < self.prefix_cap {
@@ -482,6 +503,10 @@ mod tests {
             served.push(r);
             if let Some(back) = seq.checked_sub(lookback) {
                 assert_eq!(store.record(back), served[back as usize], "lookback {back}");
+                let (packed, addr) = store.resident_entry(back);
+                let r = served[back as usize];
+                assert_eq!(packed.with_aux(0), r.packed, "resident lookback {back}");
+                assert_eq!(packed.has_mem().then_some(addr), r.mem.map(|m| m.addr));
             }
         }
         assert!(store.prefix.is_empty(), "a streamed binding built a prefix");
@@ -609,9 +634,9 @@ mod tests {
         }
     }
 
-    /// The full record agrees with the fetch stage's split reads of it:
-    /// the packed core with its load/store address, and the branch payload
-    /// at the core's sidecar index.
+    /// The full record agrees with the split reads of it: the packed core
+    /// with its load/store address (generating and resident reads alike),
+    /// and the branch payload at the core's sidecar index.
     #[test]
     fn record_parts_match_unpacked_payloads() {
         let p = spec::profile("art").expect("registry profile");
@@ -619,6 +644,7 @@ mod tests {
         for seq in 0..2_000u64 {
             let r = store.record(seq);
             let (packed, addr) = store.entry(seq);
+            assert_eq!(store.resident_entry(seq), (packed, addr));
             assert_eq!(r.packed, packed.with_aux(0));
             assert_eq!(r.mem.map(|m| m.addr), packed.has_mem().then_some(addr));
             let branch = packed.has_branch().then(|| store.branch_payload(seq));
