@@ -57,7 +57,7 @@ pub struct Dcra {
     limits: PerResource<Option<u32>>,
     /// Threads gated this cycle.
     gated: Vec<bool>,
-    /// Phase of each thread this cycle (exposed for the Table-5 study).
+    /// Phase of each thread this cycle, the sharing model's input.
     phases: Vec<ThreadPhase>,
     /// Memoization of the sharing-model evaluation: the limits (and the
     /// slow-active membership below) only depend on the phase vector and
@@ -199,11 +199,6 @@ impl Dcra {
     /// cycle (`None` where no limit applies).
     pub fn current_limits(&self) -> &PerResource<Option<u32>> {
         &self.limits
-    }
-
-    /// The phase assigned to thread `t` in the last cycle.
-    pub fn phase_of(&self, t: ThreadId) -> Option<ThreadPhase> {
-        self.phases.get(t.index()).copied()
     }
 
     /// `true` if thread `t` was fetch-gated in the last cycle.
@@ -364,10 +359,6 @@ impl Policy for Dcra {
             None => 0,
         }
     }
-
-    fn wants_fast_forward(&self) -> bool {
-        self.degeneracy.is_none()
-    }
 }
 
 /// Gates every thread in `mask` whose `kind` usage meets or exceeds `cap`.
@@ -485,8 +476,7 @@ mod tests {
         let mut d = Dcra::default();
         let v = view(&[(0, 2, &[]), (0, 0, &[])]);
         d.begin_cycle(&v);
-        assert_eq!(d.phase_of(ThreadId::new(0)), Some(ThreadPhase::Slow));
-        assert_eq!(d.phase_of(ThreadId::new(1)), Some(ThreadPhase::Fast));
+        assert_eq!(d.phases, [ThreadPhase::Slow, ThreadPhase::Fast]);
     }
 
     impl Dcra {

@@ -13,8 +13,6 @@ pub struct CacheConfig {
     pub line_bytes: u32,
     /// Access latency in cycles.
     pub latency: u32,
-    /// Number of banks (informational; accesses are modelled unported).
-    pub banks: usize,
 }
 
 impl CacheConfig {
@@ -84,7 +82,7 @@ struct Way {
 /// use smt_mem::{Cache, CacheConfig};
 ///
 /// let mut c = Cache::new(&CacheConfig {
-///     size_bytes: 4096, ways: 2, line_bytes: 64, latency: 1, banks: 1,
+///     size_bytes: 4096, ways: 2, line_bytes: 64, latency: 1,
 /// });
 /// assert!(!c.access(0x1000, false)); // cold miss
 /// assert!(c.access(0x1000, false));  // now resident
@@ -244,7 +242,6 @@ mod tests {
             ways: 2,
             line_bytes: 64,
             latency: 1,
-            banks: 1,
         })
     }
 
@@ -317,7 +314,6 @@ mod tests {
             ways: 2,
             line_bytes: 48,
             latency: 1,
-            banks: 1,
         });
     }
 }

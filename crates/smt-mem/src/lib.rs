@@ -57,8 +57,6 @@ pub struct AccessOutcome {
     pub latency: u32,
     /// Deepest level that had to service the access.
     pub level: HitLevel,
-    /// `true` if the access missed in the data TLB.
-    pub tlb_miss: bool,
     /// Cycle at which the access was initiated.
     pub issued_at: u64,
 }
@@ -124,6 +122,17 @@ impl MemoryConfig {
         }
         Tlb::validate(self.dtlb_entries, self.page_bytes).map_err(|why| format!("dtlb: {why}"))
     }
+
+    /// The longest latency [`MemoryHierarchy::access_data`] can return: a
+    /// data-TLB miss on a line whose memory-level fill was issued the same
+    /// cycle pays the L1 latency and then the fill's whole
+    /// `dl1 + l2 + memory`.
+    pub fn max_data_latency(&self) -> u64 {
+        2 * u64::from(self.dl1.latency)
+            + u64::from(self.l2.latency)
+            + u64::from(self.memory_latency)
+            + u64::from(self.tlb_miss_penalty)
+    }
 }
 
 impl Default for MemoryConfig {
@@ -134,21 +143,18 @@ impl Default for MemoryConfig {
                 ways: 2,
                 line_bytes: 64,
                 latency: 1,
-                banks: 8,
             },
             dl1: CacheConfig {
                 size_bytes: 64 * 1024,
                 ways: 2,
                 line_bytes: 64,
                 latency: 1,
-                banks: 8,
             },
             l2: CacheConfig {
                 size_bytes: 512 * 1024,
                 ways: 8,
                 line_bytes: 64,
                 latency: DEFAULT_L2_LATENCY,
-                banks: 8,
             },
             memory_latency: 300,
             dtlb_entries: 128,
@@ -276,8 +282,7 @@ impl MemoryHierarchy {
         let st = &mut self.stats[t.index()];
         st.accesses += 1;
 
-        let tlb_miss = !self.dtlb[t.index()].access(addr);
-        let tlb_penalty = if tlb_miss {
+        let tlb_penalty = if !self.dtlb[t.index()].access(addr) {
             st.tlb_misses += 1;
             self.config.tlb_miss_penalty
         } else {
@@ -288,7 +293,6 @@ impl MemoryHierarchy {
             return AccessOutcome {
                 latency: self.config.dl1.latency + tlb_penalty,
                 level: HitLevel::L1,
-                tlb_miss,
                 issued_at: now,
             };
         }
@@ -303,14 +307,12 @@ impl MemoryHierarchy {
                 return AccessOutcome {
                     latency: self.config.dl1.latency + remaining + tlb_penalty,
                     level,
-                    tlb_miss,
                     issued_at: now,
                 };
             }
             return AccessOutcome {
                 latency: self.config.dl1.latency + tlb_penalty,
                 level: HitLevel::L1,
-                tlb_miss,
                 issued_at: now,
             };
         }
@@ -335,7 +337,6 @@ impl MemoryHierarchy {
         AccessOutcome {
             latency: fill_latency + tlb_penalty,
             level,
-            tlb_miss,
             issued_at: now,
         }
     }
@@ -347,7 +348,6 @@ impl MemoryHierarchy {
             return AccessOutcome {
                 latency: self.config.il1.latency,
                 level: HitLevel::L1,
-                tlb_miss: false,
                 issued_at: now,
             };
         }
@@ -365,7 +365,6 @@ impl MemoryHierarchy {
         AccessOutcome {
             latency,
             level,
-            tlb_miss: false,
             issued_at: now,
         }
     }
@@ -499,14 +498,12 @@ mod tests {
                 ways: 2,
                 line_bytes: 64,
                 latency: 1,
-                banks: 1,
             },
             l2: CacheConfig {
                 size_bytes: 8 * 1024,
                 ways: 4,
                 line_bytes: 64,
                 latency: 20,
-                banks: 1,
             },
             memory_latency: 300,
             ..MemoryConfig::default()
@@ -626,7 +623,6 @@ mod tests {
                 ways: 2,
                 line_bytes: 64,
                 latency: 1,
-                banks: 1,
             },
             dtlb_entries: 8,
             ..small_config()

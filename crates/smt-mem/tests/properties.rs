@@ -10,7 +10,6 @@ fn tiny_cache() -> Cache {
         ways: 2,
         line_bytes: 64,
         latency: 1,
-        banks: 1,
     })
 }
 
@@ -67,6 +66,27 @@ proptest! {
             now += step;
         }
         prop_assert_eq!(m.remaining(1, ready), None);
+    }
+
+    /// No data access exceeds `MemoryConfig::max_data_latency`, however it
+    /// overlaps in-flight fills or misses the TLB: the simulator's event
+    /// wheel is sized from that bound. Sixteen pages of four lines each
+    /// against a four-entry TLB make both common.
+    #[test]
+    fn data_latency_stays_within_the_configured_maximum(
+        dl1 in 1u32..500,
+        ops in proptest::collection::vec((0u64..16, 0u64..256, 0u64..4), 1..300),
+    ) {
+        let mut cfg = MemoryConfig { dtlb_entries: 4, ..MemoryConfig::default() };
+        cfg.dl1.latency = dl1;
+        let max = cfg.max_data_latency();
+        let mut mem = MemoryHierarchy::new(&cfg, 1);
+        let mut now = 0;
+        for (page, offset, step) in ops {
+            let out = mem.access_data(ThreadId::new(0), page * cfg.page_bytes + offset, false, now);
+            prop_assert!(u64::from(out.latency) <= max, "latency {} above {max}", out.latency);
+            now += step;
+        }
     }
 
     /// Hierarchy latencies are bounded by the full miss path and at least

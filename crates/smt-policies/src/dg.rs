@@ -41,10 +41,6 @@ impl Policy for DataGating {
         // which only moves on events.
         n
     }
-
-    fn wants_fast_forward(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

@@ -44,10 +44,6 @@ impl Policy for Flush {
         // Stateless per cycle, like STALL.
         n
     }
-
-    fn wants_fast_forward(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

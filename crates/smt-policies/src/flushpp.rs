@@ -155,10 +155,6 @@ impl Policy for FlushPlusPlus {
         }
         n
     }
-
-    fn wants_fast_forward(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

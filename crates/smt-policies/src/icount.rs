@@ -96,10 +96,6 @@ impl Policy for Icount {
         // view, which cannot change while the machine is idle.
         n
     }
-
-    fn wants_fast_forward(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

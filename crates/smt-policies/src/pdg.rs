@@ -122,10 +122,6 @@ impl Policy for PredictiveDataGating {
         n
     }
 
-    fn wants_fast_forward(&self) -> bool {
-        true
-    }
-
     fn on_squash_inst(&mut self, t: ThreadId, inst: &PackedInst) {
         if inst.class() == InstClass::Load {
             self.ensure(t.index() + 1);

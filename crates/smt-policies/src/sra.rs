@@ -98,10 +98,6 @@ impl Policy for StaticAllocation {
         // usage lanes, which cannot move while the machine is idle.
         n
     }
-
-    fn wants_fast_forward(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

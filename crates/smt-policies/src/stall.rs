@@ -50,10 +50,6 @@ impl Policy for Stall {
         // idle span).
         n
     }
-
-    fn wants_fast_forward(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //!
 //! The simulator consults a [`Policy`] at three points every cycle —
 //! fetch ordering, fetch gating, dispatch gating — and notifies it of the
-//! events the paper's policies key on (dispatch-time allocation, L1 data
-//! misses, L2 miss detection, miss service). Instruction-fetch policies
+//! events the paper's policies key on (fetch, dispatch-time allocation,
+//! L2 miss detection, load completion, squash). Instruction-fetch policies
 //! (ICOUNT, STALL, FLUSH, DG, PDG, FLUSH++) use only the gates and events;
 //! *allocation* policies (SRA, DCRA) additionally use the per-thread
 //! resource-usage counters in the [`CycleView`] — exactly the distinction
@@ -29,7 +29,6 @@
 #![warn(missing_docs)]
 
 use smt_isa::{PackedInst, PerResource, QueueKind, RegClass, ResourceKind, ThreadId};
-use smt_mem::HitLevel;
 
 /// Per-thread state visible to policies each cycle, in record form.
 ///
@@ -71,7 +70,7 @@ pub struct ThreadView {
 ///
 /// ```
 /// use smt_policy_core::{CycleView, ThreadView};
-/// use smt_isa::{PerResource, ThreadId};
+/// use smt_isa::PerResource;
 ///
 /// let view = CycleView::new(
 ///     7,
@@ -82,7 +81,6 @@ pub struct ThreadView {
 ///     ],
 /// );
 /// assert_eq!(view.thread_count(), 2);
-/// assert_eq!(view.icount(ThreadId::new(1)), 9);
 /// assert_eq!(view.icounts(), &[3, 9]);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -176,12 +174,6 @@ impl CycleView {
 
     // ------------------------------------------------- per-thread accessors
 
-    /// Pre-issue instruction count of thread `t` (the ICOUNT key).
-    #[inline]
-    pub fn icount(&self, t: ThreadId) -> u32 {
-        self.icount[t.index()]
-    }
-
     /// Pending L1 data misses of thread `t`.
     #[inline]
     pub fn l1d_pending(&self, t: ThreadId) -> u32 {
@@ -200,24 +192,6 @@ impl CycleView {
         &self.usage[t.index()]
     }
 
-    /// Instructions committed by thread `t` so far.
-    #[inline]
-    pub fn committed(&self, t: ThreadId) -> u64 {
-        self.committed[t.index()]
-    }
-
-    /// L2 misses of thread `t` so far.
-    #[inline]
-    pub fn l2_misses(&self, t: ThreadId) -> u64 {
-        self.l2_misses[t.index()]
-    }
-
-    /// Loads executed by thread `t` so far.
-    #[inline]
-    pub fn loads(&self, t: ThreadId) -> u64 {
-        self.loads[t.index()]
-    }
-
     // ------------------------------------------------------ batch accessors
 
     /// All threads' pre-issue instruction counts, indexed by thread id —
@@ -232,12 +206,6 @@ impl CycleView {
     #[inline]
     pub fn l1d_pendings(&self) -> &[u32] {
         &self.l1d_pending
-    }
-
-    /// All threads' detected-pending-L2-miss counters.
-    #[inline]
-    pub fn l2_pendings(&self) -> &[u32] {
-        &self.l2_pending
     }
 
     /// All threads' resource-usage counters (allocation-policy gating
@@ -335,20 +303,12 @@ pub trait Policy {
     /// activity counters here).
     fn on_dispatch(&mut self, _t: ThreadId, _queue: QueueKind, _dest: Option<RegClass>) {}
 
-    /// Notification: a load of thread `t` at `pc` missed in the L1 data
-    /// cache (DG/PDG input).
-    fn on_l1d_miss(&mut self, _t: ThreadId, _pc: u64) {}
-
     /// A load of thread `t` has been *detected* to miss in the L2 (the
     /// detection happens one L2 latency after issue). The returned
     /// [`MissResponse`] is applied by the simulator.
     fn on_l2_miss_detected(&mut self, _t: ThreadId, _view: &CycleView) -> MissResponse {
         MissResponse::Continue
     }
-
-    /// Notification: an outstanding miss of thread `t` was serviced.
-    /// `level` is the deepest level the miss went to.
-    fn on_miss_resolved(&mut self, _t: ThreadId, _pc: u64, _level: HitLevel) {}
 
     /// Notification: a load of thread `t` completed. `l1_missed` reports
     /// whether it had missed the L1 (PDG trains and releases its gate
@@ -372,11 +332,11 @@ pub trait Policy {
     }
 
     /// `true` if the policy reads the cumulative progress counters of the
-    /// view — [`CycleView::committed`], [`CycleView::l2_misses`],
-    /// [`CycleView::loads`] or their batch lanes. When `false` (the
-    /// default) the simulator skips refreshing those lanes each cycle;
-    /// policies that read them without overriding this hint see stale
-    /// values. FLUSH++ (window pressure) and DCRA with degenerate-case
+    /// view — [`CycleView::committed_counts`],
+    /// [`CycleView::l2_miss_counts`] or [`CycleView::load_counts`]. When
+    /// `false` (the default) the simulator skips refreshing those lanes
+    /// each cycle; policies that read them without overriding this hint
+    /// see stale values. FLUSH++ (window pressure) and DCRA with degenerate-case
     /// detection override it.
     fn wants_progress_counters(&self) -> bool {
         false
@@ -426,21 +386,9 @@ pub trait Policy {
     /// e.g. DCRA when an activity counter is about to flip a thread
     /// inactive — simply caps the jump). The default returns `0`: a policy
     /// that does not override this never fast-forwards, which is always
-    /// correct, only slower. Policies that replay should override this
-    /// *and* [`Policy::wants_fast_forward`] together.
+    /// correct, only slower.
     fn on_idle_cycles(&mut self, _n: u64, _view: &CycleView) -> u64 {
         0
-    }
-
-    /// `true` if [`Policy::on_idle_cycles`] can ever accept a span. When
-    /// `false` (the default — matching `on_idle_cycles`'s declining
-    /// default, so an un-audited policy is both safe *and* free), the
-    /// simulator's fast-forward path bails out before computing the idle
-    /// deadline (an O(threads) scan plus event-wheel and MSHR probes)
-    /// whose result the policy would discard every idle cycle. Override
-    /// to `true` alongside `on_idle_cycles`.
-    fn wants_fast_forward(&self) -> bool {
-        false
     }
 }
 
@@ -471,10 +419,6 @@ impl Policy for RoundRobin {
         let m = view.thread_count().max(1);
         self.start = (self.start + (n % m as u64) as usize) % m;
         n
-    }
-
-    fn wants_fast_forward(&self) -> bool {
-        true
     }
 }
 
@@ -556,11 +500,6 @@ mod tests {
             }
         }
         assert_eq!(Plain.on_idle_cycles(1_000, &view(2)), 0);
-        assert!(
-            !Plain.wants_fast_forward(),
-            "declining default must also opt out of the deadline computation"
-        );
-        assert!(RoundRobin::default().wants_fast_forward());
     }
 
     #[test]
@@ -580,13 +519,11 @@ mod tests {
         let mut v = CycleView::new(9, PerResource::filled(80), &threads);
         assert_eq!(v.icounts(), &[4, 0]);
         assert_eq!(v.l1d_pendings(), &[1, 0]);
-        assert_eq!(v.l2_pendings(), &[2, 0]);
+        assert_eq!(v.l2_pending(ThreadId::new(0)), 2);
         assert_eq!(v.committed_counts(), &[30, 0]);
         assert_eq!(v.l2_miss_counts(), &[5, 0]);
         assert_eq!(v.load_counts(), &[11, 0]);
         let t0 = ThreadId::new(0);
-        assert_eq!(v.icount(t0), 4);
-        assert_eq!(v.committed(t0), 30);
         v.bump_usage(t0, ResourceKind::IntQueue);
         assert_eq!(v.usage(t0)[ResourceKind::IntQueue], 1);
         assert_eq!(v.usages()[0][ResourceKind::IntQueue], 1);

@@ -14,15 +14,13 @@ use crate::policy::{MissResponse, Policy};
 use crate::thread::NO_WAITER;
 use smt_isa::{InstClass, ThreadId};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A timing event as the issue stage schedules it. The canonical drain
 /// order is the field order `(at, uid, tid, kind, seq)` —
 /// drain-order-equivalent to the original `(at, uid, tid, seq, kind)`
 /// because `uid` is globally unique per incarnation, so two distinct
 /// events can only tie through `kind`. The wheel stores each event as a
-/// 16-byte [`WheelEntry`] instead; only beyond-horizon events keep this
-/// form, in the overflow heap.
+/// 16-byte [`WheelEntry`] instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Event {
     pub at: u64,
@@ -172,17 +170,15 @@ struct WheelNode {
 
 /// Timing wheel for the simulator's completion/detection events.
 ///
-/// Event latencies are bounded by the memory system (worst case: L1 + L2 +
-/// memory + TLB penalty), so each delivery cycle within the horizon owns
-/// one chain head in a power-of-two ring ([`SeqRing`] keyed by cycle):
-/// O(1) scheduling and draining instead of a binary heap's `O(log n)`
-/// tuple comparisons. Every chain lives in one slab of nodes recycled
-/// through a free list, so the wheel holds as many nodes as events were
-/// ever live at once, not a buffer per cycle. Each cycle's drain sorts its
-/// chain, which reproduces the heap's global `(at, uid, tid, kind, seq)`
-/// drain order exactly (see [`WheelEntry`]). Events beyond the wheel
-/// horizon (odd configurations only) spill into a small overflow heap
-/// that is merged on drain.
+/// Every event latency is bounded by the machine ([`Simulator::new`]
+/// sizes the wheel to the worst case), so each delivery cycle within the
+/// horizon owns one chain head in a power-of-two ring ([`SeqRing`] keyed
+/// by cycle): O(1) scheduling and draining instead of a binary heap's
+/// `O(log n)` tuple comparisons. Every chain lives in one slab of nodes
+/// recycled through a free list, so the wheel holds as many nodes as
+/// events were ever live at once, not a buffer per cycle. Each cycle's
+/// drain sorts its chain, which reproduces the heap's global
+/// `(at, uid, tid, kind, seq)` drain order exactly (see [`WheelEntry`]).
 #[derive(Debug)]
 pub(crate) struct EventWheel {
     /// First node of each delivery cycle's chain, [`NIL`] when empty.
@@ -190,22 +186,22 @@ pub(crate) struct EventWheel {
     nodes: Vec<WheelNode>,
     /// First recycled node, [`NIL`] when the slab is full.
     free: u32,
-    overflow: BinaryHeap<Reverse<Event>>,
     /// Drain scratch, reused every cycle.
     due: Vec<WheelEntry>,
-    /// Scheduled events currently live (wheel + overflow), so the
-    /// fast-forward deadline scan can bail out in O(1) on an empty wheel.
+    /// Scheduled events currently live, so the fast-forward deadline
+    /// scan can bail out in O(1) on an empty wheel.
     len: usize,
 }
 
 impl EventWheel {
-    /// Builds a wheel covering at least `max_delay` cycles of look-ahead.
+    /// Builds a wheel covering at least `max_delay` cycles of look-ahead:
+    /// every event scheduled at most `max_delay` cycles after the cycle
+    /// that schedules it fits.
     pub fn new(max_delay: u64) -> Self {
         EventWheel {
             heads: SeqRing::new((max_delay + 2).max(16) as usize, NIL),
             nodes: Vec::new(),
             free: NIL,
-            overflow: BinaryHeap::new(),
             due: Vec::new(),
             len: 0,
         }
@@ -216,29 +212,34 @@ impl EventWheel {
     /// produce `at == now`, the event lands in the next cycle's bucket
     /// (this cycle's drain has already run), which is exactly when the
     /// replaced binary-heap drain would have delivered it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ev` lies beyond the horizon the wheel was built for.
     pub fn push(&mut self, now: u64, ev: Event) {
         debug_assert!(ev.at >= now, "event scheduled in the past");
         let deliver_at = ev.at.max(now + 1);
-        if ((deliver_at - now) as usize) < self.heads.capacity() {
-            let head = self.heads.at_mut(deliver_at);
-            let node = WheelNode {
-                entry: WheelEntry::new(&ev, deliver_at),
-                next: *head,
-            };
-            let idx = if self.free != NIL {
-                let idx = self.free;
-                self.free = self.nodes[idx as usize].next;
-                self.nodes[idx as usize] = node;
-                idx
-            } else {
-                let idx = u32::try_from(self.nodes.len()).expect("event slab overflow");
-                self.nodes.push(node);
-                idx
-            };
-            self.heads.set(deliver_at, idx);
+        assert!(
+            ((deliver_at - now) as usize) < self.heads.capacity(),
+            "event {} cycles ahead is beyond the wheel's horizon",
+            deliver_at - now
+        );
+        let head = self.heads.at_mut(deliver_at);
+        let node = WheelNode {
+            entry: WheelEntry::new(&ev, deliver_at),
+            next: *head,
+        };
+        let idx = if self.free != NIL {
+            let idx = self.free;
+            self.free = self.nodes[idx as usize].next;
+            self.nodes[idx as usize] = node;
+            idx
         } else {
-            self.overflow.push(Reverse(ev));
-        }
+            let idx = u32::try_from(self.nodes.len()).expect("event slab overflow");
+            self.nodes.push(node);
+            idx
+        };
+        self.heads.set(deliver_at, idx);
         self.len += 1;
     }
 
@@ -255,20 +256,8 @@ impl EventWheel {
         if self.len == 0 {
             return None;
         }
-        let mut best = self
-            .overflow
-            .peek()
-            .map(|&Reverse(ev)| ev.at.max(now))
-            .filter(|&at| at - now < horizon);
         let span = (self.heads.capacity() as u64).min(horizon);
-        for dt in 0..span {
-            let at = now + dt;
-            if *self.heads.at(at) != NIL {
-                best = Some(best.map_or(at, |b| b.min(at)));
-                break;
-            }
-        }
-        best
+        (now..now + span).find(|&at| *self.heads.at(at) != NIL)
     }
 
     /// `true` when nothing is due at `now` — lets the drain stage skip the
@@ -276,7 +265,6 @@ impl EventWheel {
     #[inline]
     pub fn is_idle(&self, now: u64) -> bool {
         *self.heads.at(now) == NIL
-            && self.overflow.peek().map(|&Reverse(ev)| ev.at > now) != Some(false)
     }
 
     /// Moves every event due at `now` into the `due` scratch buffer,
@@ -292,13 +280,6 @@ impl EventWheel {
             let next = std::mem::replace(&mut n.next, self.free);
             self.free = node;
             node = next;
-        }
-        while let Some(&Reverse(ev)) = self.overflow.peek() {
-            if ev.at > now {
-                break;
-            }
-            self.overflow.pop();
-            due.push(WheelEntry::new(&ev, now));
         }
         self.len -= due.len();
         if due.len() > 1 {
@@ -320,7 +301,6 @@ impl EventWheel {
         }
         self.nodes.clear();
         self.free = NIL;
-        self.overflow.clear();
         self.due.clear();
         self.len = 0;
     }
@@ -412,14 +392,6 @@ impl Simulator {
         if is_load {
             let pc = self.threads[tid].inflight_record(seq).0.pc;
             self.policy.on_load_complete(t, pc, l1_miss);
-            if l1_miss {
-                let level = if l2_miss {
-                    smt_mem::HitLevel::Memory
-                } else {
-                    smt_mem::HitLevel::L2
-                };
-                self.policy.on_miss_resolved(t, pc, level);
-            }
         }
         if mispredicted {
             // The thread kept fetching past the unresolved branch (the
@@ -466,6 +438,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BinaryHeap;
 
     /// The drain the wheel replaced: one binary heap in the canonical
     /// `(at, uid, tid, kind, seq)` order, drained of every event with
@@ -513,11 +486,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Every drained sequence and every deadline equal the reference
-        /// heap's, for events due now (delivered next cycle, first),
-        /// within the horizon and beyond it (the overflow heap), under
-        /// any interleaving of drains, fast-forward jumps and clears.
+        /// heap's, for events due now (delivered next cycle, first) and
+        /// anywhere within the horizon, under any interleaving of drains,
+        /// fast-forward jumps and clears.
         /// Each op is a selector and one random word: 0–3 schedules an
-        /// event `0..2 × capacity` cycles ahead (a completion, an L2
+        /// event `0..capacity` cycles ahead (a completion, an L2
         /// detection, or both under one uid), 4–6 steps one cycle and
         /// drains it, 7–8 fast-forwards as the simulator does (to the next
         /// deadline within a random horizon, or across the whole horizon
@@ -545,7 +518,7 @@ mod tests {
                             1 => &[EventKind::DetectL2],
                             _ => &[EventKind::DetectL2, EventKind::Complete],
                         };
-                        let at = now + (r >> 2) % (2 * cap);
+                        let at = now + (r >> 2) % cap;
                         let tid = (r >> 8) as u32 % ThreadId::MAX_THREADS as u32;
                         let seq = (r >> 12) & 0xFF_FFFF;
                         for &kind in kinds {
@@ -573,5 +546,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The last cycle of the horizon is accepted; one past it panics.
+    #[test]
+    #[should_panic(expected = "beyond the wheel's horizon")]
+    fn push_past_the_horizon_panics() {
+        let mut wheel = EventWheel::new(40);
+        let cap = wheel.heads.capacity() as u64;
+        let ev = |at| Event {
+            at,
+            uid: at,
+            tid: 0,
+            kind: EventKind::Complete,
+            seq: 0,
+        };
+        wheel.push(100, ev(100 + cap - 1));
+        wheel.push(100, ev(100 + cap));
     }
 }

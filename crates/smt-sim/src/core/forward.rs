@@ -42,7 +42,7 @@ impl Simulator {
     /// statistics and policy state. A no-op after an active step, so the
     /// run loops call it unconditionally.
     pub(crate) fn fast_forward(&mut self, limit: u64) {
-        if self.idle.active || self.now >= limit || !self.policy.wants_fast_forward() {
+        if self.idle.active || self.now >= limit {
             return;
         }
         let deadline = self.idle_deadline(limit);

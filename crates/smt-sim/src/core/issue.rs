@@ -5,7 +5,6 @@
 use super::events::{Event, EventKind, ReadyEntry};
 use super::Simulator;
 use crate::inst::{Stage, NO_DEP};
-use crate::policy::Policy;
 use smt_isa::{InstClass, QueueKind, ThreadId};
 
 impl Simulator {
@@ -89,7 +88,7 @@ impl Simulator {
 
         let ready_at = match class {
             InstClass::Load => {
-                let (packed, mem_addr) = self.threads[tid].inflight_record(seq);
+                let mem_addr = self.threads[tid].inflight_record(seq).1;
                 let outcome = self.mem.access_data(t, mem_addr, false, now);
                 self.stats[tid].loads += 1;
                 if outcome.l1_miss() {
@@ -97,7 +96,6 @@ impl Simulator {
                     th.at_mut(seq).set_l1_miss();
                     th.l1d_pending += 1;
                     self.stats[tid].l1d_misses += 1;
-                    self.policy.on_l1d_miss(t, packed.pc);
                 }
                 if outcome.l2_miss() {
                     self.threads[tid].at_mut(seq).set_l2_miss();

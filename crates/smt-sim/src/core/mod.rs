@@ -44,7 +44,7 @@ use crate::stats::{SimResult, ThreadStats};
 use crate::thread::ThreadState;
 use events::{EventWheel, ReadyEntry};
 use smt_bpred::BranchPredictor;
-use smt_isa::{PerResource, ThreadId};
+use smt_isa::{InstClass, PerResource, ThreadId};
 use smt_mem::{MemoryHierarchy, WarmState};
 use smt_workloads::{BenchmarkProfile, ThreadTrace};
 use std::cmp::Reverse;
@@ -162,6 +162,15 @@ fn thread_seed(seed: u64, slot: usize) -> u64 {
     seed.wrapping_mul(0x9e37_79b9).wrapping_add(slot as u64)
 }
 
+/// The longest delay, in cycles after issue, of any event the machine
+/// schedules: the event wheel's horizon. L2 detection (`l2` after issue)
+/// is shorter than the slowest load, and the slowest non-memory
+/// instruction is an FP divide.
+fn max_event_delay(config: &SimConfig) -> u64 {
+    let compute = u64::from(InstClass::FpDiv.exec_latency());
+    u64::from(config.regread_delay) + config.mem.max_data_latency().max(compute)
+}
+
 impl Simulator {
     /// Builds a simulator running one thread per profile under `policy`.
     ///
@@ -206,14 +215,7 @@ impl Simulator {
             iq_used: [0; 3],
             regs_used: [0; 2],
             usage: vec![PerResource::default(); n],
-            events: EventWheel::new(
-                u64::from(config.regread_delay)
-                    + u64::from(config.mem.dl1.latency)
-                    + u64::from(config.mem.l2.latency)
-                    + u64::from(config.mem.memory_latency)
-                    + u64::from(config.mem.tlb_miss_penalty)
-                    + 64,
-            ),
+            events: EventWheel::new(max_event_delay(&config)),
             stats: vec![ThreadStats::default(); n],
             config,
             commit_rr: 0,

@@ -12,7 +12,6 @@
 pub use smt_policy_core::{CycleView, MissResponse, Policy, RoundRobin, ThreadView};
 
 use smt_isa::{PackedInst, QueueKind, RegClass, ThreadId};
-use smt_mem::HitLevel;
 
 /// The nine canonical policies of the paper's evaluation, dispatched
 /// statically.
@@ -111,18 +110,8 @@ impl Policy for AnyPolicy {
     }
 
     #[inline]
-    fn on_l1d_miss(&mut self, t: ThreadId, pc: u64) {
-        fan_out!(self, p => p.on_l1d_miss(t, pc))
-    }
-
-    #[inline]
     fn on_l2_miss_detected(&mut self, t: ThreadId, view: &CycleView) -> MissResponse {
         fan_out!(self, p => p.on_l2_miss_detected(t, view))
-    }
-
-    #[inline]
-    fn on_miss_resolved(&mut self, t: ThreadId, pc: u64, level: HitLevel) {
-        fan_out!(self, p => p.on_miss_resolved(t, pc, level))
     }
 
     #[inline]
@@ -138,11 +127,6 @@ impl Policy for AnyPolicy {
     #[inline]
     fn on_idle_cycles(&mut self, n: u64, view: &CycleView) -> u64 {
         fan_out!(self, p => p.on_idle_cycles(n, view))
-    }
-
-    #[inline]
-    fn wants_fast_forward(&self) -> bool {
-        fan_out!(self, p => p.wants_fast_forward())
     }
 
     #[inline]

@@ -106,3 +106,83 @@ proptest! {
         }
     }
 }
+
+/// Counters of a mcf+gzip run (seed 42, 20k-instruction prewarm, 20k
+/// cycles) on the baseline machine with a 400-cycle L1 data latency. At
+/// this latency a load that coalesces with an in-flight fill is due up to
+/// 1121 cycles after issue, so the run needs a wheel sized from the
+/// machine rather than from one L1 latency plus slack. The values were
+/// recorded with a separate heap delivering every event past 1024 cycles,
+/// so they check the wheel's horizon and drain order independently.
+const SLOW_L1_GOLDEN: [&str; 3] = [
+    "ICOUNT now=20000 committed=615/986 fetched=2175/2501 squashed=1493/1389 \
+     loads=170/297 l1d=40/17 l2=9/10 gated=0/0 mlp=458425/181440:5964/720 \
+     blocked=0/0:19197/19434:0/0:0/0",
+    "FLUSH++ now=20000 committed=615/985 fetched=2240/2516 squashed=1509/1462 \
+     loads=168/297 l1d=39/15 l2=9/8 gated=219/1 mlp=457925/181440:4500/720 \
+     blocked=0/0:16306/18135:0/0:0/0",
+    "DCRA now=20000 committed=597/1014 fetched=1859/2400 squashed=1183/1294 \
+     loads=154/291 l1d=37/17 l2=9/10 gated=3291/1390 mlp=457920/181440:5205/720 \
+     blocked=0/0:16705/18094:0/0:0/0",
+];
+
+/// One line per policy: every counter the run reports, plus the clock.
+fn slow_l1_summary(policy: AnyPolicy, stepped: bool) -> String {
+    let profile = |name| spec::profile(name).expect("known benchmark");
+    let profiles = [profile("mcf"), profile("gzip")];
+    let mut cfg = SimConfig::baseline(2);
+    cfg.mem.dl1.latency = 400;
+    let mut sim = Simulator::new(cfg, &profiles, policy, 42);
+    sim.prewarm(20_000);
+    if stepped {
+        for _ in 0..20_000 {
+            sim.step();
+        }
+    } else {
+        sim.run_cycles(20_000);
+    }
+    let r = sim.result();
+    let per = |f: fn(&smt_sim::ThreadStats) -> u64| {
+        let v: Vec<_> = r.threads.iter().map(|t| f(t).to_string()).collect();
+        v.join("/")
+    };
+    format!(
+        "{} now={} committed={} fetched={} squashed={} loads={} l1d={} l2={} \
+         gated={} mlp={}:{} blocked={}:{}:{}:{}",
+        r.policy,
+        sim.now(),
+        per(|t| t.committed),
+        per(|t| t.fetched),
+        per(|t| t.squashed),
+        per(|t| t.loads),
+        per(|t| t.l1d_misses),
+        per(|t| t.l2_misses),
+        per(|t| t.gated_cycles),
+        per(|t| t.mlp_sum),
+        per(|t| t.mlp_cycles),
+        per(|t| t.blocked_rob),
+        per(|t| t.blocked_iq),
+        per(|t| t.blocked_regs),
+        per(|t| t.blocked_policy),
+    )
+}
+
+/// Loads due beyond 1024 cycles, stepped and fast-forwarded, reproduce
+/// the recorded counters for ICOUNT, FLUSH++ and DCRA.
+#[test]
+fn slow_l1_runs_match_recorded_counters() {
+    let policies = || -> [AnyPolicy; 3] {
+        [
+            smt_policies::Icount.into(),
+            smt_policies::FlushPlusPlus::default().into(),
+            dcra::Dcra::default().into(),
+        ]
+    };
+    for stepped in [true, false] {
+        let got: Vec<_> = policies()
+            .into_iter()
+            .map(|p| slow_l1_summary(p, stepped))
+            .collect();
+        assert_eq!(got, SLOW_L1_GOLDEN, "stepped = {stepped}");
+    }
+}
