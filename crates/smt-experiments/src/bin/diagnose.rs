@@ -5,15 +5,17 @@
 //! cargo run --release -p smt-experiments --bin diagnose -- POLICY bench [bench ...]
 //! ```
 //!
-//! With no arguments it runs DCRA (tuned for 300-cycle memory) on
-//! gzip+mcf. A policy without benchmarks is a usage error (exit 2).
+//! With no arguments it runs DCRA, tuned for the baseline machine's
+//! memory latency, on gzip+mcf. A policy without benchmarks is a usage
+//! error (exit 2).
 
 use smt_experiments::{PolicyKind, RunSpec, Runner};
+use smt_sim::SimConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (policy, benches): (PolicyKind, Vec<&str>) = match args.as_slice() {
-        [] => (PolicyKind::dcra_for_latency(300), vec!["gzip", "mcf"]),
+    let (policy, benches): (Option<PolicyKind>, Vec<&str>) = match args.as_slice() {
+        [] => (None, vec!["gzip", "mcf"]),
         [_] => {
             eprintln!("usage: diagnose [POLICY bench [bench ...]]");
             std::process::exit(2);
@@ -23,12 +25,14 @@ fn main() {
                 eprintln!("unknown policy `{name}`");
                 std::process::exit(2);
             });
-            (p, benches.iter().map(String::as_str).collect())
+            (Some(p), benches.iter().map(String::as_str).collect())
         }
     };
 
+    let machine = SimConfig::baseline(benches.len());
+    let policy = policy.unwrap_or_else(|| PolicyKind::dcra_for_latency(machine.mem.memory_latency));
     let runner = Runner::new();
-    let spec = RunSpec::new(&benches, policy);
+    let spec = RunSpec::new(&benches, policy).with_config(machine);
     let out = runner.run(&spec).unwrap_or_else(|e| {
         eprintln!("diagnostic run failed: {e}");
         std::process::exit(1);

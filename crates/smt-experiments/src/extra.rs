@@ -45,10 +45,14 @@ impl ExtraResult {
 
 /// Runs FLUSH++ and DCRA over the full workload set.
 pub fn run(runner: &Runner) -> Result<ExtraResult, RunError> {
+    let config = SimConfig::baseline(2);
     let [flushpp, dcra] = sweep_policies(
         runner,
-        &[PolicyKind::FlushPlusPlus, PolicyKind::dcra_for_latency(300)],
-        &SimConfig::baseline(2),
+        &[
+            PolicyKind::FlushPlusPlus,
+            PolicyKind::dcra_for_latency(config.mem.memory_latency),
+        ],
+        &config,
         &sweep_lengths(),
         &TABLE4_THREADS,
     )?;

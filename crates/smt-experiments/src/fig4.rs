@@ -53,10 +53,14 @@ impl Fig4Result {
 
 /// Runs DCRA and SRA over the full Table-4 workload set.
 pub fn run(runner: &Runner) -> Result<Fig4Result, RunError> {
+    let config = SimConfig::baseline(2);
     let [dcra, sra] = sweep_policies(
         runner,
-        &[PolicyKind::dcra_for_latency(300), PolicyKind::Sra],
-        &SimConfig::baseline(2),
+        &[
+            PolicyKind::dcra_for_latency(config.mem.memory_latency),
+            PolicyKind::Sra,
+        ],
+        &config,
         &sweep_lengths(),
         &TABLE4_THREADS,
     )?;

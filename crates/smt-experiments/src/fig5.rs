@@ -46,15 +46,16 @@ impl Fig5Result {
 
 /// Runs the four policies over the full Table-4 workload set.
 pub fn run(runner: &Runner) -> Result<Fig5Result, RunError> {
+    let config = SimConfig::baseline(2);
     let [icount, dg, flushpp, dcra] = sweep_policies(
         runner,
         &[
             PolicyKind::Icount,
             PolicyKind::DataGating,
             PolicyKind::FlushPlusPlus,
-            PolicyKind::dcra_for_latency(300),
+            PolicyKind::dcra_for_latency(config.mem.memory_latency),
         ],
-        &SimConfig::baseline(2),
+        &config,
         &sweep_lengths(),
         &TABLE4_THREADS,
     )?;

@@ -18,7 +18,8 @@ pub fn run(runner: &Runner) -> Result<SensitivityResult, RunError> {
         REGISTER_SIZES.map(|regs| {
             let mut config = SimConfig::baseline(2);
             config.phys_regs = regs;
-            (regs, config, PolicyKind::dcra_for_latency(300))
+            let dcra = PolicyKind::dcra_for_latency(config.mem.memory_latency);
+            (regs, config, dcra)
         }),
     )
 }

@@ -49,11 +49,13 @@ impl Partition {
         }
     }
 
-    /// The policy realising this variant on a machine with `threads`
-    /// contexts and `totals` resource entries. A partial variant splits
-    /// its resources `R/T` and caps the rest at their full totals, which
-    /// leaves them shared.
-    pub fn policy(self, threads: u32, totals: &PerResource<u32>) -> PolicyKind {
+    /// The policy realising this variant on `config`'s machine. A
+    /// partial variant splits its resources `R/T` over the machine's `T`
+    /// contexts and caps the rest at their full totals, which leaves them
+    /// shared; DCRA is tuned for the machine's memory latency.
+    pub fn policy(self, config: &SimConfig) -> PolicyKind {
+        let threads = config.threads as u32;
+        let totals = config.resource_totals();
         let caps_for = |split: &[ResourceKind]| {
             PerResource(ResourceKind::ALL.map(|k| {
                 Some(if split.contains(&k) {
@@ -74,7 +76,7 @@ impl Partition {
                 PolicyKind::SraCapped(caps_for(&[ResourceKind::IntRegs, ResourceKind::FpRegs]))
             }
             Partition::All => PolicyKind::Sra,
-            Partition::Dynamic => PolicyKind::dcra_for_latency(300),
+            Partition::Dynamic => PolicyKind::dcra_for_latency(config.mem.memory_latency),
         }
     }
 }
@@ -82,15 +84,10 @@ impl Partition {
 /// The labelled variants, in presentation order, on the
 /// [`STUDY_THREADS`]-context baseline machine.
 pub fn variants() -> Vec<(String, PolicyKind)> {
-    let totals = SimConfig::baseline(STUDY_THREADS).resource_totals();
+    let config = SimConfig::baseline(STUDY_THREADS);
     Partition::ALL
         .iter()
-        .map(|p| {
-            (
-                p.label().to_string(),
-                p.policy(STUDY_THREADS as u32, &totals),
-            )
-        })
+        .map(|p| (p.label().to_string(), p.policy(&config)))
         .collect()
 }
 
@@ -104,11 +101,8 @@ mod tests {
 
     #[test]
     fn variants_produce_distinct_policies() {
-        let totals = SimConfig::baseline(2).resource_totals();
-        let kinds: Vec<PolicyKind> = Partition::ALL
-            .iter()
-            .map(|p| p.policy(2, &totals))
-            .collect();
+        let config = SimConfig::baseline(2);
+        let kinds: Vec<PolicyKind> = Partition::ALL.iter().map(|p| p.policy(&config)).collect();
         assert_eq!(kinds[0].name(), "ICOUNT");
         assert_eq!(kinds[3].name(), "SRA");
         assert_eq!(kinds[4].name(), "DCRA");
@@ -118,9 +112,10 @@ mod tests {
     fn partial_variants_leave_the_rest_shared() {
         // A `None` cap means the even split to `StaticAllocation`, so the
         // shared resources must be capped at their totals explicitly.
-        let totals = SimConfig::baseline(2).resource_totals();
+        let config = SimConfig::baseline(2);
+        let totals = config.resource_totals();
         let view = CycleView::new(0, totals, &vec![ThreadView::default(); 2]);
-        let cap = |p: Partition, k: ResourceKind| match p.policy(2, &totals) {
+        let cap = |p: Partition, k: ResourceKind| match p.policy(&config) {
             PolicyKind::SraCapped(caps) => StaticAllocation::with_caps(caps).cap(k, &view),
             other => panic!("{p:?} must be capped SRA, got {}", other.name()),
         };

@@ -371,8 +371,12 @@ impl MemoryHierarchy {
 
     /// Number of L2 misses currently in flight for each thread at `now`,
     /// the quantity behind the paper's memory-parallelism measurements:
-    /// fills `counts` (one slot per thread) in place. The simulator calls
-    /// this every cycle, so it must not allocate.
+    /// fills `counts` (one slot per thread) in place, after collecting
+    /// every fill due at or before `now` (see
+    /// [`Self::collect_expired_fills`]). The simulator calls this once per
+    /// closed span of cycles — every stepped cycle, and every
+    /// fast-forward jump with `now` at the jump's last cycle — so it must
+    /// not allocate, and it is the simulator's only MSHR purge.
     pub fn outstanding_l2_misses_into(&mut self, now: u64, counts: &mut [u32]) {
         self.mshr.outstanding_into(now, counts);
     }
@@ -387,13 +391,12 @@ impl MemoryHierarchy {
         self.mshr.next_ready_at()
     }
 
-    /// Collects every fill whose deadline is at or before `now` — exactly
-    /// what the per-cycle MLP sampling does as a side effect in a stepped
-    /// run. The simulator calls this after a fast-forward jump so the MSHR
-    /// map matches the stepped core's state cycle for cycle: L2-level
-    /// fills may expire *inside* a skipped span, and a dead entry left in
-    /// the map would block re-allocation of the same line on the resumed
-    /// cycle (see [`MshrFile::purge_expired`]).
+    /// Collects every fill whose deadline is at or before `now`: the purge
+    /// [`Self::outstanding_l2_misses_into`] makes before it counts. A dead
+    /// entry left in the map would block re-allocation of the same line
+    /// (see [`MshrFile::purge_expired`]). The simulator does not call this;
+    /// it stays public for callers that purge without sampling, such as
+    /// this crate's warm-state tests and hostbench's MSHR probe.
     pub fn collect_expired_fills(&mut self, now: u64) {
         self.mshr.purge_expired(now);
     }

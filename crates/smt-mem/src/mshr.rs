@@ -118,11 +118,10 @@ impl MshrFile {
     /// (collected early by [`MshrFile::remaining`]) or was re-allocated
     /// with a later deadline is skipped.
     ///
-    /// Public because the simulator's fast-forward must replay it: the
-    /// stepped core purges once per cycle (via
-    /// [`MshrFile::outstanding_into`]), and a dead entry left behind by a
-    /// skipped purge would block [`MshrFile::allocate`]'s insert for a
-    /// re-missed line — observably diverging from the stepped run.
+    /// The simulator purges through [`MshrFile::outstanding_into`] once
+    /// per closed span of cycles, up to the span's last cycle: a dead
+    /// entry left behind by a missed purge would block
+    /// [`MshrFile::allocate`]'s insert for a re-missed line.
     pub fn purge_expired(&mut self, now: u64) {
         while let Some(&Reverse((ready_at, line))) = self.expiry.peek() {
             if ready_at > now {
@@ -162,9 +161,9 @@ impl MshrFile {
     /// Number of *memory-level* (L2-miss) fills in flight per thread at
     /// `now`, written into `counts` (zeroed first), sized by the caller.
     /// Expired entries are purged as a side effect. Used by the
-    /// simulator's per-cycle MLP sampling — after the purge this is a copy
-    /// of the incrementally maintained counters, not a walk over the MSHR
-    /// map.
+    /// simulator's MLP sample at each cycle's close — after the purge this
+    /// is a copy of the incrementally maintained counters, not a walk over
+    /// the MSHR map.
     pub fn outstanding_into(&mut self, now: u64, counts: &mut [u32]) {
         self.purge_expired(now);
         counts.fill(0);

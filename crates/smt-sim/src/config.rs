@@ -9,9 +9,15 @@ use smt_mem::MemoryConfig;
 ///
 /// Defaults reproduce the paper's baseline (Table 2): 8-wide
 /// fetch/issue/commit, 80-entry issue queues, 6/3/4 execution units, 352
-/// physical registers per file, a 512-entry shared ROB, 12-stage pipeline
-/// (modelled as a front-end depth plus 2-cycle register read), gshare/BTB/RAS
+/// physical registers per file, a 512-entry shared ROB, gshare/BTB/RAS
 /// front end and the 64KB/512KB/300-cycle memory system.
+///
+/// The pipeline depth is not Table 2's. The machine is not modelled stage
+/// by stage; two delays stand for its depth, and their defaults are
+/// shallower than Table 2's 12-stage pipeline with a two-cycle register
+/// read: 4 cycles from fetch to the earliest rename
+/// ([`SimConfig::frontend_delay`]) and 1 cycle of register read before
+/// execution ([`SimConfig::regread_delay`]).
 ///
 /// # Examples
 ///
@@ -51,12 +57,19 @@ pub struct SimConfig {
     pub rob_entries: u32,
     /// Per-thread fetch-queue entries.
     pub fetch_queue: u32,
-    /// Cycles from fetch to earliest rename (front-end depth). Together
-    /// with the 2-cycle register read this models the 12-stage pipeline's
-    /// branch-misprediction refill.
+    /// Cycles from fetch to the earliest rename: an instruction fetched on
+    /// cycle `t` may dispatch from cycle `t + frontend_delay` on. It stands
+    /// for every front-end stage between fetch and rename; the default is
+    /// 4. The instruction holds its thread's fetch-queue slot until it
+    /// dispatches, so one thread's front end passes at most
+    /// `fetch_queue / frontend_delay` instructions a cycle: 16 / 4 = 4 on
+    /// the defaults.
     pub frontend_delay: u32,
-    /// Extra register-read/bypass latency added to execution (Table 2
-    /// assumes two-cycle register file access).
+    /// Register-read cycles added to every execution latency: an
+    /// instruction issued on cycle `t` completes `regread_delay` cycles
+    /// after `t` plus its execution (or, for a load, its memory-access)
+    /// latency. The default is 1, one cycle of register read, where
+    /// Table 2 assumes two.
     pub regread_delay: u32,
     /// Branch predictor configuration.
     pub bpred: PredictorConfig,

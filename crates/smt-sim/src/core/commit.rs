@@ -26,8 +26,8 @@ impl Simulator {
     pub(crate) fn commit(&mut self) {
         let n = self.threads.len();
         let width = self.config.commit_width;
+        // The cycle's close rotates the origin, commits or not.
         let start = self.commit_rr;
-        self.commit_rr = (start + 1) % n;
 
         // 1. Committable run per thread, in round-robin service order.
         let mut runs = [0u32; ThreadId::MAX_THREADS];

@@ -60,23 +60,19 @@ impl Simulator {
                 }
                 let q = inst.class.queue();
                 let dest = inst.dest;
-                // Shared structural limits. Each charge also records the
-                // thread in the cycle's idle track: on an idle cycle the
-                // same charge would repeat every cycle until an event
-                // frees the structure, so fast-forward replays it.
+                // Shared structural limits. A refusal sets the thread's
+                // bit in the cycle's idle track, which the cycle's close
+                // charges to the matching `blocked_*` counter.
                 if self.rob_used >= rob_cap {
-                    self.stats[tid].blocked_rob += 1;
                     self.idle.blocked_rob |= 1 << tid;
                     break;
                 }
                 if self.iq_used[q.index()] >= iq_cap {
-                    self.stats[tid].blocked_iq += 1;
                     self.idle.blocked_iq |= 1 << tid;
                     break;
                 }
                 if let Some(d) = dest {
                     if self.regs_used[d.index()] >= pools[d.index()] {
-                        self.stats[tid].blocked_regs += 1;
                         self.idle.blocked_regs |= 1 << tid;
                         break;
                     }
@@ -84,7 +80,6 @@ impl Simulator {
                 // Policy gate (hard-partition policies only; skipped when
                 // the policy can never refuse).
                 if needs_view && !self.policy.may_dispatch(t, q, dest, &view) {
-                    self.stats[tid].blocked_policy += 1;
                     self.idle.blocked_policy |= 1 << tid;
                     break;
                 }

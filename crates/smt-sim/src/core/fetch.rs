@@ -25,7 +25,6 @@ impl Simulator {
                 continue;
             }
             if !self.policy.fetch_gate(t, view) {
-                self.stats[tid].gated_cycles += 1;
                 self.idle.gated |= 1 << tid;
                 continue;
             }

@@ -107,9 +107,8 @@ pub struct Simulator {
     /// immutable after construction and the view is refreshed every cycle.
     pub(crate) totals: PerResource<u32>,
     /// What the last `step` observed: whether any stage changed machine
-    /// state, and which per-cycle statistics were charged to which thread.
-    /// The fast-forward path ([`forward`]) reads it to decide whether the
-    /// machine is skippable and to replay the skipped cycles' statistics.
+    /// state ([`forward`] skips only after an idle step), and which
+    /// threads each stage refused.
     pub(crate) idle: IdleTrack,
 }
 
@@ -117,30 +116,24 @@ pub struct Simulator {
 ///
 /// `active` means "this cycle changed machine state" (an event was
 /// delivered, or something committed, issued, dispatched, fetched, or at
-/// least touched the I-cache). The bit masks record which threads were
-/// charged a per-cycle statistic this cycle — exactly the statistics that
-/// keep accruing, unchanged, on every subsequent idle cycle, and therefore
-/// the ones the fast-forward replay multiplies out (thread ids fit in `u8`
-/// masks because `ThreadId::MAX_THREADS == 8`, enforced by
-/// [`SimConfig::validate`]).
+/// least touched the I-cache). The `u8` masks (`ThreadId::MAX_THREADS ==
+/// 8`, enforced by [`SimConfig::validate`]) record which threads a stage
+/// refused; [`Simulator::close_cycles`] charges them to the counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct IdleTrack {
     /// Any machine-state change this cycle.
     pub active: bool,
-    /// Threads whose `gated_cycles` statistic was charged (fetchable but
-    /// refused by the policy's fetch gate).
+    /// Threads refused by the policy's fetch gate (`gated_cycles`).
     pub gated: u8,
-    /// Threads whose `blocked_rob` statistic was charged at dispatch.
+    /// Threads whose dispatch stopped on a full ROB (`blocked_rob`).
     pub blocked_rob: u8,
-    /// Threads whose `blocked_iq` statistic was charged at dispatch.
+    /// Threads whose dispatch stopped on a full issue queue (`blocked_iq`).
     pub blocked_iq: u8,
-    /// Threads whose `blocked_regs` statistic was charged at dispatch.
+    /// Threads whose dispatch stopped on an empty rename pool
+    /// (`blocked_regs`).
     pub blocked_regs: u8,
-    /// Threads whose `blocked_policy` statistic was charged at dispatch.
+    /// Threads whose dispatch the policy refused (`blocked_policy`).
     pub blocked_policy: u8,
-    /// Threads that were slow (pending L1 data miss) at the end of the
-    /// cycle: the phase mask the cycle was counted under.
-    pub slow: u8,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -502,6 +495,13 @@ impl Simulator {
         self.policy.begin_cycle(&view);
         order.clear();
         self.policy.fetch_order(&view, &mut order);
+        // Fetch and dispatch visit each thread once, so the close's mask
+        // bit stands for every refusal a stage makes this cycle.
+        debug_assert!(
+            order.len() == self.threads.len()
+                && order.iter().fold(0u32, |m, t| m | 1 << t.index()) == (1 << order.len()) - 1,
+            "fetch order {order:?} is not a permutation of the threads"
+        );
         clock.lap(|p| &mut p.policy);
 
         self.drain_events();
@@ -514,36 +514,38 @@ impl Simulator {
         clock.lap(|p| &mut p.dispatch);
         self.fetch(&order, &view);
         clock.lap(|p| &mut p.fetch);
-        self.sample_mlp();
-        self.sample_phase();
-        self.now += 1;
+        self.close_cycles(1);
         self.cycle_view = view;
         self.order_scratch = order;
         clock.lap(|p| &mut p.other);
     }
 
-    pub(crate) fn sample_mlp(&mut self) {
+    /// Closes the `k` cycles from `now` on, each refusing what the cycle
+    /// just stepped refused (`self.idle`): the one path that advances the
+    /// per-cycle counters, the MSHR purge, the commit round-robin origin
+    /// and the clock. A stepped cycle closes with `k = 1`, a fast-forward
+    /// jump with its skipped span ([`forward`] says why the span's MLP
+    /// read and phase mask hold for all `k` cycles).
+    pub(crate) fn close_cycles(&mut self, k: u64) {
         self.mem
-            .outstanding_l2_misses_into(self.now, &mut self.mlp_scratch);
-        for (tid, &c) in self.mlp_scratch.iter().enumerate() {
-            if c > 0 {
-                self.stats[tid].mlp_sum += u64::from(c);
-                self.stats[tid].mlp_cycles += 1;
-            }
-        }
-    }
-
-    /// Counts the cycle under its phase combination: the mask of threads
-    /// with a pending L1 data miss at the end of the cycle.
-    fn sample_phase(&mut self) {
+            .outstanding_l2_misses_into(self.now + k - 1, &mut self.mlp_scratch);
+        let idle = self.idle;
         let mut slow = 0u8;
-        for (tid, th) in self.threads.iter().enumerate() {
-            if th.l1d_pending > 0 {
-                slow |= 1 << tid;
-            }
+        for (tid, (stats, th)) in self.stats.iter_mut().zip(&self.threads).enumerate() {
+            let charge = |mask: u8| k * u64::from(mask >> tid & 1);
+            stats.gated_cycles += charge(idle.gated);
+            stats.blocked_rob += charge(idle.blocked_rob);
+            stats.blocked_iq += charge(idle.blocked_iq);
+            stats.blocked_regs += charge(idle.blocked_regs);
+            stats.blocked_policy += charge(idle.blocked_policy);
+            let outstanding = self.mlp_scratch[tid];
+            stats.mlp_sum += k * u64::from(outstanding);
+            stats.mlp_cycles += k * u64::from(outstanding > 0);
+            slow |= u8::from(th.l1d_pending > 0) << tid;
         }
-        self.idle.slow = slow;
-        self.phase_cycles[usize::from(slow)] += 1;
+        self.phase_cycles[usize::from(slow)] += k;
+        self.commit_rr = (self.commit_rr + k as usize) % self.threads.len();
+        self.now += k;
     }
 
     /// Current per-thread occupancy of each controlled resource — the

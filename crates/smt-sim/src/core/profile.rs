@@ -39,9 +39,11 @@ pub struct StageProfile {
     pub dispatch: Duration,
     /// Fetch stage.
     pub fetch: Duration,
-    /// Fast-forward: idle-deadline computation + policy/statistics replay.
+    /// Fast-forward: idle-deadline computation, policy replay and the
+    /// skipped span's close.
     pub forward: Duration,
-    /// MLP sampling and loop bookkeeping.
+    /// The stepped cycle's close (counters, MLP and phase samples) and
+    /// loop bookkeeping.
     pub other: Duration,
 }
 

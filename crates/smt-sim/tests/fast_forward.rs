@@ -6,14 +6,15 @@
 //!
 //! This is the contract that makes fast-forward a pure performance
 //! feature: `Policy::on_idle_cycles` replays per-cycle policy state
-//! (RR rotation, DCRA activity decay, FLUSH++ pressure windows) and the
-//! core replays per-cycle statistics (gated/blocked counters, MLP
-//! samples, the commit round-robin origin) arithmetically, so nothing
-//! observable may drift.
-
+//! (RR rotation, DCRA activity decay, FLUSH++ pressure windows), and a
+//! skipped span is closed by the same `Simulator::close_cycles` that ends
+//! every stepped cycle (gated/blocked counters, MLP and phase samples,
+//! the commit round-robin origin, the MSHR purge, the clock), so nothing
+//! observable may drift. The per-counter tests below pin each per-cycle
+//! counter on a run that skips cycles while charging it.
 use proptest::prelude::*;
 use smt_sim::policy::AnyPolicy;
-use smt_sim::{SimConfig, SimResult, Simulator};
+use smt_sim::{SimConfig, SimResult, Simulator, StageProfile, ThreadStats};
 use smt_workloads::spec;
 
 /// The nine canonical policies, freshly built (policies are stateful).
@@ -63,7 +64,10 @@ proptest! {
         warm in 200u64..1_200,
         measured in 1_000u64..4_000,
     ) {
-        let profiles: Vec<_> = benches.iter().map(|b| spec::profile(b).unwrap()).collect();
+        let profiles: Vec<_> = benches
+        .iter()
+        .map(|b| spec::profile(b).expect("known benchmark"))
+        .collect();
         // Derive a config deterministically from cfg_seed via the strategy
         // space: reuse the same strategy machinery by indexing variants.
         let rob = [64u32, 128, 512][(cfg_seed % 3) as usize];
@@ -184,5 +188,109 @@ fn slow_l1_runs_match_recorded_counters() {
             .map(|p| slow_l1_summary(p, stepped))
             .collect();
         assert_eq!(got, SLOW_L1_GOLDEN, "stepped = {stepped}");
+    }
+}
+
+/// The per-cycle counters of a run: each thread's, then the phase
+/// samples. `ThreadStats` is destructured exhaustively, so a new field
+/// does not compile here until it is sorted into per-cycle or not.
+fn per_cycle_counters(r: &SimResult) -> Vec<(String, u64)> {
+    let SimResult {
+        cycles: _,
+        policy: _,
+        threads,
+        phase_cycles,
+    } = r;
+    let mut out = Vec::new();
+    for (tid, t) in threads.iter().enumerate() {
+        let ThreadStats {
+            committed: _,
+            fetched: _,
+            squashed: _,
+            mispredicts: _,
+            loads: _,
+            l1d_misses: _,
+            l2_misses: _,
+            gated_cycles,
+            mlp_sum,
+            mlp_cycles,
+            blocked_rob,
+            blocked_iq,
+            blocked_regs,
+            blocked_policy,
+        } = *t;
+        out.extend([
+            (format!("T{tid} gated_cycles"), gated_cycles),
+            (format!("T{tid} mlp_sum"), mlp_sum),
+            (format!("T{tid} mlp_cycles"), mlp_cycles),
+            (format!("T{tid} blocked_rob"), blocked_rob),
+            (format!("T{tid} blocked_iq"), blocked_iq),
+            (format!("T{tid} blocked_regs"), blocked_regs),
+            (format!("T{tid} blocked_policy"), blocked_policy),
+        ]);
+    }
+    for (mask, &c) in phase_cycles.iter().enumerate() {
+        out.push((format!("phase_cycles[{mask:#b}]"), c));
+    }
+    out
+}
+
+/// Each per-cycle counter on a mcf+gzip run (seed 42, 20k-instruction
+/// prewarm, 1k warm-up cycles, 10k measured) that skips cycles while
+/// charging it: the fast-forwarded run must charge the counter and match
+/// the stepped run in every per-cycle counter.
+#[test]
+fn per_cycle_counters_survive_skips() {
+    let machine = |tweak: fn(&mut SimConfig)| {
+        let mut cfg = SimConfig::baseline(2);
+        tweak(&mut cfg);
+        cfg
+    };
+    let icount = || AnyPolicy::from(smt_policies::Icount);
+    type Policy = fn() -> AnyPolicy;
+    let cases: [(&str, SimConfig, Policy); 8] = [
+        ("T0 gated_cycles", machine(|_| {}), || {
+            smt_policies::DataGating.into()
+        }),
+        ("T0 blocked_policy", machine(|_| {}), || {
+            smt_policies::StaticAllocation::new().into()
+        }),
+        ("T0 blocked_rob", machine(|c| c.rob_entries = 32), icount),
+        ("T0 blocked_iq", machine(|c| c.iq_entries = 8), icount),
+        ("T0 blocked_regs", machine(|c| c.phys_regs = 80), icount),
+        ("T0 mlp_sum", machine(|_| {}), icount),
+        ("T0 mlp_cycles", machine(|_| {}), icount),
+        ("phase_cycles[0b1]", machine(|_| {}), icount),
+    ];
+    let profiles = [spec::profile("mcf"), spec::profile("gzip")].map(|p| p.expect("known"));
+    for (counter, cfg, policy) in cases {
+        let build = || {
+            let mut sim = Simulator::new(cfg.clone(), &profiles, policy(), 42);
+            sim.prewarm(20_000);
+            sim
+        };
+        let mut stepped = build();
+        for _ in 0..1_000 {
+            stepped.step();
+        }
+        stepped.reset_stats();
+        for _ in 0..10_000 {
+            stepped.step();
+        }
+        let mut fast = build();
+        let mut profile = StageProfile::default();
+        fast.run_cycles_profiled(1_000, &mut profile);
+        fast.reset_stats();
+        fast.run_cycles_profiled(10_000, &mut profile);
+
+        let (want, got) = (stepped.result(), fast.result());
+        let case = format!("{} for {counter}", got.policy);
+        assert!(profile.skipped > 0, "{case}: no cycle skipped");
+        let (want, got) = (per_cycle_counters(&want), per_cycle_counters(&got));
+        assert!(
+            got.iter().any(|(n, c)| n == counter && *c > 0),
+            "{case}: never charged"
+        );
+        assert_eq!(want, got, "{case}: stepped vs fast-forwarded");
     }
 }
